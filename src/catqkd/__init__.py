@@ -28,7 +28,6 @@ from .keyrate import (
     von_neumann_g,
 )
 from .optimize import (
-    SweepSpec,
     TransmittanceOptimum,
     best_key_rate,
     max_distance,
@@ -49,7 +48,6 @@ __all__ = [
     "SchmidtSpectrum",
     "SourceParams",
     "SubtractionConfig",
-    "SweepSpec",
     "TransmittanceOptimum",
     "TwoModeCovariance",
     "best_key_rate",

@@ -2,37 +2,28 @@
 
 An EPR source with squeezing parameter ``lam`` feeds one or both arms
 into a beam splitter whose ancillary port carries a Fock state; the
-event is kept only when the same photon number leaves the ancillary
-output port.  The heralded state is again a superposition of twin Fock
-pairs, so its reduced state is thermal-like and the whole security
-analysis only needs the success probability, the 2x2-block covariance
-matrix and the Schmidt coefficients.
-
-All three are mixed partial derivatives of a rational generating
-function of up to four bookkeeping variables (one pair per catalysed
-arm), which this module evaluates exactly with truncated Taylor jets
-(:mod:`catqkd.series`).  Symmetric catalysis on both arms with equal
-photon number and transmittance is called BSQC below; catalysis on the
-idler arm only (the other beam splitter removed, transmittance one) is
-SSQC.
+event is kept only when the same photon number leaves that port.  The
+heralded state is ``sum_l K x**l q(l) |l, l>`` with ``K**2 = (1-lam**2)
+t1**m t2**n``, ``x = lam sqrt(t1 t2)`` and ``q`` the product of the two
+arms' polynomials in ``l``, kept in the binomial basis ``C(l, j)``.  Its
+moments are then exact finite sums, and its Schmidt coefficients need
+only a cutoff set by an analytic tail bound.  BSQC is symmetric
+catalysis on both arms; SSQC catalyses the idler arm only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError
-from .series import Jet, jet_const, jet_div, jet_mul, mixed_partial_at_zero
 
 MAX_PHOTONS = 5
-
-# Bookkeeping variable layout for the four-variable generating function:
-# (tau, gamma) differentiate the signal-arm kernel, (tau1, gamma1) the
-# idler-arm kernel.
-_TAU, _GAMMA, _TAU1, _GAMMA1 = range(4)
+_TAIL = 1e-13           # bound on the sum of |w_l| a Schmidt spectrum leaves out
+_MAX_TERMS = 1 << 20    # longest Schmidt spectrum computed
 
 
 @dataclass(frozen=True)
@@ -141,8 +132,9 @@ class TwoModeCovariance:
 class SchmidtSpectrum:
     """Signed Schmidt coefficients w_l of a heralded twin-Fock state.
 
-    ``weights[l]`` multiplies the ``|l, l>`` pair; ``tail_bound`` is an
-    estimate of the squared mass discarded past the stored cutoff.
+    ``weights[l]`` multiplies the ``|l, l>`` pair; ``tail_bound`` bounds
+    what lies past the stored cutoff, as documented by the function that
+    built the spectrum.
     """
 
     weights: np.ndarray
@@ -162,72 +154,60 @@ class SchmidtSpectrum:
         return float(self.weights @ self.weights)
 
 
-def _affine(orders: tuple[int, ...], c0: float, var: int, c1: float) -> Jet:
-    # c0 + c1 * x_var; the linear term drops when that variable is
-    # truncated at order 0 (no derivative taken in it).
-    coeffs = np.zeros(tuple(o + 1 for o in orders))
-    coeffs.flat[0] = c0
-    if orders[var] >= 1:
-        pos = [0] * len(orders)
-        pos[var] = 1
-        coeffs[tuple(pos)] = c1
-    return Jet(orders, coeffs)
+def _arm(photons: int, t: float) -> tuple[list[int], int]:
+    # <l,k|B(t)|l,k> = t**((l+k)/2) sum_s C(k,s) r**s C(l,s), r = -(1-t)/t.  With
+    # t = a/b exactly, returns the integer coefficients of a**k times the sum.
+    a, b = t.as_integer_ratio()
+    return [math.comb(photons, s) * (a - b)**s * a**(photons - s)
+            for s in range(photons + 1)], a**photons
 
 
-def _kernel(cfg: CatalysisConfig, lam: float, orders: tuple[int, ...],
-            tau: int, gamma: int) -> Jet:
-    # One arm's generating kernel
-    #   lam (t2 - gamma)(t1 - tau) / (sqrt(t1 t2) (1 - gamma)(1 - tau)).
-    num = jet_mul(_affine(orders, cfg.t2, gamma, -1.0), _affine(orders, cfg.t1, tau, -1.0))
-    den = jet_mul(_affine(orders, 1.0, gamma, -1.0), _affine(orders, 1.0, tau, -1.0))
-    return jet_div(num * lam, den * math.sqrt(cfg.t1 * cfg.t2))
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    # C(l,i) C(l,j) = sum_k C(k,i) C(i,k-j) C(l,k), which for q = [0, 1] = l is
+    # l C(l,j) = (j+1) C(l,j+1) + j C(l,j)
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            for k in range(max(i, j), i + j + 1):
+                out[k] += pi * qj * (math.comb(k, i) * math.comb(i, k - j))
+    return out
 
 
-def _herald_scale(cfg: CatalysisConfig, lam: float) -> float:
-    # Squared prefactor of the heralded (unnormalised) amplitude series.
-    fact = math.factorial(cfg.m) * math.factorial(cfg.n)
-    return cfg.t1**cfg.m * cfg.t2**cfg.n * (1.0 - lam**2) / fact**2
+def _moments(cfg: CatalysisConfig, src: SourceParams) -> tuple[float, float, float]:
+    """Success probability and covariance entries ``x``, ``z``, exact up to rounding.
 
-
-def _generating_moments(cfg: CatalysisConfig, src: SourceParams) -> tuple[float, float, float]:
-    """Success probability and unnormalised second moments.
-
-    Returns ``(pd, s_var, s_cor)`` where ``2*s_var/pd - 1`` is the
-    quadrature variance of either mode and ``2*s_cor/pd`` the cross
-    correlation.
+    Each is ``sum_l y**l p(l) = sum_j p_j u**j / (1-y)``, ``y = lam**2 t1 t2``,
+    ``u = y/(1-y)``; the sums cancel heavily, so they run in integers.
     """
-    orders = (cfg.m, cfg.n, cfg.m, cfg.n)
-    derivs = orders
-    lam = src.lam
-    w = _kernel(cfg, lam, orders, _TAU, _GAMMA)
-    w1 = _kernel(cfg, lam, orders, _TAU1, _GAMMA1)
-    pi = jet_const(1.0, orders)
-    for var in range(4):
-        pi = jet_mul(pi, _affine(orders, 1.0, var, -1.0))
-    pi = jet_div(jet_const(1.0, orders), pi)
-    resolvent = jet_div(jet_const(1.0, orders), 1.0 - jet_mul(w1, w))
+    (arm1, s1), (arm2, s2) = _arm(cfg.m, cfg.t1), _arm(cfg.n, cfg.t2)
+    (a1, b1), (a2, b2) = cfg.t1.as_integer_ratio(), cfg.t2.as_integer_ratio()
+    c, d = (f * f for f in src.alpha.as_integer_ratio())  # alpha**2 = c/d
+    num, den = c * a1 * a2, d * b1 * b2 + c * (b1 * b2 - a1 * a2)  # u = num/den
 
-    first = jet_mul(pi, resolvent)
-    second = jet_mul(first, resolvent)
-    scale = _herald_scale(cfg, lam)
-    pd = scale * mixed_partial_at_zero(first, derivs)
-    s_var = scale * mixed_partial_at_zero(second, derivs)
-    s_cor = scale * mixed_partial_at_zero(jet_mul(second, w), derivs)
+    def total(p: list[int]) -> int:  # den**deg sum_j p_j u**j
+        return sum(pj * num**j * den ** (len(p) - 1 - j) for j, pj in enumerate(p))
+
+    q = _mul(arm1, arm2)
+    q_next = [qj + qk for qj, qk in zip(q, q[1:] + [0])]  # C(l+1,j) = C(l,j) + C(l,j-1)
+    q2 = _mul(q, q)
+    norm = total(q2)
+    # K**2 / (1 - y) = t1**m t2**n d b1 b2 / den
+    pd = norm * d * b1 * b2 / (b1**cfg.m * b2**cfg.n * s1 * s2 * den ** len(q2))
     if not 0.0 < pd <= 1.0 + 1e-9:
         raise ConsistencyError(f"success probability {pd} outside (0, 1]")
-    return pd, s_var, s_cor
+    nbar = total(_mul(q2, [0, 1])) / (den * norm)                 # sum_l l a_l**2
+    corr = total(_mul(_mul(q, q_next), [1, 1])) / (den * norm)  # sum_l (l+1) a_l a_l+1
+    return pd, 2.0 * nbar + 1.0, 2.0 * src.lam * math.sqrt(cfg.t1 * cfg.t2) * corr
 
 
 def success_probability(cfg: CatalysisConfig, src: SourceParams) -> float:
     """Probability that both catalysers herald the target photon number."""
-    return _generating_moments(cfg, src)[0]
+    return _moments(cfg, src)[0]
 
 
 def pd_and_covariance(cfg: CatalysisConfig, src: SourceParams) -> tuple[float, TwoModeCovariance]:
     """Success probability and covariance of the heralded state."""
-    pd, s_var, s_cor = _generating_moments(cfg, src)
-    x = 2.0 * s_var / pd - 1.0
-    z = 2.0 * s_cor / pd
+    pd, x, z = _moments(cfg, src)
     return pd, TwoModeCovariance(x=x, y=x, z=z)
 
 
@@ -236,54 +216,42 @@ def output_covariance(cfg: CatalysisConfig, src: SourceParams) -> TwoModeCovaria
     return pd_and_covariance(cfg, src)[1]
 
 
-def schmidt_spectrum(cfg: CatalysisConfig, src: SourceParams,
-                     tol: float = 1e-20, max_terms: int = 512) -> SchmidtSpectrum:
-    """Schmidt coefficients of the heralded state.
+def schmidt_spectrum(cfg: CatalysisConfig, src: SourceParams) -> SchmidtSpectrum:
+    """Signed Schmidt coefficients ``w_l = K x**l q(l) / sqrt(pd)``, ``l = 0..L``.
 
-    ``w_l`` is a two-variable mixed partial of ``kernel**l`` divided by
-    ``(1 - tau)(1 - gamma)``; the loop reuses the running kernel power and
-    stops once the estimated discarded squared mass drops below ``tol``.
-    The coefficients keep their sign; only the normalisation is checked.
+    ``|q|`` is majorised by ``Q``, the product of the arms' polynomials
+    with absolute coefficients, and ``Q(l+1)/Q(l) <= (l+1)/(l+1-m-n)``, so
+    ``sum_{l>L} |w_l|`` has a geometric upper bound, kept as ``tail_bound``.
+    ``L`` is the smallest cutoff with a bound of at most ``_TAIL``.  Past
+    ``_MAX_TERMS`` this raises :class:`ConsistencyError` before allocating.
     """
-    m, n = cfg.m, cfg.n
-    orders = (m, n)
-    lam = src.lam
-    pd = success_probability(cfg, src)
-    scale = math.sqrt(cfg.t1**m * cfg.t2**n * (1.0 - lam**2)) \
-        / (math.factorial(m) * math.factorial(n)) / math.sqrt(pd)
-    kernel = _kernel(cfg, lam, orders, 0, 1)
-    base = jet_div(
-        jet_const(1.0, orders),
-        jet_mul(_affine(orders, 1.0, 0, -1.0), _affine(orders, 1.0, 1, -1.0)),
-    )
-    rho = lam * math.sqrt(cfg.t1 * cfg.t2)  # asymptotic weight ratio
-    window = m + n + 2
-    min_terms = 10 + m + n
-    weights: list[float] = []
-    power = jet_const(1.0, orders)
-    tail = math.inf
-    for l in range(max_terms + 1):
-        weights.append(scale * mixed_partial_at_zero(jet_mul(base, power), orders))
-        power = jet_mul(power, kernel)
-        if l < min_terms:
-            continue
-        peak = max(abs(v) for v in weights[-window:])
-        ratio = rho
-        if weights[-2] != 0.0 and weights[-1] != 0.0:
-            ratio = max(rho, min(abs(weights[-1] / weights[-2]), 0.9999))
-        # Factor 4 absorbs the polynomial prefactor of the true tail.
-        tail = 4.0 * peak**2 * ratio**2 / (1.0 - ratio**2)
-        if tail < tol:
-            break
-    else:
-        raise ConsistencyError(
-            f"Schmidt spectrum did not converge within {max_terms} terms (tail {tail:g})"
-        )
-    spectrum = SchmidtSpectrum(weights=np.array(weights), tail_bound=tail)
+    x = src.lam * math.sqrt(cfg.t1 * cfg.t2)
+    k2 = cfg.t1**cfg.m * cfg.t2**cfg.n / (1.0 + src.alpha**2)  # K**2
+    scale = math.sqrt(k2 / success_probability(cfg, src))
+    arms = [[c / a for c in arm] for arm, a in (_arm(cfg.m, cfg.t1), _arm(cfg.n, cfg.t2))]
+
+    def tail(cutoff: int) -> float:  # first left-out term / (1 - ratio bound)
+        gap = cutoff + 2 - cfg.m - cfg.n
+        if gap <= 0 or x * (cutoff + 2) >= gap:
+            return math.inf
+        first = scale * x ** (cutoff + 1) * math.prod(
+            sum(abs(c) * math.comb(cutoff + 1, s) for s, c in enumerate(arm)) for arm in arms)
+        return first / (1.0 - x * (cutoff + 2) / gap)
+
+    cutoff = bisect.bisect_left(range(_MAX_TERMS), True, key=lambda c: tail(c) <= _TAIL)
+    if cutoff == _MAX_TERMS:
+        raise ConsistencyError(f"Schmidt spectrum at lam={src.lam:.12g}, t1={cfg.t1}, "
+                               f"t2={cfg.t2} needs more than {_MAX_TERMS} terms")
+    ls = np.arange(cutoff + 1)
+    weights = scale * x**ls
+    for arm in arms:
+        binom, poly = np.ones(len(ls)), np.zeros(len(ls))
+        for j, c in enumerate(arm):  # C(l, j+1) = C(l, j) (l - j) / (j + 1)
+            poly, binom = poly + c * binom, binom * (ls - j) / (j + 1)
+        weights *= poly
+    spectrum = SchmidtSpectrum(weights=weights, tail_bound=tail(cutoff))
     if abs(spectrum.squared_sum - 1.0) > 1e-8:
-        raise ConsistencyError(
-            f"Schmidt weights sum to {spectrum.squared_sum}, expected 1"
-        )
+        raise ConsistencyError(f"Schmidt weights sum to {spectrum.squared_sum}, expected 1")
     return spectrum
 
 

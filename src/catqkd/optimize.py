@@ -29,37 +29,6 @@ class TransmittanceOptimum:
     all_zero: bool
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grids and thresholds for the CLI sweeps."""
-
-    distances_km: tuple[float, ...]
-    epsilon: float = 0.01
-    floor: float = 1e-6
-    t_min: float = 0.5
-    t_max: float = 1.0
-    t_step: float = 0.005
-    refine_tol: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if not self.distances_km:
-            raise ValueError("distance grid is empty")
-        if any(d < 0 for d in self.distances_km):
-            raise ValueError("distances must be non-negative")
-        if self.floor <= 0.0:
-            raise ValueError(f"key-rate floor must be positive, got {self.floor}")
-
-    @classmethod
-    def from_range(cls, d_min: float, d_max: float, d_step: float, **kw) -> "SweepSpec":
-        if d_step <= 0.0 or d_max < d_min:
-            raise ValueError("need d_step > 0 and d_max >= d_min")
-        count = int(round((d_max - d_min) / d_step)) + 1 if d_max > d_min else 1
-        grid = tuple(d_min + k * d_step for k in range(count))
-        if grid[-1] < d_max - 1e-12:
-            grid = grid + (d_max,)
-        return cls(distances_km=grid, **kw)
-
-
 def golden_section_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     """Maximise a unimodal function on [a, b] to bracket width tol."""
     c = b - (b - a) * _INV_PHI

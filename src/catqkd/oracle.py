@@ -1,10 +1,10 @@
-"""Brute-force Fock-space cross-checks for the heralded sources.
+"""Independent references for the heralded sources, never used in sweeps.
 
-Everything here is independent of the series pipeline: states are
-expanded in the photon-number basis up to a cutoff and beam splitters
-act through their exact matrix elements.  The closed forms elsewhere in
-the package are tested against these simulations; nothing in here is
-used for production sweeps.
+Fock-space simulations expand states in the photon-number basis up to a
+cutoff, with exact beam-splitter matrix elements.  The paper's
+generating-function route for catalysis takes mixed partial derivatives
+with truncated Taylor jets (:mod:`catqkd.series`).  Tests and ``catqkd
+verify`` check the production closed forms against both.
 
 Beam-splitter convention: ``sign=-1`` (default) maps ``b -> sqrt(t) b -
 sqrt(1-t) c`` and ``c -> sqrt(1-t) b + sqrt(t) c``, so ``<0,1|B|1,0> =
@@ -21,10 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalysis import CatalysisConfig, SchmidtSpectrum, SourceParams, TwoModeCovariance
-from .errors import CutoffError
+from .errors import ConsistencyError, CutoffError
+from .series import Jet, jet_const, jet_div, jet_mul, mixed_partial_at_zero
 from .subtraction import SubtractionConfig
 
 _TAIL_MASS_LIMIT = 1e-8
+
+# Bookkeeping variable layout for the four-variable generating function:
+# (tau, gamma) differentiate the signal-arm kernel, (tau1, gamma1) the
+# idler-arm kernel.
+_TAU, _GAMMA, _TAU1, _GAMMA1 = range(4)
 
 
 def bs_fock_amplitude(t: float, in_b: int, in_c: int, out_b: int, out_c: int,
@@ -74,6 +80,63 @@ def bs_fock_amplitude(t: float, in_b: int, in_c: int, out_b: int, out_c: int,
     peak = max(logs)
     acc = sum(s * math.exp(lg - peak) for s, lg in zip(signs, logs))
     return acc * math.exp(peak)
+
+
+def _affine(orders: tuple[int, ...], c0: float, var: int, c1: float) -> Jet:
+    # c0 + c1 * x_var; the linear term drops when that variable is
+    # truncated at order 0 (no derivative taken in it).
+    coeffs = np.zeros(tuple(o + 1 for o in orders))
+    coeffs.flat[0] = c0
+    if orders[var] >= 1:
+        pos = [0] * len(orders)
+        pos[var] = 1
+        coeffs[tuple(pos)] = c1
+    return Jet(orders, coeffs)
+
+
+def _kernel(cfg: CatalysisConfig, lam: float, orders: tuple[int, ...],
+            tau: int, gamma: int) -> Jet:
+    # One arm's generating kernel
+    #   lam (t2 - gamma)(t1 - tau) / (sqrt(t1 t2) (1 - gamma)(1 - tau)).
+    num = jet_mul(_affine(orders, cfg.t2, gamma, -1.0), _affine(orders, cfg.t1, tau, -1.0))
+    den = jet_mul(_affine(orders, 1.0, gamma, -1.0), _affine(orders, 1.0, tau, -1.0))
+    return jet_div(num * lam, den * math.sqrt(cfg.t1 * cfg.t2))
+
+
+def _herald_scale(cfg: CatalysisConfig, lam: float) -> float:
+    # Squared prefactor of the heralded (unnormalised) amplitude series.
+    fact = math.factorial(cfg.m) * math.factorial(cfg.n)
+    return cfg.t1**cfg.m * cfg.t2**cfg.n * (1.0 - lam**2) / fact**2
+
+
+def generating_function_moments(cfg: CatalysisConfig,
+                                src: SourceParams) -> tuple[float, float, float]:
+    """Success probability and unnormalised second moments, from jets.
+
+    Returns ``(pd, s_var, s_cor)`` where ``2*s_var/pd - 1`` is the
+    quadrature variance of either mode and ``2*s_cor/pd`` the cross
+    correlation.
+    """
+    orders = (cfg.m, cfg.n, cfg.m, cfg.n)
+    derivs = orders
+    lam = src.lam
+    w = _kernel(cfg, lam, orders, _TAU, _GAMMA)
+    w1 = _kernel(cfg, lam, orders, _TAU1, _GAMMA1)
+    pi = jet_const(1.0, orders)
+    for var in range(4):
+        pi = jet_mul(pi, _affine(orders, 1.0, var, -1.0))
+    pi = jet_div(jet_const(1.0, orders), pi)
+    resolvent = jet_div(jet_const(1.0, orders), 1.0 - jet_mul(w1, w))
+
+    first = jet_mul(pi, resolvent)
+    second = jet_mul(first, resolvent)
+    scale = _herald_scale(cfg, lam)
+    pd = scale * mixed_partial_at_zero(first, derivs)
+    s_var = scale * mixed_partial_at_zero(second, derivs)
+    s_cor = scale * mixed_partial_at_zero(jet_mul(second, w), derivs)
+    if not 0.0 < pd <= 1.0 + 1e-9:
+        raise ConsistencyError(f"success probability {pd} outside (0, 1]")
+    return pd, s_var, s_cor
 
 
 def adaptive_cutoff(lam: float, tail: float = 1e-12) -> int:

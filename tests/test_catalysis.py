@@ -1,6 +1,8 @@
 """Photon catalysis: closed-form anchors, Fock-oracle agreement, invariants."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from catqkd import (
     success_probability,
     tmsv_covariance,
 )
-from catqkd.oracle import simulate_catalysis
+from catqkd.oracle import generating_function_moments, simulate_catalysis
 
 ALPHAS = [1.0, 3.0]
 CONFIGS = [
@@ -32,6 +34,22 @@ CONFIGS = [
     CatalysisConfig.ssqc(2, 0.95),
     CatalysisConfig(m=1, n=2, t1=0.85, t2=0.6),
 ]
+
+
+GRID_T = [0.01, 0.5, 0.95, 0.999]
+GRID_V = [1.5, 20.0, 1e3, 1e6]
+# Relative agreement with the jet route.  The closed form is exact up to
+# the final rounding; the jets lose digits at strong squeezing and large
+# photon numbers (7.6e-9 for bsqc5 at T = 0.95, V = 1e3, and 5.1e-8 for
+# bsqc5 at T = 0.999, V = 1e6, against a 60-digit reference).
+GRID_REL = {1.5: 1e-10, 20.0: 1e-10, 1e3: 1e-8, 1e6: 1e-6}
+
+
+def _grid_configs(t):
+    configs = [CatalysisConfig.bsqc(k, t) for k in range(6)]
+    configs += [CatalysisConfig.ssqc(k, t) for k in range(6)]
+    configs += [CatalysisConfig(m, n, t, 0.5 + t / 2) for m, n in [(1, 2), (3, 1), (2, 5), (5, 4)]]
+    return configs
 
 
 def test_source_parametrisations_agree():
@@ -121,6 +139,46 @@ def test_generating_function_route_matches_fock_oracle(cfg, alpha):
     assert cov.z == pytest.approx(sim.cov.z, rel=1e-9)
 
 
+@pytest.mark.parametrize("variance", GRID_V)
+@pytest.mark.parametrize("t", GRID_T)
+def test_closed_form_matches_generating_function_route(t, variance):
+    src = SourceParams.from_variance(variance)
+    rel = GRID_REL[variance]
+    for cfg in _grid_configs(t):
+        start = time.perf_counter()
+        pd, cov = pd_and_covariance(cfg, src)
+        elapsed = time.perf_counter() - start
+        ref_pd, s_var, s_cor = generating_function_moments(cfg, src)
+        assert pd == pytest.approx(ref_pd, rel=rel), cfg
+        assert cov.x == pytest.approx(2.0 * s_var / ref_pd - 1.0, rel=rel), cfg
+        assert cov.z == pytest.approx(2.0 * s_cor / ref_pd, rel=rel), cfg
+        assert elapsed < 0.1, f"{cfg} took {elapsed:.3f}s"
+
+
+@pytest.mark.parametrize("variance", GRID_V)
+def test_transparent_catalysers_return_the_source_exactly(variance):
+    # includes ssqc3 and ssqc4 at V = 1e6, where the jet route turns unphysical
+    src = SourceParams.from_variance(variance)
+    ref = tmsv_covariance(src)
+    for cfg in _grid_configs(1.0):
+        pd, cov = pd_and_covariance(cfg, src)
+        assert pd == 1.0, cfg
+        assert cov.x == pytest.approx(ref.x, rel=1e-12), cfg
+        assert cov.z == pytest.approx(ref.z, rel=1e-12), cfg
+
+
+@pytest.mark.parametrize("cfg,variance,ref", [
+    (CatalysisConfig.bsqc(5, 0.95), 1e3,
+     (0.0031380191516190354645, 146.1763665996212947, 145.86740690692568428)),
+    (CatalysisConfig.bsqc(5, 0.999), 1e6,
+     (0.00018405166006994014462, 10776.560588416882224, 10776.555048992155122)),
+], ids=str)
+def test_closed_form_matches_high_precision_reference(cfg, variance, ref):
+    # references from a 60-digit direct sum over the twin-Fock ladder
+    pd, cov = pd_and_covariance(cfg, SourceParams.from_variance(variance))
+    assert (pd, cov.x, cov.z) == pytest.approx(ref, rel=1e-13)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("cfg", CONFIGS[:4], ids=str)
 def test_schmidt_weights_match_fock_oracle(cfg, alpha):
@@ -142,6 +200,35 @@ def test_schmidt_spectrum_is_normalised(cfg, alpha):
     spec = schmidt_spectrum(cfg, SourceParams(alpha))
     assert spec.squared_sum == pytest.approx(1.0, abs=1e-8)
     assert spec.tail_bound < 1e-12
+
+
+@pytest.mark.parametrize("cfg,variance", [
+    (CatalysisConfig.bsqc(1, 0.95), 1000.0),
+    (CatalysisConfig.bsqc(5, 0.7), 20.0),
+    (CatalysisConfig(m=2, n=3, t1=0.9, t2=0.6), 200.0),
+], ids=str)
+def test_schmidt_spectrum_reproduces_the_moments(cfg, variance):
+    # bsqc1 at V = 1000 needs about 750 terms
+    src = SourceParams.from_variance(variance)
+    spec = schmidt_spectrum(cfg, src)
+    _, cov = pd_and_covariance(cfg, src)
+    w = spec.weights
+    ls = np.arange(spec.cutoff + 1)
+    assert spec.squared_sum == pytest.approx(1.0, abs=1e-12)
+    assert spec.tail_bound < 1e-12
+    assert 2.0 * float(ls @ (w * w)) + 1.0 == pytest.approx(cov.x, rel=1e-10)
+    assert 2.0 * float(np.sum((ls[:-1] + 1) * w[:-1] * w[1:])) == pytest.approx(cov.z, rel=1e-10)
+
+
+def test_schmidt_size_cap_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConsistencyError, match=r"lam=.*t1=1\.0, t2=1\.0"):
+            schmidt_spectrum(CatalysisConfig.bsqc(1, 1.0), SourceParams.from_variance(1e12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_schmidt_spectrum_of_transparent_catalyser_is_geometric():

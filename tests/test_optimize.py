@@ -10,7 +10,6 @@ from catqkd import (
     ProtocolParams,
     SourceParams,
     SubtractionConfig,
-    SweepSpec,
     best_key_rate,
     max_distance,
     max_tolerable_excess_noise,
@@ -26,18 +25,6 @@ def test_golden_section_on_parabola():
     x, fx = golden_section_max(lambda t: -(t - 0.7) ** 2, 0.0, 1.0, 1e-6)
     assert x == pytest.approx(0.7, abs=1e-5)
     assert fx == pytest.approx(0.0, abs=1e-9)
-
-
-def test_sweep_spec_grid_construction():
-    spec = SweepSpec.from_range(0.0, 10.0, 2.5)
-    assert spec.distances_km == (0.0, 2.5, 5.0, 7.5, 10.0)
-    assert SweepSpec.from_range(5.0, 5.0, 1.0).distances_km == (5.0,)
-    with pytest.raises(ValueError):
-        SweepSpec.from_range(10.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        SweepSpec(distances_km=())
-    with pytest.raises(ValueError):
-        SweepSpec(distances_km=(10.0,), floor=0.0)
 
 
 def test_bare_protocol_has_nothing_to_optimise():
