@@ -38,7 +38,7 @@ from .keyrate import (
     secret_key_rate,
     symplectic_eigenvalues,
 )
-from .optimize import golden_section_max, max_distance, max_tolerable_excess_noise, optimize_transmittance
+from .optimize import max_distance, max_tolerable_excess_noise, optimize_transmittance, refine_grid_max
 from .subtraction import SubtractionConfig
 
 EXIT_OK = 0
@@ -248,12 +248,7 @@ def _best_log_negativity(cfg_at, src) -> tuple[float, float]:
         return catalysis.log_negativity(catalysis.schmidt_spectrum(cfg_at(t), src))
 
     grid = [0.5 + k * 0.01 for k in range(51)]
-    best = max(range(len(grid)), key=lambda i: value(grid[i]))
-    lo, hi = grid[max(0, best - 1)], grid[min(len(grid) - 1, best + 1)]
-    t_ref, v_ref = golden_section_max(value, lo, hi, 1e-3)
-    if v_ref < value(grid[best]):
-        return grid[best], value(grid[best])
-    return t_ref, v_ref
+    return refine_grid_max(value, grid, [value(t) for t in grid], 1e-3)
 
 
 def cmd_entanglement(args) -> int:

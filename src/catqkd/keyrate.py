@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import catalysis, subtraction
 from .catalysis import CatalysisConfig, SourceParams, TwoModeCovariance
 from .errors import ConsistencyError
@@ -177,6 +179,61 @@ def secret_key_rate(p: ProtocolParams, ch: ChannelParams) -> KeyRateResult:
         key_rate=max(0.0, raw),
         symplectic=(l1, l2, l3),
     )
+
+
+def _sq(values: np.ndarray) -> np.ndarray:
+    # the C library's pow, as Python's ** 2 on floats: numpy's x ** 2 is x * x
+    return np.float_power(values, 2)
+
+
+def _log2(values: np.ndarray) -> np.ndarray:
+    # math.log2 value by value: numpy's log2 may differ from it in the last bit
+    return np.fromiter(map(math.log2, values.ravel().tolist()), float,
+                       values.size).reshape(values.shape)
+
+
+def grid_key_rates(t: np.ndarray, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   z: np.ndarray, ch: ChannelParams, beta: float) -> np.ndarray:
+    """Key rates of the states ``(p_success, x, y, z)`` prepared at transmittances ``t``.
+
+    The array form of :func:`secret_key_rate`: the same formulas in the same
+    floating-point operations, so every rate has the same bits.  It checks
+    what :class:`TwoModeCovariance`, :func:`mutual_information` and
+    :func:`symplectic_eigenvalues` check and raises :class:`ConsistencyError`
+    naming the first failing ``t``, which is read for that message only.
+    ``p_success`` is taken as given: it is checked where it is computed.
+    """
+    tol = 1e-9
+    joint = (x + 1.0) * (y + ch.xi)
+    conditional = joint - _sq(z)
+    yb = ch.tc * (y + ch.xi)
+    zz = ch.tc * _sq(z)
+    big = _sq(x) + _sq(yb) - 2.0 * zz
+    det = x * yb - zz
+    disc = _sq(big) - 4.0 * _sq(det)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    l3sq = x * (x - _sq(z) / (y + ch.xi))
+    nu = np.sqrt(np.maximum([0.5 * (big + root), 0.5 * (big - root), l3sq], 0.0))
+    physical = (np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (x >= 1.0 - tol)
+                & (y >= 1.0 - tol) & (x * y - _sq(z) >= 1.0 - tol))
+    checks = [  # in the order secret_key_rate meets them
+        (~physical, lambda i: f"unphysical covariance: x={x[i]}, y={y[i]}, z={z[i]}"),
+        (conditional <= 0.0, lambda i: "conditional variance non-positive"),
+        (disc < -1e-12 * np.maximum(1.0, _sq(big)),
+         lambda i: f"unphysical state: discriminant {disc[i]}"),
+        *((nu[k] < 1.0 - tol, lambda i, k=k: f"unphysical state: symplectic eigenvalue {nu[k, i]} < 1")
+          for k in range(3)),
+    ]
+    failed = np.any([bad for bad, _ in checks], axis=0)
+    if failed.any():
+        i = int(failed.argmax())
+        message = next(text for bad, text in checks if bad[i])
+        raise ConsistencyError(f"{message(i)} at t={t[i]}")
+    v = (np.maximum(nu, 1.0) - 1.0) / 2.0
+    w = np.where(v <= 0.0, 1.0, v)  # von_neumann_g, which is 0 at v = 0 and NaN at NaN
+    g = np.where(v <= 0.0, 0.0, (w + 1.0) * _log2(w + 1.0) - w * _log2(w))
+    raw = p_success * (beta * (0.5 * _log2(joint / conditional)) - (g[0] + g[1] - g[2]))
+    return np.where(raw > 0.0, raw, 0.0)
 
 
 def plob_bound(tc: float) -> float:

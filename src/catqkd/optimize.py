@@ -2,19 +2,28 @@
 
 The key rate is cheap but not concave in the catalyser transmittance, so
 the optimiser walks a coarse grid first and then refines the best cell
-with a golden-section search.  Noise and distance limits bisect on top
-of that, re-optimising the transmittance at every probe; a few probe
-points past the found edge guard against non-monotone profiles.
+with a scalar golden-section search.  The grid is evaluated in one array
+pass: the source states on it depend on the scheme and the source only,
+so they are built once and reused for every channel.  Noise and distance
+limits bisect on top of that, re-optimising the transmittance at every
+probe; a few probe points past the found edge guard against non-monotone
+profiles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
-from .catalysis import CatalysisConfig
-from .keyrate import ChannelParams, ProtocolParams, channel_transmittance, secret_key_rate
+import numpy as np
+
+from . import catalysis, subtraction
+from .catalysis import CatalysisConfig, SourceParams
+from .keyrate import (ChannelParams, ProtocolParams, channel_transmittance, grid_key_rates,
+                      secret_key_rate)
 from .subtraction import SubtractionConfig
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,20 +56,59 @@ def golden_section_max(f, a: float, b: float, tol: float) -> tuple[float, float]
     return x, f(x)
 
 
+def refine_grid_max(f, grid: Sequence[float], values: Sequence[float],
+                    tol: float) -> tuple[float, float]:
+    """Refine the best of ``values = [f(t) for t in grid]`` by golden section.
+
+    The search runs over the grid cells on either side of the best point
+    and keeps that point if the refinement does no better.
+    """
+    best = max(range(len(grid)), key=values.__getitem__)
+    lo, hi = grid[max(0, best - 1)], grid[min(len(grid) - 1, best + 1)]
+    t_ref, v_ref = golden_section_max(f, lo, hi, tol)
+    if v_ref < values[best]:
+        return grid[best], values[best]
+    return t_ref, v_ref
+
+
 def _with_transmittance(scheme, t: float):
     if isinstance(scheme, SubtractionConfig):
         return SubtractionConfig(t=t)
     if isinstance(scheme, CatalysisConfig):
-        if scheme.t1 == 1.0:
+        if scheme.m == 0 and scheme.t1 == 1.0:
             # single-arm template (the ssqc preset): only the idler varies
-            return CatalysisConfig(m=scheme.m, n=scheme.n, t1=1.0, t2=t)
+            return CatalysisConfig(m=0, n=scheme.n, t1=1.0, t2=t)
         return CatalysisConfig(m=scheme.m, n=scheme.n, t1=t, t2=t)
     raise TypeError(f"scheme {scheme!r} has no transmittance")
 
 
+def _heralds(scheme, t: float) -> bool:
+    # photon subtraction heralds nothing in the t -> 1 limit: its rate there is 0
+    return not (isinstance(scheme, SubtractionConfig) and t >= 1.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_states(scheme, source: SourceParams, grid: tuple[float, ...]) -> np.ndarray:
+    """Read-only rows ``t, p, x, y, z`` of the states the template prepares on the grid.
+
+    Grid points where the scheme heralds nothing are left out.
+    """
+    t = [u for u in grid if _heralds(scheme, u)]
+    if isinstance(scheme, SubtractionConfig):
+        states = np.array([t, *subtraction.closed_forms(np.array(t), source)])
+    else:
+        rows = []
+        for u in t:
+            pd, cov = catalysis.pd_and_covariance(_with_transmittance(scheme, u), source)
+            rows.append((pd, cov.x, cov.y, cov.z))
+        states = np.array([t, *zip(*rows)])
+    states.setflags(write=False)
+    return states
+
+
 def _rate_at(p: ProtocolParams, ch: ChannelParams, t: float) -> float:
-    if isinstance(p.scheme, SubtractionConfig) and t >= 1.0:
-        return 0.0  # heralding probability vanishes in the t -> 1 limit
+    if not _heralds(p.scheme, t):
+        return 0.0
     return secret_key_rate(replace(p, scheme=_with_transmittance(p.scheme, t)), ch).key_rate
 
 
@@ -69,8 +117,8 @@ def optimize_transmittance(p: ProtocolParams, ch: ChannelParams,
                            step: float = 0.005, refine_tol: float = 1e-4) -> TransmittanceOptimum:
     """Best catalyser or tap transmittance for the key rate.
 
-    Templates built by :meth:`CatalysisConfig.ssqc` (t1 = 1) keep the
-    signal arm open and only the idler transmittance varies; any other
+    Templates built by :meth:`CatalysisConfig.ssqc` (m = 0, t1 = 1) keep
+    the signal arm open and only the idler transmittance varies; any other
     catalysis template is treated as symmetric with t1 = t2 = t.
     """
     if p.scheme is None:
@@ -78,16 +126,13 @@ def optimize_transmittance(p: ProtocolParams, ch: ChannelParams,
     if not 0.0 < t_min < t_max <= 1.0:
         raise ValueError(f"bad search range [{t_min}, {t_max}]")
     cells = max(1, int(round((t_max - t_min) / step)))
-    grid = [t_min + k * (t_max - t_min) / cells for k in range(cells + 1)]
-    rates = [_rate_at(p, ch, t) for t in grid]
-    best = max(range(len(grid)), key=rates.__getitem__)
-    if rates[best] <= 0.0:
-        return TransmittanceOptimum(t=grid[best], key_rate=0.0, all_zero=True)
-    lo = grid[max(0, best - 1)]
-    hi = grid[min(len(grid) - 1, best + 1)]
-    t_ref, r_ref = golden_section_max(lambda t: _rate_at(p, ch, t), lo, hi, refine_tol)
-    if r_ref < rates[best]:
-        t_ref, r_ref = grid[best], rates[best]
+    grid = tuple(t_min + k * (t_max - t_min) / cells for k in range(cells + 1))
+    t, *state = _grid_states(p.scheme, p.source, grid)
+    rates = grid_key_rates(t, *state, ch, p.beta).tolist()
+    rates += [0.0] * (len(grid) - len(rates))  # left out: the points at t >= 1, the last
+    if max(rates) <= 0.0:
+        return TransmittanceOptimum(t=grid[0], key_rate=0.0, all_zero=True)
+    t_ref, r_ref = refine_grid_max(lambda u: _rate_at(p, ch, u), grid, rates, refine_tol)
     return TransmittanceOptimum(t=t_ref, key_rate=r_ref, all_zero=False)
 
 
