@@ -11,22 +11,7 @@ import csv
 import sys
 from pathlib import Path
 
-from catqkd import (
-    CatalysisConfig,
-    ChannelParams,
-    ProtocolParams,
-    SourceParams,
-    SubtractionConfig,
-    secret_key_rate,
-)
-
-
-def make_scheme(name: str, photons: int, t: float):
-    if name == "subtraction":
-        return SubtractionConfig(t=min(t, 1.0 - 1e-9))
-    if name == "bsqc":
-        return CatalysisConfig.bsqc(photons, t)
-    return CatalysisConfig.ssqc(photons, t)
+from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams, secret_key_rate
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,6 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=Path("optimal_t_landscape.csv"))
     args = parser.parse_args(argv)
 
+    family = SchemeFamily(args.scheme, 0 if args.scheme == "subtraction" else args.photons)
     src = SourceParams.from_variance(args.variance)
     steps = int(round((1.0 - args.t_min) / args.t_step))
     grid = [args.t_min + k * args.t_step for k in range(steps + 1)]
@@ -54,13 +40,10 @@ def main(argv: list[str] | None = None) -> int:
             ch = ChannelParams.from_distance(d, epsilon=args.epsilon)
             best = (0.0, 0.0)
             for t in grid:
-                scheme = make_scheme(args.scheme, args.photons, t)
-                if isinstance(scheme, SubtractionConfig) and t >= 1.0:
-                    rate = 0.0
-                else:
+                rate = 0.0
+                if family.heralds(t):
                     rate = secret_key_rate(
-                        ProtocolParams(src, scheme, beta=args.beta), ch
-                    ).key_rate
+                        ProtocolParams(src, family.at(t), beta=args.beta), ch).key_rate
                 writer.writerow([f"{d:.9g}", f"{t:.9g}", f"{rate:.9g}"])
                 if rate > best[1]:
                     best = (t, rate)

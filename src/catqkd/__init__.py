@@ -19,6 +19,7 @@ from .keyrate import (
     ChannelParams,
     KeyRateResult,
     ProtocolParams,
+    SchemeFamily,
     channel_transmittance,
     mutual_information,
     plob_bound,
@@ -45,6 +46,7 @@ __all__ = [
     "CutoffError",
     "KeyRateResult",
     "ProtocolParams",
+    "SchemeFamily",
     "SchmidtSpectrum",
     "SourceParams",
     "SubtractionConfig",

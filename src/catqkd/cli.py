@@ -33,6 +33,7 @@ from .errors import ConsistencyError
 from .keyrate import (
     ChannelParams,
     ProtocolParams,
+    SchemeFamily,
     plob_bound,
     propagate_covariance,
     secret_key_rate,
@@ -66,29 +67,52 @@ def _t_value(text: str):
     return value
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_output(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--config", default=None,
+                    help="key=value file supplying defaults; flags override")
+
+
+def _add_scheme(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--scheme", choices=_SCHEME_CHOICES, default=None,
+                    help="single scheme instead of the command's default set")
+    sp.add_argument("--m", type=int, default=None, help="catalysed photons, signal arm")
+    sp.add_argument("--n", type=int, default=None, help="catalysed photons, idler arm")
+
+
+def _add_t(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--t", type=_t_value, default=0.95,
+                    help="beam-splitter transmittance, a float or 'optimal'")
+
+
+def _add_link(sp: argparse.ArgumentParser) -> None:
+    """The source, the reconciliation efficiency and the fibre attenuation."""
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--alpha", type=float, default=None,
                        help="source squeezing amplitude (default: variance 20)")
     group.add_argument("--variance", type=float, default=None,
                        help="source quadrature variance in shot-noise units")
-    sp.add_argument("--scheme", choices=_SCHEME_CHOICES, default=None,
-                    help="single scheme instead of the command's default set")
-    sp.add_argument("--m", type=int, default=None, help="catalysed photons, signal arm")
-    sp.add_argument("--n", type=int, default=None, help="catalysed photons, idler arm")
     sp.add_argument("--beta", type=float, default=0.95, help="reconciliation efficiency")
-    sp.add_argument("--epsilon", type=float, default=0.01, help="channel excess noise")
     sp.add_argument("--atten-db-km", type=float, default=0.2, dest="atten_db_km",
                     help="fibre attenuation in dB/km")
-    sp.add_argument("--t", type=_t_value, default=0.95,
-                    help="beam-splitter transmittance, a float or 'optimal'")
+
+
+def _add_epsilon(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--epsilon", type=float, default=0.01, help="channel excess noise")
+
+
+def _add_floor(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--floor", type=float, default=1e-6,
                     help="minimal usable key rate in bits per pulse")
+
+
+def _add_verify(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="seed for randomised spot checks")
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--config", default=None,
-                    help="key=value file supplying defaults; flags override")
+    sp.add_argument("--cutoff", type=int, default=None,
+                    help="override the adaptive Fock cutoff")
+    sp.add_argument("--flip-bs-sign", action="store_true", dest="flip_bs_sign",
+                    help="run with the opposite reflected-beam phase")
 
 
 def _add_alpha_grid(sp: argparse.ArgumentParser) -> None:
@@ -138,8 +162,8 @@ def _photon_number(args) -> int:
     return 0
 
 
-def _scheme_entries(args, default: list[tuple[str, int | None]]) -> list[tuple[str, int | None]]:
-    """(scheme name, photon number) pairs for the sweep."""
+def _scheme_entries(args, default: list[SchemeFamily | None]) -> list[SchemeFamily | None]:
+    """Scheme families for the sweep; None is the original, unheralded protocol."""
     if args.scheme is None:
         if args.m is not None or args.n is not None:
             raise ValueError("--m/--n need an explicit --scheme")
@@ -147,20 +171,16 @@ def _scheme_entries(args, default: list[tuple[str, int | None]]) -> list[tuple[s
     if args.scheme in ("subtraction", "original"):
         if args.m is not None or args.n is not None:
             raise ValueError("--m/--n only apply to catalysis schemes")
-        return [(args.scheme, None)]
-    return [(args.scheme, _photon_number(args))]
+        return [SchemeFamily("subtraction") if args.scheme == "subtraction" else None]
+    return [SchemeFamily(args.scheme, _photon_number(args))]
 
 
-def _make_scheme(name: str, photons: int | None, t: float):
-    if name == "original":
-        return None
-    if name == "subtraction":
-        return SubtractionConfig(t=min(t, 1.0 - 1e-9))
-    if name == "bsqc":
-        return CatalysisConfig.bsqc(photons, t)
-    if name == "ssqc":
-        return CatalysisConfig.ssqc(photons, t)
-    raise ValueError(f"unknown scheme {name!r}")
+def _labels(family: SchemeFamily | None) -> dict:
+    """The scheme, m and n columns of a row."""
+    if family is None:
+        return {"scheme": "original", "m": None, "n": None}
+    m, n = family.photon_columns
+    return {"scheme": family.kind, "m": m, "n": n}
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +235,9 @@ def _emit(args, columns: list[str], rows: list[dict]) -> None:
 # commands
 
 
-_FULL_SET = [("bsqc", 0), ("bsqc", 1), ("bsqc", 2), ("ssqc", 0), ("ssqc", 1), ("ssqc", 2)]
-_NOISE_SET = [("original", None), ("bsqc", 0), ("bsqc", 1), ("ssqc", 0), ("ssqc", 1),
-              ("subtraction", None)]
+_FULL_SET = [SchemeFamily(kind, k) for kind in ("bsqc", "ssqc") for k in (0, 1, 2)]
+_NOISE_SET = [None, SchemeFamily("bsqc", 0), SchemeFamily("bsqc", 1), SchemeFamily("ssqc", 0),
+              SchemeFamily("ssqc", 1), SchemeFamily("subtraction")]
 
 
 def cmd_success_prob(args) -> int:
@@ -227,16 +247,15 @@ def cmd_success_prob(args) -> int:
     rows = []
     for alpha in alphas:
         src = SourceParams(alpha=alpha)
-        for name, photons in entries:
-            scheme = _make_scheme(name, photons, t)
+        for family in entries:
+            scheme = None if family is None else family.at(t)
             if scheme is None:
                 pd = 1.0
             elif isinstance(scheme, SubtractionConfig):
                 pd = subtraction.success_probability(scheme, src)
             else:
                 pd = catalysis.success_probability(scheme, src)
-            rows.append({"alpha": alpha, "scheme": name, "m": getattr(scheme, "m", None),
-                         "n": getattr(scheme, "n", None), "t": t, "p_success": pd})
+            rows.append({"alpha": alpha, **_labels(family), "t": t, "p_success": pd})
     _emit(args, ["alpha", "scheme", "m", "n", "t", "p_success"], rows)
     return EXIT_OK
 
@@ -253,23 +272,19 @@ def _best_log_negativity(cfg_at, src) -> tuple[float, float]:
 
 def cmd_entanglement(args) -> int:
     entries = _scheme_entries(args, _FULL_SET)
-    for name, _ in entries:
-        if name in ("subtraction", "original"):
-            raise ValueError("entanglement sweeps cover catalysis schemes only")
+    if any(family is None or family.kind == "subtraction" for family in entries):
+        raise ValueError("entanglement sweeps cover catalysis schemes only")
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_step, "alpha")
     rows = []
     for alpha in alphas:
         src = SourceParams(alpha=alpha)
-        for name, photons in entries:
+        for family in entries:
             if args.t == "optimal":
-                maker = (lambda nn: lambda t: _make_scheme(name, nn, t))(photons)
-                t_used, e_n = _best_log_negativity(maker, src)
+                t_used, e_n = _best_log_negativity(family.at, src)
             else:
                 t_used = args.t
-                e_n = catalysis.log_negativity(
-                    catalysis.schmidt_spectrum(_make_scheme(name, photons, t_used), src))
-            rows.append({"alpha": alpha, "scheme": name, "m": photons if name == "bsqc" else 0,
-                         "n": photons, "t": t_used, "log_negativity": e_n})
+                e_n = catalysis.log_negativity(catalysis.schmidt_spectrum(family.at(t_used), src))
+            rows.append({"alpha": alpha, **_labels(family), "t": t_used, "log_negativity": e_n})
         rows.append({"alpha": alpha, "scheme": "tmsv", "m": None, "n": None, "t": None,
                      "log_negativity": catalysis.log_negativity_tmsv(src)})
         rows.append({"alpha": alpha, "scheme": "tmsv-closed-form", "m": None, "n": None,
@@ -280,34 +295,22 @@ def cmd_entanglement(args) -> int:
 
 
 def cmd_keyrate(args) -> int:
-    default = [("original", None)] + _FULL_SET
-    entries = _scheme_entries(args, default)
+    entries = _scheme_entries(args, [None, *_FULL_SET])
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
     src = _source(args)
     rows = []
     for d in distances:
         ch = ChannelParams.from_distance(d, epsilon=args.epsilon, atten_db_per_km=args.atten_db_km)
         plob = plob_bound(ch.tc) if ch.tc < 1.0 else math.inf
-        for name, photons in entries:
-            if name == "original":
-                t_used = None
-                result = secret_key_rate(ProtocolParams(source=src, beta=args.beta), ch)
-            elif args.t == "optimal":
-                template = ProtocolParams(source=src, beta=args.beta,
-                                          scheme=_make_scheme(name, photons, 0.95))
-                opt = optimize_transmittance(template, ch)
-                t_used = opt.t
-                result = secret_key_rate(
-                    replace(template, scheme=_make_scheme(name, photons, opt.t)), ch)
-            else:
-                t_used = args.t
-                result = secret_key_rate(
-                    ProtocolParams(source=src, beta=args.beta,
-                                   scheme=_make_scheme(name, photons, t_used)), ch)
+        for family in entries:
+            p = ProtocolParams(source=src, beta=args.beta, scheme=family)
+            t_used = None
+            if family is not None:
+                t_used = optimize_transmittance(p, ch).t if args.t == "optimal" else args.t
+                p = replace(p, scheme=family.at(t_used))
+            result = secret_key_rate(p, ch)
             rows.append({
-                "distance_km": d, "scheme": name,
-                "m": photons if name == "bsqc" else (0 if name == "ssqc" else None),
-                "n": photons, "t": t_used,
+                "distance_km": d, **_labels(family), "t": t_used,
                 "p_success": result.p_success, "i_ab": result.i_ab,
                 "holevo": result.holevo, "key_rate": result.key_rate, "plob": plob,
             })
@@ -322,13 +325,10 @@ def cmd_excess_noise(args) -> int:
     src = _source(args)
     rows = []
     for d in distances:
-        for name, photons in entries:
-            p = ProtocolParams(source=src, beta=args.beta,
-                               scheme=_make_scheme(name, photons, 0.95))
+        for family in entries:
+            p = ProtocolParams(source=src, beta=args.beta, scheme=family)
             eps = max_tolerable_excess_noise(p, d, atten_db_per_km=args.atten_db_km)
-            rows.append({"distance_km": d, "scheme": name,
-                         "m": photons if name == "bsqc" else (0 if name == "ssqc" else None),
-                         "n": photons, "eps_max": eps})
+            rows.append({"distance_km": d, **_labels(family), "eps_max": eps})
     _emit(args, ["distance_km", "scheme", "m", "n", "eps_max"], rows)
     return EXIT_OK
 
@@ -337,14 +337,11 @@ def cmd_max_distance(args) -> int:
     entries = _scheme_entries(args, _NOISE_SET)
     src = _source(args)
     rows = []
-    for name, photons in entries:
-        p = ProtocolParams(source=src, beta=args.beta,
-                           scheme=_make_scheme(name, photons, 0.95))
+    for family in entries:
+        p = ProtocolParams(source=src, beta=args.beta, scheme=family)
         d = max_distance(p, epsilon=args.epsilon, floor=args.floor,
                          atten_db_per_km=args.atten_db_km)
-        rows.append({"scheme": name,
-                     "m": photons if name == "bsqc" else (0 if name == "ssqc" else None),
-                     "n": photons, "epsilon": args.epsilon, "floor": args.floor,
+        rows.append({**_labels(family), "epsilon": args.epsilon, "floor": args.floor,
                      "max_distance_km": d})
     _emit(args, ["scheme", "m", "n", "epsilon", "floor", "max_distance_km"], rows)
     return EXIT_OK
@@ -355,13 +352,12 @@ def cmd_max_distance(args) -> int:
 
 
 def _verify_catalysis(rows, sign, cutoff):
-    grid = [("bsqc", k) for k in (0, 1, 2)] + [("ssqc", k) for k in (0, 1, 2)]
     devs = {"p_success": 0.0, "cov_x": 0.0, "cov_z": 0.0, "log_negativity": 0.0,
             "schmidt_norm": 0.0}
-    for name, photons in grid:
+    for family in _FULL_SET:
         for t in (0.7, 0.9, 0.95):
             for alpha in (0.5, 1.0, 3.0):
-                cfg = _make_scheme(name, photons, t)
+                cfg = family.at(t)
                 src = SourceParams(alpha=alpha)
                 sim = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=sign)
                 pd, cov = catalysis.pd_and_covariance(cfg, src)
@@ -434,8 +430,7 @@ def _verify_symplectic(rows, rng):
 
 def _verify_flip(rows, cutoff):
     dev = 0.0
-    for name, photons in (("bsqc", 1), ("ssqc", 2)):
-        cfg = _make_scheme(name, photons, 0.9)
+    for cfg in (CatalysisConfig.bsqc(1, 0.9), CatalysisConfig.ssqc(2, 0.9)):
         src = SourceParams(alpha=1.0)
         plus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=1.0)
         minus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=-1.0)
@@ -478,44 +473,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     registry: dict[str, argparse.ArgumentParser] = {}
 
-    sp = subs.add_parser("success-prob", help="heralding probability versus alpha")
-    _add_common(sp)
-    _add_alpha_grid(sp)
-    sp.set_defaults(func=cmd_success_prob)
-    registry["success-prob"] = sp
-
-    sp = subs.add_parser("entanglement", help="log negativity versus alpha")
-    _add_common(sp)
-    _add_alpha_grid(sp)
-    sp.set_defaults(func=cmd_entanglement)
-    registry["entanglement"] = sp
-
-    sp = subs.add_parser("keyrate", help="key rate versus distance")
-    _add_common(sp)
-    _add_distance_grid(sp, 0.0, 300.0, 5.0)
-    sp.set_defaults(func=cmd_keyrate)
-    registry["keyrate"] = sp
-
-    sp = subs.add_parser("excess-noise", help="maximal tolerable excess noise versus distance")
-    _add_common(sp)
-    _add_distance_grid(sp, 50.0, 300.0, 50.0)
-    sp.set_defaults(func=cmd_excess_noise)
-    registry["excess-noise"] = sp
-
-    sp = subs.add_parser("max-distance", help="largest distance above the key-rate floor")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_max_distance)
-    registry["max-distance"] = sp
-
-    sp = subs.add_parser("verify", help="closed forms against the Fock-space oracle")
-    _add_common(sp)
-    sp.add_argument("--cutoff", type=int, default=None,
-                    help="override the adaptive Fock cutoff")
-    sp.add_argument("--flip-bs-sign", action="store_true", dest="flip_bs_sign",
-                    help="run with the opposite reflected-beam phase")
-    sp.set_defaults(func=cmd_verify)
-    registry["verify"] = sp
-
+    commands = [  # name, handler, help, and the flag groups it reads besides the output flags
+        ("success-prob", cmd_success_prob, "heralding probability versus alpha",
+         [_add_scheme, _add_t, _add_alpha_grid]),
+        ("entanglement", cmd_entanglement, "log negativity versus alpha",
+         [_add_scheme, _add_t, _add_alpha_grid]),
+        ("keyrate", cmd_keyrate, "key rate versus distance",
+         [_add_scheme, _add_t, _add_link, _add_epsilon,
+          lambda sp: _add_distance_grid(sp, 0.0, 300.0, 5.0)]),
+        ("excess-noise", cmd_excess_noise, "maximal tolerable excess noise versus distance",
+         [_add_scheme, _add_link, lambda sp: _add_distance_grid(sp, 50.0, 300.0, 50.0)]),
+        ("max-distance", cmd_max_distance, "largest distance above the key-rate floor",
+         [_add_scheme, _add_link, _add_epsilon, _add_floor]),
+        ("verify", cmd_verify, "closed forms against the Fock-space oracle", [_add_verify]),
+    ]
+    for name, func, text, groups in commands:
+        sp = subs.add_parser(name, help=text)
+        for add in (*groups, _add_output):
+            add(sp)
+        sp.set_defaults(func=func)
+        registry[name] = sp
     return parser, registry
 
 

@@ -30,6 +30,45 @@ Scheme = CatalysisConfig | SubtractionConfig | None
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
 
+@dataclass(frozen=True)
+class SchemeFamily:
+    """A heralding scheme with its transmittance left open.
+
+    ``kind`` is ``"bsqc"`` (``photons`` catalysed on both arms), ``"ssqc"``
+    (on the idler arm only) or ``"subtraction"`` (one photon tapped off the
+    idler; ``photons`` stays 0).  The optimisers take a family and vary the
+    transmittance; :meth:`at` gives the concrete scheme at one.
+    """
+
+    kind: str
+    photons: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("bsqc", "ssqc", "subtraction"):
+            raise ValueError(f"unknown scheme family {self.kind!r}")
+        if self.kind == "subtraction" and self.photons != 0:
+            raise ValueError("photon subtraction has no catalysed photon number")
+
+    def at(self, t: float) -> CatalysisConfig | SubtractionConfig:
+        """The scheme of this family at transmittance ``t``."""
+        if self.kind == "bsqc":
+            return CatalysisConfig.bsqc(self.photons, t)
+        if self.kind == "ssqc":
+            return CatalysisConfig.ssqc(self.photons, t)
+        return SubtractionConfig(t=t)
+
+    def heralds(self, t: float) -> bool:
+        """False where the family heralds nothing (subtraction at t >= 1): its rate there is 0."""
+        return not (self.kind == "subtraction" and t >= 1.0)
+
+    @property
+    def photon_columns(self) -> tuple[int | None, int | None]:
+        """Photons catalysed on the signal and idler arms, ``(m, n)``; ``None`` for subtraction."""
+        if self.kind == "subtraction":
+            return None, None
+        return (self.photons if self.kind == "bsqc" else 0), self.photons
+
+
 def channel_transmittance(distance_km: float, atten_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM) -> float:
     """Fibre transmittance 10**(-atten*d/10)."""
     if distance_km < 0.0:
@@ -63,10 +102,14 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Source, optional heralding scheme and reconciliation efficiency."""
+    """Source, optional heralding scheme and reconciliation efficiency.
+
+    :func:`secret_key_rate` takes a concrete scheme; the optimisers take a
+    :class:`SchemeFamily`.  ``None`` is the bare protocol for both.
+    """
 
     source: SourceParams
-    scheme: Scheme = None
+    scheme: Scheme | SchemeFamily = None
     beta: float = 0.95
 
     def __post_init__(self) -> None:

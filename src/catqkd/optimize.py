@@ -1,13 +1,15 @@
 """Searches over transmittance, excess noise and distance.
 
-The key rate is cheap but not concave in the catalyser transmittance, so
-the optimiser walks a coarse grid first and then refines the best cell
-with a scalar golden-section search.  The grid is evaluated in one array
-pass: the source states on it depend on the scheme and the source only,
-so they are built once and reused for every channel.  Noise and distance
-limits bisect on top of that, re-optimising the transmittance at every
-probe; a few probe points past the found edge guard against non-monotone
-profiles.
+Every search takes the scheme as a :class:`~catqkd.keyrate.SchemeFamily`,
+which says what the transmittance t sets: both catalysers (bsqc), the
+idler's only (ssqc) or the tap (subtraction, rate 0 at t = 1).  The key
+rate is cheap but not concave in t, so the optimiser walks a coarse grid
+first and then refines the best cell with a scalar golden-section search.
+The grid is evaluated in one array pass: the source states on it depend
+on the family and the source only, so they are built once and reused for
+every channel.  Noise and distance limits bisect on top of that,
+re-optimising the transmittance at every probe; a few probe points past
+the found edge guard against non-monotone profiles.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import catalysis, subtraction
-from .catalysis import CatalysisConfig, SourceParams
-from .keyrate import (ChannelParams, ProtocolParams, channel_transmittance, grid_key_rates,
-                      secret_key_rate)
-from .subtraction import SubtractionConfig
+from .catalysis import SourceParams
+from .keyrate import (ChannelParams, ProtocolParams, SchemeFamily, channel_transmittance,
+                      grid_key_rates, secret_key_rate)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,35 +72,20 @@ def refine_grid_max(f, grid: Sequence[float], values: Sequence[float],
     return t_ref, v_ref
 
 
-def _with_transmittance(scheme, t: float):
-    if isinstance(scheme, SubtractionConfig):
-        return SubtractionConfig(t=t)
-    if isinstance(scheme, CatalysisConfig):
-        if scheme.m == 0 and scheme.t1 == 1.0:
-            # single-arm template (the ssqc preset): only the idler varies
-            return CatalysisConfig(m=0, n=scheme.n, t1=1.0, t2=t)
-        return CatalysisConfig(m=scheme.m, n=scheme.n, t1=t, t2=t)
-    raise TypeError(f"scheme {scheme!r} has no transmittance")
-
-
-def _heralds(scheme, t: float) -> bool:
-    # photon subtraction heralds nothing in the t -> 1 limit: its rate there is 0
-    return not (isinstance(scheme, SubtractionConfig) and t >= 1.0)
-
-
 @functools.lru_cache(maxsize=16)
-def _grid_states(scheme, source: SourceParams, grid: tuple[float, ...]) -> np.ndarray:
-    """Read-only rows ``t, p, x, y, z`` of the states the template prepares on the grid.
+def _grid_states(family: SchemeFamily, source: SourceParams,
+                 grid: tuple[float, ...]) -> np.ndarray:
+    """Read-only rows ``t, p, x, y, z`` of the states the family prepares on the grid.
 
-    Grid points where the scheme heralds nothing are left out.
+    Grid points where the family heralds nothing are left out.
     """
-    t = [u for u in grid if _heralds(scheme, u)]
-    if isinstance(scheme, SubtractionConfig):
+    t = [u for u in grid if family.heralds(u)]
+    if family.kind == "subtraction":
         states = np.array([t, *subtraction.closed_forms(np.array(t), source)])
     else:
         rows = []
         for u in t:
-            pd, cov = catalysis.pd_and_covariance(_with_transmittance(scheme, u), source)
+            pd, cov = catalysis.pd_and_covariance(family.at(u), source)
             rows.append((pd, cov.x, cov.y, cov.z))
         states = np.array([t, *zip(*rows)])
     states.setflags(write=False)
@@ -107,22 +93,19 @@ def _grid_states(scheme, source: SourceParams, grid: tuple[float, ...]) -> np.nd
 
 
 def _rate_at(p: ProtocolParams, ch: ChannelParams, t: float) -> float:
-    if not _heralds(p.scheme, t):
+    if not p.scheme.heralds(t):
         return 0.0
-    return secret_key_rate(replace(p, scheme=_with_transmittance(p.scheme, t)), ch).key_rate
+    return secret_key_rate(replace(p, scheme=p.scheme.at(t)), ch).key_rate
 
 
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams,
                            t_min: float = 0.5, t_max: float = 1.0,
                            step: float = 0.005, refine_tol: float = 1e-4) -> TransmittanceOptimum:
-    """Best catalyser or tap transmittance for the key rate.
-
-    Templates built by :meth:`CatalysisConfig.ssqc` (m = 0, t1 = 1) keep
-    the signal arm open and only the idler transmittance varies; any other
-    catalysis template is treated as symmetric with t1 = t2 = t.
-    """
+    """Best catalyser or tap transmittance for the key rate of the family ``p.scheme``."""
     if p.scheme is None:
         raise ValueError("the bare protocol has no transmittance to optimise")
+    if not isinstance(p.scheme, SchemeFamily):
+        raise TypeError(f"the optimisers take a SchemeFamily, not {p.scheme!r}")
     if not 0.0 < t_min < t_max <= 1.0:
         raise ValueError(f"bad search range [{t_min}, {t_max}]")
     cells = max(1, int(round((t_max - t_min) / step)))

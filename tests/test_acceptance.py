@@ -14,6 +14,7 @@ from catqkd import (
     CatalysisConfig,
     ChannelParams,
     ProtocolParams,
+    SchemeFamily,
     SourceParams,
     SubtractionConfig,
     log_negativity,
@@ -136,9 +137,9 @@ def test_criterion_5_tolerable_noise_at_300km(criterion):
     start = time.perf_counter()
     failures: list[str] = []
     anchors = [
-        (CatalysisConfig.bsqc(0, 0.95), 0.0292, "two-arm zero-photon"),
-        (CatalysisConfig.bsqc(1, 0.95), 0.0261, "two-arm one-photon"),
-        (CatalysisConfig.ssqc(1, 0.95), 0.0185, "one-arm one-photon"),
+        (SchemeFamily("bsqc", 0), 0.0292, "two-arm zero-photon"),
+        (SchemeFamily("bsqc", 1), 0.0261, "two-arm one-photon"),
+        (SchemeFamily("ssqc", 1), 0.0185, "one-arm one-photon"),
     ]
     got = []
     for scheme, anchor, label in anchors:
@@ -160,9 +161,9 @@ def test_criterion_6_maximal_distances(criterion):
     start = time.perf_counter()
     failures: list[str] = []
 
-    d_bsqc = max_distance(ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.95)))
-    d_ssqc = max_distance(ProtocolParams(V20, CatalysisConfig.ssqc(1, 0.95)))
-    d_sub = max_distance(ProtocolParams(V20, SubtractionConfig(0.95)))
+    d_bsqc = max_distance(ProtocolParams(V20, SchemeFamily("bsqc", 1)))
+    d_ssqc = max_distance(ProtocolParams(V20, SchemeFamily("ssqc", 1)))
+    d_sub = max_distance(ProtocolParams(V20, SchemeFamily("subtraction")))
     check(failures, d_bsqc > 240.0, f"two-arm one-photon reaches only {d_bsqc:.1f} km")
     check(failures, d_ssqc > 240.0, f"one-arm one-photon reaches only {d_ssqc:.1f} km")
     check(failures, abs(d_sub - 218.0) <= 10.0, f"subtraction reach {d_sub:.1f} km vs 218 +- 10")

@@ -11,6 +11,7 @@ from catqkd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from catqkd.optimize import max_tolerable_excess_noise
@@ -33,6 +34,50 @@ def test_usage_errors_exit_code_one():
     with pytest.raises(SystemExit) as exc:
         main(["keyrate", "--t", "1.5"])
     assert exc.value.code == EXIT_USAGE
+
+
+_OUTPUT = {"out", "format", "config"}
+_SCHEME = {"scheme", "m", "n"}
+_LINK = {"alpha", "variance", "beta", "atten_db_km"}
+_ALPHA_GRID = {"alpha_min", "alpha_max", "alpha_step"}
+_DISTANCE_GRID = {"d_min", "d_max", "d_step"}
+FLAGS = {  # every subcommand takes exactly the flags it reads
+    "success-prob": _SCHEME | {"t"} | _ALPHA_GRID | _OUTPUT,
+    "entanglement": _SCHEME | {"t"} | _ALPHA_GRID | _OUTPUT,
+    "keyrate": _SCHEME | {"t", "epsilon"} | _LINK | _DISTANCE_GRID | _OUTPUT,
+    "excess-noise": _SCHEME | _LINK | _DISTANCE_GRID | _OUTPUT,
+    "max-distance": _SCHEME | {"epsilon", "floor"} | _LINK | _OUTPUT,
+    "verify": {"seed", "cutoff", "flip_bs_sign"} | _OUTPUT,
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    _, registry = build_parser()
+    dests = {name: {a.dest for a in sp._actions if a.dest != "help"}
+             for name, sp in registry.items()}
+    assert dests == FLAGS
+    assert sum(map(len, dests.values())) == 66
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--variance", "5"],
+    ["excess-noise", "--epsilon", "0.02"],
+    ["max-distance", "--t", "0.9"],
+    ["keyrate", "--floor", "1e-6"],
+    ["success-prob", "--beta", "0.9"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_subtraction_at_unit_transmittance_is_refused(capsys):
+    for argv in (["keyrate", "--d-min", "0", "--d-max", "0", "--d-step", "1"],
+                 ["success-prob", *SINGLE_ALPHA]):
+        assert main([*argv, "--scheme", "subtraction", "--t", "1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "t=1.0 outside (0, 1)" in err
 
 
 def test_version_flag():
@@ -177,6 +222,10 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("no_such_option = 1\n")
     assert main(["keyrate", "--config", str(bad)]) == EXIT_USAGE
     assert "unknown option" in capsys.readouterr().err
+    unread = tmp_path / "unread.cfg"
+    unread.write_text("epsilon = 0.02\n")  # excess-noise searches over the excess noise
+    assert main(["excess-noise", "--config", str(unread)]) == EXIT_USAGE
+    assert "unknown option 'epsilon'" in capsys.readouterr().err
     nested = tmp_path / "nested.cfg"
     nested.write_text(f"config = {bad}\n")
     assert main(["keyrate", "--config", str(nested)]) == EXIT_USAGE

@@ -13,6 +13,7 @@ from catqkd import (
     ChannelParams,
     ConsistencyError,
     ProtocolParams,
+    SchemeFamily,
     SourceParams,
     SubtractionConfig,
     TransmittanceOptimum,
@@ -30,6 +31,7 @@ from catqkd.keyrate import grid_key_rates
 from catqkd.optimize import _grid_states, _largest_true, golden_section_max
 
 V20 = SourceParams.from_variance(20.0)
+BSQC1 = SchemeFamily("bsqc", 1)
 
 
 def test_golden_section_on_parabola():
@@ -51,7 +53,7 @@ def test_bare_protocol_has_nothing_to_optimise():
 def test_transparent_limit_at_zero_distance():
     # on a perfect channel catalysis can only cost heralds, so the optimum
     # sits at the transparent point and recovers the bare-protocol rate
-    p = ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9))
+    p = ProtocolParams(V20, BSQC1)
     ch = ChannelParams(tc=1.0)
     opt = optimize_transmittance(p, ch)
     bare = secret_key_rate(ProtocolParams(V20), ch).key_rate
@@ -61,7 +63,7 @@ def test_transparent_limit_at_zero_distance():
 
 
 def test_refinement_never_loses_to_the_grid():
-    p = ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9))
+    p = ProtocolParams(V20, BSQC1)
     ch = ChannelParams.from_distance(120.0, 0.01)
     opt = optimize_transmittance(p, ch)
     coarse = max(
@@ -76,7 +78,7 @@ def test_refinement_never_loses_to_the_grid():
 
 
 def test_single_arm_template_keeps_signal_open():
-    p = ProtocolParams(V20, CatalysisConfig.ssqc(1, 0.9))
+    p = ProtocolParams(V20, SchemeFamily("ssqc", 1))
     opt = optimize_transmittance(p, ChannelParams.from_distance(100.0, 0.01))
     best = secret_key_rate(
         ProtocolParams(V20, CatalysisConfig.ssqc(1, opt.t)),
@@ -86,16 +88,53 @@ def test_single_arm_template_keeps_signal_open():
 
 
 def test_symmetric_template_at_unit_transmittance_stays_symmetric():
-    # only m = 0 with t1 = 1 marks a single-arm template; bsqc(1, 1.0) is bsqc1
+    # bsqc1 varies both arms; its optimum is not ssqc1's (t = 0.97804)
     ch = ChannelParams.from_distance(100.0, 0.01)
-    opt = optimize_transmittance(ProtocolParams(V20, CatalysisConfig.bsqc(1, 1.0)), ch)
-    assert opt == optimize_transmittance(ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9)), ch)
+    opt = optimize_transmittance(ProtocolParams(V20, BSQC1), ch)
     assert opt.t == pytest.approx(0.98468, abs=1e-5)
     assert opt.key_rate == pytest.approx(0.0012551, rel=1e-4)
 
 
+def test_zero_photon_families_stay_apart():
+    # bsqc(0, 1.0) == ssqc(0, 1.0), so no concrete config can tell these two apart
+    ch = ChannelParams.from_distance(100.0, 0.01)
+    bsqc0 = optimize_transmittance(ProtocolParams(V20, SchemeFamily("bsqc", 0)), ch)
+    ssqc0 = optimize_transmittance(ProtocolParams(V20, SchemeFamily("ssqc", 0)), ch)
+    assert bsqc0.t == pytest.approx(0.94712, abs=1e-5)
+    assert ssqc0.t == pytest.approx(0.89707, abs=1e-5)
+
+
+def test_optimisers_refuse_a_concrete_scheme():
+    ch = ChannelParams.from_distance(100.0, 0.01)
+    p = ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9))
+    for search in (lambda: optimize_transmittance(p, ch), lambda: best_key_rate(p, ch),
+                   lambda: max_tolerable_excess_noise(p, 100.0), lambda: max_distance(p)):
+        with pytest.raises(TypeError, match="SchemeFamily"):
+            search()
+
+
+def test_key_rate_refuses_a_family():
+    with pytest.raises(TypeError, match="unsupported scheme"):
+        secret_key_rate(ProtocolParams(V20, BSQC1), ChannelParams.from_distance(100.0, 0.01))
+
+
+def test_scheme_family_instantiates_the_presets():
+    assert SchemeFamily("bsqc", 2).at(0.9) == CatalysisConfig.bsqc(2, 0.9)
+    assert SchemeFamily("ssqc", 2).at(0.9) == CatalysisConfig.ssqc(2, 0.9)
+    assert SchemeFamily("subtraction").at(0.9) == SubtractionConfig(0.9)
+    assert [SchemeFamily(k, 2).photon_columns for k in ("bsqc", "ssqc")] == [(2, 2), (0, 2)]
+    assert SchemeFamily("subtraction").photon_columns == (None, None)
+    assert SchemeFamily("ssqc", 1).heralds(1.0) and not SchemeFamily("subtraction").heralds(1.0)
+    with pytest.raises(ValueError, match="outside \\(0, 1\\)"):
+        SchemeFamily("subtraction").at(1.0)
+    with pytest.raises(ValueError, match="unknown scheme family"):
+        SchemeFamily("bsqd", 1)
+    with pytest.raises(ValueError, match="photon number"):
+        SchemeFamily("subtraction", 1)
+
+
 def test_subtraction_transparent_limit_is_rateless():
-    p = ProtocolParams(V20, SubtractionConfig(0.9))
+    p = ProtocolParams(V20, SchemeFamily("subtraction"))
     ch = ChannelParams.from_distance(150.0, 0.01)
     opt = optimize_transmittance(p, ch)
     assert 0.5 <= opt.t < 1.0
@@ -103,7 +142,7 @@ def test_subtraction_transparent_limit_is_rateless():
 
 
 def test_all_zero_flag_past_the_cutoff():
-    p = ProtocolParams(V20, CatalysisConfig.bsqc(2, 0.9))
+    p = ProtocolParams(V20, SchemeFamily("bsqc", 2))
     opt = optimize_transmittance(p, ChannelParams.from_distance(400.0, 0.05))
     assert opt.all_zero
     assert opt.key_rate == 0.0
@@ -124,7 +163,7 @@ def test_largest_true_warns_on_revival():
 
 def test_max_noise_matches_direct_bisection():
     # oracle: bisect the fixed-transmittance rate directly at the same tol
-    p = ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9))
+    p = ProtocolParams(V20, BSQC1)
     d = 100.0
     got = max_tolerable_excess_noise(p, d, tol=1e-5)
 
@@ -178,30 +217,21 @@ def test_max_distance_boundaries():
         max_distance(ProtocolParams(V20), floor=0.0)
 
 
-def _scalar_result(p, ch, make, t):
-    """secret_key_rate at one t; None where photon subtraction heralds nothing (t = 1)."""
-    if isinstance(p.scheme, SubtractionConfig) and t >= 1.0:
+def _scalar_result(p, ch, t):
+    """secret_key_rate at one t; None where the family heralds nothing."""
+    if not p.scheme.heralds(t):
         return None
-    return secret_key_rate(replace(p, scheme=make(t)), ch)
+    return secret_key_rate(replace(p, scheme=p.scheme.at(t)), ch)
 
 
-def _scalar_rate(p, ch, make, t):
-    res = _scalar_result(p, ch, make, t)
+def _scalar_rate(p, ch, t):
+    res = _scalar_result(p, ch, t)
     return 0.0 if res is None else res.key_rate
 
 
-def _bsqc(k):
-    return lambda t: CatalysisConfig.bsqc(k, t)
-
-
-def _ssqc(k):
-    return lambda t: CatalysisConfig.ssqc(k, t)
-
-
-_SCHEMES = st.one_of(  # (template, its scheme at transmittance t)
-    st.integers(0, 5).map(lambda k: (CatalysisConfig.bsqc(k, 0.95), _bsqc(k))),
-    st.integers(0, 5).map(lambda k: (CatalysisConfig.ssqc(k, 0.95), _ssqc(k))),
-    st.just((SubtractionConfig(0.95), SubtractionConfig)),
+_SCHEMES = st.one_of(
+    st.builds(SchemeFamily, st.sampled_from(["bsqc", "ssqc"]), st.integers(0, 5)),
+    st.just(SchemeFamily("subtraction")),
 )
 
 
@@ -209,25 +239,24 @@ _SCHEMES = st.one_of(  # (template, its scheme at transmittance t)
 @given(scheme=_SCHEMES, variance=st.floats(1.0, 1e6),
        d_km=st.one_of(st.floats(0.0, 400.0), st.floats(400.0, 1e4)), eps=st.floats(0.0, 0.1))
 # a discriminant rounded below 0 and tolerated; one refused; an eigenvalue refused; a vacuum
-@example(scheme=(CatalysisConfig.bsqc(1, 0.95), _bsqc(1)), variance=20.0, d_km=1e-9, eps=0.0)
-@example(scheme=(CatalysisConfig.bsqc(2, 0.95), _bsqc(2)), variance=1e6, d_km=1e-9, eps=0.0)
-@example(scheme=(CatalysisConfig.bsqc(0, 0.95), _bsqc(0)), variance=1e6, d_km=1e-9, eps=0.0)
-@example(scheme=(SubtractionConfig(0.95), SubtractionConfig), variance=1.0, d_km=10.0, eps=0.0)
+@example(scheme=BSQC1, variance=20.0, d_km=1e-9, eps=0.0)
+@example(scheme=SchemeFamily("bsqc", 2), variance=1e6, d_km=1e-9, eps=0.0)
+@example(scheme=SchemeFamily("bsqc", 0), variance=1e6, d_km=1e-9, eps=0.0)
+@example(scheme=SchemeFamily("subtraction"), variance=1.0, d_km=10.0, eps=0.0)
 def test_grid_pass_matches_the_scalar_rate(scheme, variance, d_km, eps):
-    template, make = scheme
-    p = ProtocolParams(SourceParams.from_variance(variance), template)
+    p = ProtocolParams(SourceParams.from_variance(variance), scheme)
     ch = ChannelParams.from_distance(d_km, eps)
     grid = tuple(0.5 + 0.025 * k for k in range(21))
 
     def grid_rates():
-        t, *state = _grid_states(template, p.source, grid)
+        t, *state = _grid_states(scheme, p.source, grid)
         rates = grid_key_rates(t, *state, ch, p.beta).tolist()
         return rates + [0.0] * (len(grid) - len(rates))
 
     results = []
     for t in grid:
         try:
-            results.append(_scalar_result(p, ch, make, t))
+            results.append(_scalar_result(p, ch, t))
         except (ValueError, ConsistencyError) as exc:
             with pytest.raises(type(exc)) as raised:
                 grid_rates()
@@ -254,26 +283,25 @@ def test_grid_pass_names_the_first_unphysical_state():
     assert str(grid.value) == f"{scalar.value} at t=0.7"
 
 
-@pytest.mark.parametrize("variance,template,make,d_km,eps,all_zero", [
-    (20.0, CatalysisConfig.bsqc(1, 0.9), _bsqc(1), 100.0, 0.01, False),
-    (20.0, CatalysisConfig.ssqc(2, 0.9), _ssqc(2), 50.0, 0.01, False),
-    (20.0, CatalysisConfig.bsqc(1, 0.9), _bsqc(1), 0.0, 0.01, False),
-    (20.0, CatalysisConfig.bsqc(2, 0.9), _bsqc(2), 400.0, 0.05, True),
-    (20.0, SubtractionConfig(0.9), SubtractionConfig, 150.0, 0.01, False),
-    (20.0, SubtractionConfig(0.9), SubtractionConfig, 400.0, 0.05, True),
-    (1e3, SubtractionConfig(0.9), SubtractionConfig, 0.0, 0.01, False),  # refined up to t = 1
+@pytest.mark.parametrize("variance,family,d_km,eps,all_zero", [
+    (20.0, BSQC1, 100.0, 0.01, False),
+    (20.0, SchemeFamily("ssqc", 2), 50.0, 0.01, False),
+    (20.0, BSQC1, 0.0, 0.01, False),
+    (20.0, SchemeFamily("bsqc", 2), 400.0, 0.05, True),
+    (20.0, SchemeFamily("subtraction"), 150.0, 0.01, False),
+    (20.0, SchemeFamily("subtraction"), 400.0, 0.05, True),
+    (1e3, SchemeFamily("subtraction"), 0.0, 0.01, False),  # refined up to t = 1
 ])
-def test_optimum_equals_the_scalar_grid_and_golden_search(variance, template, make, d_km, eps,
-                                                          all_zero):
-    p = ProtocolParams(SourceParams.from_variance(variance), template)
+def test_optimum_equals_the_scalar_grid_and_golden_search(variance, family, d_km, eps, all_zero):
+    p = ProtocolParams(SourceParams.from_variance(variance), family)
     ch = ChannelParams.from_distance(d_km, eps)
     grid = [0.5 + k * 0.5 / 100 for k in range(101)]
-    rates = [_scalar_rate(p, ch, make, t) for t in grid]
+    rates = [_scalar_rate(p, ch, t) for t in grid]
     best = max(range(len(grid)), key=rates.__getitem__)
     if rates[best] <= 0.0:
         expected = TransmittanceOptimum(t=grid[best], key_rate=0.0, all_zero=True)
     else:
-        t, rate = golden_section_max(lambda u: _scalar_rate(p, ch, make, u),
+        t, rate = golden_section_max(lambda u: _scalar_rate(p, ch, u),
                                      grid[max(0, best - 1)], grid[min(100, best + 1)], 1e-4)
         if rate < rates[best]:
             t, rate = grid[best], rates[best]
@@ -297,8 +325,7 @@ def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
     monkeypatch.setattr(catalysis, "pd_and_covariance", counted_moments)
     monkeypatch.setattr(optimize, "optimize_transmittance", counted_opt)
     _grid_states.cache_clear()
-    template = CatalysisConfig.bsqc(1, 0.95)
-    max_distance(ProtocolParams(V20, template))
+    max_distance(ProtocolParams(V20, BSQC1))
     grid = [0.5 + k * 0.5 / 100 for k in range(101)]
     counts = Counter(moments)
     assert all(counts[t] == 1 for t in grid)
@@ -308,7 +335,7 @@ def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
     assert len(moments) <= len(grid) + 13 * refined
 
     calls = len(moments)
-    states = _grid_states(template, V20, tuple(grid))
+    states = _grid_states(BSQC1, V20, tuple(grid))
     assert len(moments) == calls  # served from the cache
     with pytest.raises(ValueError):
         states[1, 0] = 0.0
