@@ -47,7 +47,10 @@ def main(argv: list[str] | None = None) -> int:
                 writer.writerow([f"{d:.9g}", f"{t:.9g}", f"{rate:.9g}"])
                 if rate > best[1]:
                     best = (t, rate)
-            print(f"d = {d:6.1f} km: best t = {best[0]:.4f}, rate = {best[1]:.3e} bits/pulse")
+            if best[1] > 0.0:
+                print(f"d = {d:6.1f} km: best t = {best[0]:.4f}, rate = {best[1]:.3e} bits/pulse")
+            else:
+                print(f"d = {d:6.1f} km: no grid point has a positive rate")
     print(f"wrote {args.out}")
     return 0
 

@@ -391,11 +391,9 @@ def _verify_orthogonality(rows, sign):
     dev = 0.0
     for t in (0.3, 0.7, 0.95):
         for total in range(0, 7):
-            block = np.array([
-                [oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
-                 for p in range(total + 1)]
-                for j in range(total + 1)
-            ])
+            j = np.arange(total + 1)[:, None]
+            p = np.arange(total + 1)
+            block = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
             dev = max(dev, float(np.abs(block.T @ block - np.eye(total + 1)).max()))
     rows.append(("beamsplitter-orthogonality", dev, 1e-10))
 

@@ -1,7 +1,11 @@
 """Independent references for the heralded sources, never used in sweeps.
 
 Fock-space simulations expand states in the photon-number basis up to a
-cutoff, with exact beam-splitter matrix elements.  The paper's
+cutoff, with exact beam-splitter matrix elements.  ``bs_fock_amplitude``
+evaluates them for a whole photon-number ladder in one numpy pass, so a
+simulation makes one call per arm.  A cutoff above 2^20 terms, the cap
+of the Schmidt spectra in :mod:`catqkd.catalysis`, raises
+:class:`CutoffError` before any array is allocated.  The paper's
 generating-function route for catalysis takes mixed partial derivatives
 with truncated Taylor jets (:mod:`catqkd.series`).  Tests and ``catqkd
 verify`` check the production closed forms against both.
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalysis import CatalysisConfig, SchmidtSpectrum, SourceParams, TwoModeCovariance
+from .catalysis import (_MAX_TERMS, CatalysisConfig, SchmidtSpectrum, SourceParams,
+                        TwoModeCovariance)
 from .errors import ConsistencyError, CutoffError
 from .series import Jet, jet_const, jet_div, jet_mul, mixed_partial_at_zero
 from .subtraction import SubtractionConfig
@@ -33,53 +38,69 @@ _TAIL_MASS_LIMIT = 1e-8
 _TAU, _GAMMA, _TAU1, _GAMMA1 = range(4)
 
 
-def bs_fock_amplitude(t: float, in_b: int, in_c: int, out_b: int, out_c: int,
-                      sign: float = -1.0) -> float:
+def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
     """Matrix element <out_b, out_c|B(t)|in_b, in_c> of a beam splitter.
 
-    Photon number is conserved, so the amplitude vanishes unless
+    The photon numbers are integers or integer arrays that broadcast
+    together; scalar inputs give a ``float``, array inputs an array of the
+    broadcast shape, so a whole photon-number ladder costs one call.
+    Photon number is conserved, so an element vanishes unless
     ``in_b + in_c == out_b + out_c``.  The binomial sum runs in log space
-    to stay finite for photon numbers far past the range of factorials
-    in double precision.
+    to stay finite for photon numbers far past the range of factorials in
+    double precision; each summation offset is one masked array step.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance {t} outside [0, 1]")
     if sign not in (-1.0, 1.0):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if min(in_b, in_c, out_b, out_c) < 0:
+    numbers = [np.asarray(n) for n in (in_b, in_c, out_b, out_c)]
+    if any(n.dtype.kind not in "iu" for n in numbers):
+        raise TypeError("photon numbers must be integers")
+    j, k, p, q = np.broadcast_arrays(*(n.astype(np.int64) for n in numbers))
+    if min(n.min(initial=0) for n in (j, k, p, q)) < 0:
         raise ValueError("photon numbers must be non-negative")
-    if in_b + in_c != out_b + out_c:
-        return 0.0
-    j, k, p, q = in_b, in_c, out_b, out_c
-    log_t = math.log(t) if t > 0.0 else -math.inf
-    log_r = math.log(1.0 - t) if t < 1.0 else -math.inf
-    base = 0.5 * (
-        math.lgamma(p + 1) + math.lgamma(q + 1) - math.lgamma(j + 1) - math.lgamma(k + 1)
-    )
-    logs: list[float] = []
-    signs: list[float] = []
-    for a in range(max(0, p - k), min(j, p) + 1):
+    # Mismatched elements are evaluated as the vacuum and zeroed at the end.
+    matched = j + k == p + q
+    j, k, p, q = (np.where(matched, n, 0) for n in (j, k, p, q))
+    # lg[n] = log(n!), the math.lgamma values of the scalar formula
+    top = int(max(n.max(initial=0) for n in (j, k, p, q)))
+    lg = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
+    head = 0.5 * (lg[p] + lg[q] - lg[j] - lg[k]) + lg[j]
+    lg_k = lg[k]
+    parity = j if sign < 0 else p
+    a_lo = np.maximum(0, p - k)
+    span = np.minimum(j, p) - a_lo
+    terms = []
+    for offset in range(int(span.max(initial=-1)) + 1):
+        # a = a_lo + offset, clamped so every index stays in range; the
+        # clamped terms are masked out.
+        live = offset <= span
+        a = a_lo + np.minimum(offset, span)
+        log_term = head - lg[a] - lg[j - a] + lg_k - lg[p - a] - lg[k - p + a]
         e_t = 2 * a + k - p       # power of sqrt(t)
         e_r = j + p - 2 * a       # power of sqrt(1-t)
-        if (e_t > 0 and log_t == -math.inf) or (e_r > 0 and log_r == -math.inf):
-            continue
-        log_term = (
-            base
-            + math.lgamma(j + 1) - math.lgamma(a + 1) - math.lgamma(j - a + 1)
-            + math.lgamma(k + 1) - math.lgamma(p - a + 1) - math.lgamma(k - p + a + 1)
-        )
-        if e_t:
-            log_term += 0.5 * e_t * log_t
-        if e_r:
-            log_term += 0.5 * e_r * log_r
-        logs.append(log_term)
-        parity = (j - a) if sign < 0 else (p - a)
-        signs.append(-1.0 if parity % 2 else 1.0)
-    if not logs:
-        return 0.0
-    peak = max(logs)
-    acc = sum(s * math.exp(lg - peak) for s, lg in zip(signs, logs))
-    return acc * math.exp(peak)
+        # At t = 0 (t = 1) the terms with a positive power of sqrt(t)
+        # (sqrt(1-t)) vanish, and the others have that power 0.
+        if t == 0.0:
+            live &= e_t == 0
+        else:
+            log_term = log_term + 0.5 * e_t * math.log(t)
+        if t == 1.0:
+            live &= e_r == 0
+        else:
+            log_term = log_term + 0.5 * e_r * math.log(1.0 - t)
+        terms.append((np.where(live, log_term, -np.inf), (parity - a) % 2 == 1))
+    peak = np.full(j.shape, -np.inf)
+    for log_term, _ in terms:
+        peak = np.maximum(peak, log_term)
+    # An element without a live term sums to 0; peak 0 keeps it finite.
+    peak = np.where(peak > -np.inf, peak, 0.0)
+    acc = np.zeros(j.shape)
+    for log_term, odd in terms:
+        mag = np.exp(log_term - peak)
+        acc = acc + np.where(odd, -mag, mag)
+    amp = np.where(matched, acc * np.exp(peak), 0.0)
+    return float(amp) if amp.ndim == 0 else amp
 
 
 def _affine(orders: tuple[int, ...], c0: float, var: int, c1: float) -> Jet:
@@ -152,7 +173,13 @@ def adaptive_cutoff(lam: float, tail: float = 1e-12) -> int:
     return max(60, math.ceil(bound / math.log(lam)))
 
 
-def _check_tail(lam: float, cutoff: int, what: str) -> None:
+def _check_cutoff(lam: float, cutoff: int, what: str) -> None:
+    # Runs before any array of length cutoff + 1 is allocated.
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
+    if cutoff >= _MAX_TERMS:
+        raise CutoffError(f"cutoff too large: {what} at cutoff {cutoff} needs "
+                          f"{cutoff + 1} terms, more than {_MAX_TERMS}")
     # Discarded probability mass of the geometric photon distribution.
     tail_mass = lam ** (2 * (cutoff + 1))
     if tail_mass > _TAIL_MASS_LIMIT:
@@ -182,10 +209,10 @@ def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
     lam = src.lam
     if cutoff is None:
         cutoff = adaptive_cutoff(lam)
-    _check_tail(lam, cutoff, f"catalysis with lam={lam:.4f}")
+    _check_cutoff(lam, cutoff, f"catalysis with lam={lam:.4f}")
     ls = np.arange(cutoff + 1)
-    g1 = np.array([bs_fock_amplitude(cfg.t1, l, cfg.m, l, cfg.m, sign) for l in ls])
-    g2 = np.array([bs_fock_amplitude(cfg.t2, l, cfg.n, l, cfg.n, sign) for l in ls])
+    g1 = bs_fock_amplitude(cfg.t1, ls, cfg.m, ls, cfg.m, sign)
+    g2 = bs_fock_amplitude(cfg.t2, ls, cfg.n, ls, cfg.n, sign)
     amps = math.sqrt(1.0 - lam**2) * lam**ls * g1 * g2
     pd = float(amps @ amps)
     weights = amps / math.sqrt(pd)
@@ -213,9 +240,9 @@ def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams,
         raise ValueError("photon subtraction cannot herald on a vacuum source")
     if cutoff is None:
         cutoff = adaptive_cutoff(lam * math.sqrt(cfg.t))
-    _check_tail(lam * math.sqrt(cfg.t), cutoff, f"subtraction with lam={lam:.4f}")
+    _check_cutoff(lam * math.sqrt(cfg.t), cutoff, f"subtraction with lam={lam:.4f}")
     ls = np.arange(cutoff + 1)
-    taps = np.array([bs_fock_amplitude(cfg.t, l, 0, l - 1, 1, sign) if l else 0.0 for l in ls])
+    taps = np.concatenate(([0.0], bs_fock_amplitude(cfg.t, ls[1:], 0, ls[1:] - 1, 1, sign)))
     amps = math.sqrt(1.0 - lam**2) * lam**ls * taps
     p1 = float(amps @ amps)
     u = amps / math.sqrt(p1)

@@ -247,3 +247,8 @@ def test_verify_passes_both_sign_conventions(capsys):
 def test_verify_with_starved_cutoff_is_a_numeric_error(capsys):
     assert main(["verify", "--cutoff", "20"]) == EXIT_NUMERIC
     assert "cutoff" in capsys.readouterr().err
+
+
+def test_verify_negative_cutoff_is_a_usage_error(capsys):
+    assert main(["verify", "--cutoff", "-1"]) == EXIT_USAGE
+    assert "cutoff must be non-negative" in capsys.readouterr().err

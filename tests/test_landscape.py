@@ -39,3 +39,13 @@ def test_landscape_rows_and_printed_optima(family, tmp_path, capsys):
         opt = optimize_transmittance(ProtocolParams(SourceParams.from_variance(20.0), family),
                                      ChannelParams.from_distance(d, 0.01))
         assert abs(t - opt.t) <= STEP
+
+
+def test_landscape_without_a_positive_rate_prints_no_optimum(tmp_path, capsys):
+    # ssqc1 at 150 km is positive only between the grid points (t = 0.977)
+    argv = ["--scheme", "ssqc", "--photons", "1", "--distances", "50", "150",
+            "--t-step", str(STEP), "--out", str(tmp_path / "landscape.csv")]
+    assert landscape.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.match(r"d = +50\.0 km: best t = ", lines[0])
+    assert lines[1] == "d =  150.0 km: no grid point has a positive rate"
