@@ -323,12 +323,25 @@ def cmd_excess_noise(args) -> int:
     entries = _scheme_entries(args, _NOISE_SET)
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
     src = _source(args)
-    rows = []
-    for d in distances:
-        for family in entries:
-            p = ProtocolParams(source=src, beta=args.beta, scheme=family)
-            eps = max_tolerable_excess_noise(p, d, atten_db_per_km=args.atten_db_km)
-            rows.append({"distance_km": d, **_labels(family), "eps_max": eps})
+    # A refused channel fails the sweep only after every nearer distance has
+    # been searched, so the exit code is the one of a distance-by-distance
+    # sweep.  The search runs scheme by scheme with the distances in
+    # lockstep, so where several probes fail the error reported may name
+    # another distance or scheme, and warnings come in another order.
+    searched, refused = distances, None
+    for k, d in enumerate(distances):
+        try:
+            ChannelParams.from_distance(d, atten_db_per_km=args.atten_db_km)
+        except ValueError as exc:
+            searched, refused = distances[:k], exc
+            break
+    limits = [max_tolerable_excess_noise(ProtocolParams(source=src, beta=args.beta, scheme=family),
+                                         searched, atten_db_per_km=args.atten_db_km)
+              for family in entries] if searched else []
+    if refused is not None:
+        raise refused
+    rows = [{"distance_km": d, **_labels(family), "eps_max": eps[k]}
+            for k, d in enumerate(distances) for family, eps in zip(entries, limits)]
     _emit(args, ["distance_km", "scheme", "m", "n", "eps_max"], rows)
     return EXIT_OK
 

@@ -15,7 +15,9 @@ probability, because only heralded pulses contribute key.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,52 +233,64 @@ def _sq(values: np.ndarray) -> np.ndarray:
 
 def _log2(values: np.ndarray) -> np.ndarray:
     # math.log2 value by value: numpy's log2 may differ from it in the last bit
-    return np.fromiter(map(math.log2, values.ravel().tolist()), float,
+    return np.fromiter(map(math.log2, memoryview(values.ravel())), float,
                        values.size).reshape(values.shape)
 
 
-def grid_key_rates(t: np.ndarray, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   z: np.ndarray, ch: ChannelParams, beta: float) -> np.ndarray:
+def grid_key_rates(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   z: np.ndarray, ch: ChannelParams | Sequence[ChannelParams],
+                   beta: float) -> np.ndarray:
     """Key rates of the states ``(p_success, x, y, z)`` prepared at transmittances ``t``.
 
     The array form of :func:`secret_key_rate`: the same formulas in the same
-    floating-point operations, so every rate has the same bits.  It checks
-    what :class:`TwoModeCovariance`, :func:`mutual_information` and
-    :func:`symplectic_eigenvalues` check and raises :class:`ConsistencyError`
-    naming the first failing ``t``, which is read for that message only.
+    floating-point operations, so every rate has the same bits.  One channel
+    gives rates of the shape of ``t``; a sequence of channels gives one row
+    of rates per channel.  It checks what :class:`TwoModeCovariance`,
+    :func:`mutual_information` and :func:`symplectic_eigenvalues` check and
+    raises :class:`ConsistencyError` naming the first failing ``t`` (of the
+    first failing channel, which is named too when a sequence is given);
+    ``t`` is read for that message only, and ``None`` leaves it out.
     ``p_success`` is taken as given: it is checked where it is computed.
     """
+    single = isinstance(ch, ChannelParams)
+    channels = [ch] if single else list(ch)
+    tc = np.array([c.tc for c in channels])[:, None]
+    xi = np.array([c.xi for c in channels])[:, None]
     tol = 1e-9
-    joint = (x + 1.0) * (y + ch.xi)
+    joint = (x + 1.0) * (y + xi)
     conditional = joint - _sq(z)
-    yb = ch.tc * (y + ch.xi)
-    zz = ch.tc * _sq(z)
+    yb = tc * (y + xi)
+    zz = tc * _sq(z)
     big = _sq(x) + _sq(yb) - 2.0 * zz
     det = x * yb - zz
     disc = _sq(big) - 4.0 * _sq(det)
     root = np.sqrt(np.maximum(disc, 0.0))
-    l3sq = x * (x - _sq(z) / (y + ch.xi))
+    l3sq = x * (x - _sq(z) / (y + xi))
     nu = np.sqrt(np.maximum([0.5 * (big + root), 0.5 * (big - root), l3sq], 0.0))
     physical = (np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (x >= 1.0 - tol)
                 & (y >= 1.0 - tol) & (x * y - _sq(z) >= 1.0 - tol))
-    checks = [  # in the order secret_key_rate meets them
-        (~physical, lambda i: f"unphysical covariance: x={x[i]}, y={y[i]}, z={z[i]}"),
+    checks = [  # in the order secret_key_rate meets them; i indexes (channel, t)
+        (~physical, lambda i: f"unphysical covariance: x={x[i[1]]}, y={y[i[1]]}, z={z[i[1]]}"),
         (conditional <= 0.0, lambda i: "conditional variance non-positive"),
         (disc < -1e-12 * np.maximum(1.0, _sq(big)),
          lambda i: f"unphysical state: discriminant {disc[i]}"),
-        *((nu[k] < 1.0 - tol, lambda i, k=k: f"unphysical state: symplectic eigenvalue {nu[k, i]} < 1")
+        *((nu[k] < 1.0 - tol, lambda i, k=k: f"unphysical state: symplectic eigenvalue {nu[k][i]} < 1")
           for k in range(3)),
     ]
-    failed = np.any([bad for bad, _ in checks], axis=0)
+    failed = functools.reduce(np.logical_or, [bad for bad, _ in checks])
     if failed.any():
-        i = int(failed.argmax())
-        message = next(text for bad, text in checks if bad[i])
-        raise ConsistencyError(f"{message(i)} at t={t[i]}")
+        i = np.unravel_index(failed.argmax(), failed.shape)
+        message = next(text(i) for bad, text in checks if np.broadcast_to(bad, failed.shape)[i])
+        where = "" if t is None else f" at t={t[i[1]]}"
+        if not single:
+            where += f" on {channels[i[0]]}"
+        raise ConsistencyError(message + where)
     v = (np.maximum(nu, 1.0) - 1.0) / 2.0
     w = np.where(v <= 0.0, 1.0, v)  # von_neumann_g, which is 0 at v = 0 and NaN at NaN
     g = np.where(v <= 0.0, 0.0, (w + 1.0) * _log2(w + 1.0) - w * _log2(w))
     raw = p_success * (beta * (0.5 * _log2(joint / conditional)) - (g[0] + g[1] - g[2]))
-    return np.where(raw > 0.0, raw, 0.0)
+    rates = np.where(raw > 0.0, raw, 0.0)
+    return rates[0] if single else rates
 
 
 def plob_bound(tc: float) -> float:

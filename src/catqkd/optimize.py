@@ -7,9 +7,12 @@ rate is cheap but not concave in t, so the optimiser walks a coarse grid
 first and then refines the best cell with a scalar golden-section search.
 The grid is evaluated in one array pass: the source states on it depend
 on the family and the source only, so they are built once and reused for
-every channel.  Noise and distance limits bisect on top of that,
-re-optimising the transmittance at every probe; a few probe points past
-the found edge guard against non-monotone profiles.
+every channel.  Noise and distance limits bisect on top of that, with a
+few probe points past the found edge against non-monotone profiles.  The
+distance limit re-optimises the transmittance at every probe.  The noise
+limit needs only the sign of the best rate, which the grid pass alone
+decides, so it bisects every distance of a sweep in lockstep, one grid
+pass over all of them per step.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import numpy as np
 
 from . import catalysis, subtraction
 from .catalysis import SourceParams
-from .keyrate import (ChannelParams, ProtocolParams, SchemeFamily, channel_transmittance,
-                      grid_key_rates, secret_key_rate)
+from .keyrate import ChannelParams, ProtocolParams, SchemeFamily, grid_key_rates, secret_key_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -98,19 +100,30 @@ def _rate_at(p: ProtocolParams, ch: ChannelParams, t: float) -> float:
     return secret_key_rate(replace(p, scheme=p.scheme.at(t)), ch).key_rate
 
 
+def _family(p: ProtocolParams) -> SchemeFamily:
+    if not isinstance(p.scheme, SchemeFamily):
+        raise TypeError(f"the optimisers take a SchemeFamily, not {p.scheme!r}")
+    return p.scheme
+
+
+@functools.lru_cache(maxsize=16)
+def _t_grid(t_min: float, t_max: float, step: float) -> tuple[float, ...]:
+    """The optimiser's transmittance grid: ``t_min`` to ``t_max`` in cells of about ``step``."""
+    if not 0.0 < t_min < t_max <= 1.0:
+        raise ValueError(f"bad search range [{t_min}, {t_max}]")
+    cells = max(1, int(round((t_max - t_min) / step)))
+    return tuple(t_min + k * (t_max - t_min) / cells for k in range(cells + 1))
+
+
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams,
                            t_min: float = 0.5, t_max: float = 1.0,
                            step: float = 0.005, refine_tol: float = 1e-4) -> TransmittanceOptimum:
     """Best catalyser or tap transmittance for the key rate of the family ``p.scheme``."""
     if p.scheme is None:
         raise ValueError("the bare protocol has no transmittance to optimise")
-    if not isinstance(p.scheme, SchemeFamily):
-        raise TypeError(f"the optimisers take a SchemeFamily, not {p.scheme!r}")
-    if not 0.0 < t_min < t_max <= 1.0:
-        raise ValueError(f"bad search range [{t_min}, {t_max}]")
-    cells = max(1, int(round((t_max - t_min) / step)))
-    grid = tuple(t_min + k * (t_max - t_min) / cells for k in range(cells + 1))
-    t, *state = _grid_states(p.scheme, p.source, grid)
+    family = _family(p)
+    grid = _t_grid(t_min, t_max, step)
+    t, *state = _grid_states(family, p.source, grid)
     rates = grid_key_rates(t, *state, ch, p.beta).tolist()
     rates += [0.0] * (len(grid) - len(rates))  # left out: the points at t >= 1, the last
     if max(rates) <= 0.0:
@@ -126,55 +139,88 @@ def best_key_rate(p: ProtocolParams, ch: ChannelParams, **opt_kwargs) -> float:
     return optimize_transmittance(p, ch, **opt_kwargs).key_rate
 
 
-def _largest_true(pred, lo: float, hi: float, resolution: float, probes: int = 4) -> float:
-    """Largest x in [lo, hi] with pred(x) true, for a single true->false crossing.
+def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: float,
+                  probes: int = 4) -> list[float]:
+    """Per lane i, the largest x in [lo[i], hi[i]] with the condition true.
 
-    pred(lo) must hold and pred(hi) must fail.  After the bisection a few
-    probe points past the edge check for revivals; one revival restarts
-    the search with a warning.
+    ``pred(lanes, xs)`` says for each lane index in ``lanes`` whether the
+    condition holds at the matching x; every step is one call over the
+    lanes still searching, so the lanes run in lockstep.  A lane gives
+    lo[i] where the condition fails there and hi[i] where it holds there;
+    otherwise it bisects, for a single true->false crossing.  After the
+    bisection a few probe points past the edge check for revivals; a lane
+    that revives restarts its search once, with a warning.
     """
-    a, b = lo, hi
-    while True:
-        while b - a > resolution:
-            mid = 0.5 * (a + b)
-            if pred(mid):
-                a = mid
-            else:
-                b = mid
-        if probes <= 0 or hi - b <= resolution:
-            return a
-        revived = [x for k in range(1, probes + 1)
-                   if pred(x := b + (hi - b) * k / probes)]
-        if not revived:
-            return a
-        warnings.warn(
-            f"non-monotone profile: condition holds again at {max(revived):.6g}; extending search",
-            stacklevel=2,
-        )
-        a, b = max(revived), hi
-        probes = 0
+    def ask(lanes: list[int], xs: list[float]):
+        return pred(lanes, xs) if lanes else []
+
+    a, b = list(lo), list(hi)
+    lanes = [i for i, holds in enumerate(ask(list(range(len(a))), a)) if holds]
+    searching = []
+    for i, holds in zip(lanes, ask(lanes, [hi[i] for i in lanes])):
+        if holds:
+            a[i] = hi[i]
+        else:
+            searching.append(i)
+    restarted = set()
+    while searching:
+        while active := [i for i in searching if b[i] - a[i] > resolution]:
+            mids = [0.5 * (a[i] + b[i]) for i in active]
+            for i, mid, holds in zip(active, mids, ask(active, mids)):
+                if holds:
+                    a[i] = mid
+                else:
+                    b[i] = mid
+        probing = [i for i in searching
+                   if probes > 0 and i not in restarted and hi[i] - b[i] > resolution]
+        revived = {i: [] for i in probing}
+        for k in range(1, probes + 1):
+            xs = [b[i] + (hi[i] - b[i]) * k / probes for i in probing]
+            for i, x, holds in zip(probing, xs, ask(probing, xs)):
+                if holds:
+                    revived[i].append(x)
+        searching = [i for i in probing if revived[i]]
+        for i in searching:
+            warnings.warn(
+                f"non-monotone profile: condition holds again at {max(revived[i]):.6g}; "
+                "extending search",
+                stacklevel=2,
+            )
+            a[i], b[i] = max(revived[i]), hi[i]
+            restarted.add(i)
+    return a
 
 
-def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float,
+def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[float],
                                atten_db_per_km: float = 0.2,
-                               eps_max: float = 0.2, tol: float = 1e-5,
-                               **opt_kwargs) -> float:
-    """Largest excess noise with a positive key rate at the given distance.
+                               eps_max: float = 0.2, tol: float = 1e-5, t_min: float = 0.5,
+                               t_max: float = 1.0, step: float = 0.005) -> float | list[float]:
+    """Largest excess noise with a positive key rate at the given distance, or at each of several.
 
-    The transmittance is re-optimised at every probed noise value.
-    Returns 0 when even a noiseless channel yields no key, and ``eps_max``
-    when the whole search interval stays positive.
+    A rate is positive at some transmittance exactly when it is positive at
+    a point of the optimiser's grid, as the golden-section refinement keeps
+    a point only if it beats the best grid rate.  So every probed noise
+    value is one grid pass over the cached grid states, for all distances
+    at once.  Returns 0 when even a noiseless channel yields no key, and
+    ``eps_max`` when the whole search interval stays positive; a list for
+    a sequence of distances.
     """
-    tc = channel_transmittance(distance_km, atten_db_per_km)
+    scalar = np.ndim(distance_km) == 0
+    distances = [distance_km] if scalar else list(distance_km)
+    tcs = [ChannelParams.from_distance(d, atten_db_per_km=atten_db_per_km).tc for d in distances]
+    if p.scheme is None:  # the bare source, as a one-point grid
+        cov = catalysis.tmsv_covariance(p.source)
+        t, *state = None, *np.array([[1.0], [cov.x], [cov.y], [cov.z]])
+    else:
+        t, *state = _grid_states(_family(p), p.source, _t_grid(t_min, t_max, step))
 
-    def positive(eps: float) -> bool:
-        return best_key_rate(p, ChannelParams(tc=tc, epsilon=eps), **opt_kwargs) > 0.0
+    def positive(lanes: list[int], eps: list[float]) -> list[bool]:
+        channels = [ChannelParams(tc=tcs[i], epsilon=e) for i, e in zip(lanes, eps)]
+        rates = grid_key_rates(t, *state, channels[0] if scalar else channels, p.beta)
+        return (np.atleast_2d(rates) > 0.0).any(axis=1).tolist()
 
-    if not positive(0.0):
-        return 0.0
-    if positive(eps_max):
-        return eps_max
-    return _largest_true(positive, 0.0, eps_max, tol)
+    limits = _largest_true(positive, [0.0] * len(tcs), [eps_max] * len(tcs), tol)
+    return limits[0] if scalar else limits
 
 
 def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
@@ -184,12 +230,9 @@ def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
     if floor <= 0.0:
         raise ValueError(f"key-rate floor must be positive, got {floor}")
 
-    def reaches(d: float) -> bool:
-        ch = ChannelParams.from_distance(d, epsilon=epsilon, atten_db_per_km=atten_db_per_km)
-        return best_key_rate(p, ch, **opt_kwargs) >= floor
+    def reaches(lanes: list[int], distances: list[float]) -> list[bool]:
+        ch = ChannelParams.from_distance(distances[0], epsilon=epsilon,
+                                         atten_db_per_km=atten_db_per_km)
+        return [best_key_rate(p, ch, **opt_kwargs) >= floor]
 
-    if not reaches(0.0):
-        return 0.0
-    if reaches(d_max):
-        return d_max
-    return _largest_true(reaches, 0.0, d_max, resolution_km)
+    return _largest_true(reaches, [0.0], [d_max], resolution_km)[0]

@@ -188,6 +188,29 @@ def test_excess_noise_matches_library(tmp_path):
     assert float(row["eps_max"]) == pytest.approx(direct, abs=1e-6)
 
 
+def test_excess_noise_sweep_rows_follow_the_distance_grid(tmp_path):
+    out = tmp_path / "noise.csv"
+    assert main(["excess-noise", "--d-min", "0", "--d-max", "100", "--d-step", "50",
+                 "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)
+    assert [(r["distance_km"], r["scheme"], r["n"]) for r in rows[:7]] == [
+        ("0", "original", ""), ("0", "bsqc", "0"), ("0", "bsqc", "1"), ("0", "ssqc", "0"),
+        ("0", "ssqc", "1"), ("0", "subtraction", ""), ("50", "original", "")]
+    assert len(rows) == 18
+
+
+def test_excess_noise_refused_channel_fails_after_nearer_distances(capsys):
+    # the fibre at 19999 km has transmittance 0; the nearer distance's
+    # numerical error comes first, as in a distance-by-distance sweep
+    near_error = ["excess-noise", "--variance", "1e6", "--d-min", "1e-9",
+                  "--d-max", "20000", "--d-step", "19999"]
+    assert main(near_error) == EXIT_NUMERIC
+    assert "discriminant" in capsys.readouterr().err
+    assert main(["excess-noise", "--d-min", "0", "--d-max", "20000",
+                 "--d-step", "10000"]) == EXIT_USAGE
+    assert "channel transmittance 0.0" in capsys.readouterr().err
+
+
 def test_max_distance_subcommand(tmp_path):
     out = tmp_path / "reach.csv"
     args = ["max-distance", "--scheme", "original", "--epsilon", "0.01",

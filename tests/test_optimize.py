@@ -20,6 +20,7 @@ from catqkd import (
     TwoModeCovariance,
     best_key_rate,
     catalysis,
+    channel_transmittance,
     max_distance,
     max_tolerable_excess_noise,
     optimize,
@@ -28,7 +29,7 @@ from catqkd import (
     von_neumann_g,
 )
 from catqkd.keyrate import grid_key_rates
-from catqkd.optimize import _grid_states, _largest_true, golden_section_max
+from catqkd.optimize import _grid_states, _largest_true, _t_grid, golden_section_max
 
 V20 = SourceParams.from_variance(20.0)
 BSQC1 = SchemeFamily("bsqc", 1)
@@ -149,16 +150,40 @@ def test_all_zero_flag_past_the_cutoff():
 
 
 def test_largest_true_finds_the_edge():
-    assert _largest_true(lambda x: x <= 7.3, 0.0, 20.0, 1e-6) == pytest.approx(7.3, abs=1e-5)
+    edge, = _largest_true(lambda lanes, xs: [x <= 7.3 for x in xs], [0.0], [20.0], 1e-6)
+    assert edge == pytest.approx(7.3, abs=1e-5)
 
 
 def test_largest_true_warns_on_revival():
-    def pred(x):
-        return x <= 5.0 or 14.0 <= x <= 17.0
+    def pred(lanes, xs):
+        return [x <= 5.0 or 14.0 <= x <= 17.0 for x in xs]
 
     with pytest.warns(UserWarning, match="non-monotone"):
-        edge = _largest_true(pred, 0.0, 20.0, 1e-3, probes=8)
+        edge, = _largest_true(pred, [0.0], [20.0], 1e-3, probes=8)
     assert edge == pytest.approx(17.0, abs=1e-2)
+
+
+def test_only_the_revived_lane_restarts():
+    # lane 1 revives at 16.25 and again at 18.875, past 17: only the first restarts it
+    conditions = [lambda x: x <= 7.3,
+                  lambda x: x <= 5.0 or 14.0 <= x <= 17.0 or 18.8 <= x <= 19.0]
+    asked = []
+
+    def pred(lanes, xs):
+        asked.append(lanes)
+        return [conditions[i](x) for i, x in zip(lanes, xs)]
+
+    with pytest.warns(UserWarning, match="non-monotone") as record:
+        edges = _largest_true(pred, [0.0, 0.0], [20.0, 20.0], 1e-3, probes=8)
+    assert len(record) == 1 and "holds again at 16.25" in str(record[0].message)
+    alone, = _largest_true(lambda lanes, xs: [conditions[0](x) for x in xs],
+                           [0.0], [20.0], 1e-3, probes=8)
+    assert edges[0] == alone
+    assert edges[1] == pytest.approx(17.0, abs=1e-2)
+    # lockstep: both lanes share each step up to the probes, then lane 1 searches alone
+    restart = asked.index([1])
+    assert all(lanes == [0, 1] for lanes in asked[:restart])
+    assert all(lanes == [1] for lanes in asked[restart:])
 
 
 def test_max_noise_matches_direct_bisection():
@@ -192,6 +217,97 @@ def test_max_noise_decreases_with_distance():
     p = ProtocolParams(V20)
     eps = [max_tolerable_excess_noise(p, d) for d in (20.0, 50.0, 80.0)]
     assert eps[0] > eps[1] > eps[2] > 0.0
+
+
+def _scalar_noise_limit(p, d_km, eps_max=0.2, tol=1e-5, probes=4):
+    """The search one distance at a time: bisect best_key_rate(...) > 0, probe past the edge."""
+    tc = channel_transmittance(d_km)
+
+    def positive(eps):
+        return best_key_rate(p, ChannelParams(tc=tc, epsilon=eps)) > 0.0
+
+    if not positive(0.0):
+        return 0.0
+    if positive(eps_max):
+        return eps_max
+    a, b = 0.0, eps_max
+    while True:
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if positive(mid):
+                a = mid
+            else:
+                b = mid
+        if probes <= 0 or eps_max - b <= tol:
+            return a
+        revived = [x for k in range(1, probes + 1)
+                   if positive(x := b + (eps_max - b) * k / probes)]
+        if not revived:
+            return a
+        a, b, probes = max(revived), eps_max, 0
+
+
+NOISE_DISTANCES = [0.0, 50.0, 150.0, 300.0, 450.0]
+
+
+@pytest.mark.parametrize("variance", [20.0, 1e3])
+@pytest.mark.parametrize("family", [
+    SchemeFamily("subtraction"), None, SchemeFamily("bsqc", 0), BSQC1, SchemeFamily("bsqc", 2),
+    SchemeFamily("ssqc", 1),
+])
+def test_noise_limit_equals_the_optimised_rate_bisection(family, variance):
+    # positivity of the grid pass alone decides each probe, with the same result
+    p = ProtocolParams(SourceParams.from_variance(variance), family)
+    expected = [_scalar_noise_limit(p, d) for d in NOISE_DISTANCES]
+    assert max_tolerable_excess_noise(p, NOISE_DISTANCES) == expected
+
+
+@pytest.mark.parametrize("family", [None, BSQC1, SchemeFamily("subtraction")])
+def test_noise_limits_over_distances_match_single_calls(family):
+    p = ProtocolParams(V20, family)
+    distances = [300.0, 0.0, 120.0, 120.0, 35.5, 1000.0]
+    limits = max_tolerable_excess_noise(p, distances)
+    assert isinstance(limits, list)
+    assert limits == [max_tolerable_excess_noise(p, d) for d in distances]
+    assert max_tolerable_excess_noise(p, []) == []
+
+
+def test_noise_limit_needs_no_golden_section_probes(monkeypatch):
+    rates, moments = [], []
+    real_moments = catalysis.pd_and_covariance
+
+    def counted_moments(cfg, src):
+        moments.append(cfg.t1)
+        return real_moments(cfg, src)
+
+    monkeypatch.setattr(catalysis, "pd_and_covariance", counted_moments)
+    monkeypatch.setattr(optimize, "secret_key_rate", lambda *args: rates.append(args))
+    _grid_states.cache_clear()
+    for family in (BSQC1, None, SchemeFamily("subtraction")):
+        max_tolerable_excess_noise(ProtocolParams(V20, family), [50.0, 150.0, 300.0])
+    assert rates == []
+    assert sorted(moments) == sorted(_t_grid(0.5, 1.0, 0.005))
+
+
+def test_noise_limit_refusals():
+    p = ProtocolParams(SourceParams.from_variance(1e6), SchemeFamily("bsqc", 0))
+    with pytest.raises(ConsistencyError) as one:
+        max_tolerable_excess_noise(p, 1e-9)
+    assert str(one.value) == ("unphysical state: symplectic eigenvalue 0.9999999789499209 < 1"
+                              " at t=0.58")
+    # a sequence names the channel, however many of its lanes are still searching
+    for distances in ([300.0, 1e-9], [1e-9], [1e-9, 0.0]):
+        with pytest.raises(ConsistencyError) as lanes:
+            max_tolerable_excess_noise(p, distances)
+        assert str(lanes.value) == f"{one.value} on {ChannelParams.from_distance(1e-9)}"
+    # a golden-section probe at t = 0.99975 used to refuse this; the grid point t = 1 has a key
+    assert max_tolerable_excess_noise(p, 0.0) == 0.2
+    assert secret_key_rate(replace(p, scheme=p.scheme.at(1.0)),
+                           ChannelParams(1.0, 0.2)).key_rate > 0.09
+    with pytest.raises(ValueError, match="distance must be non-negative"):
+        max_tolerable_excess_noise(ProtocolParams(V20, BSQC1), [10.0, -1.0])
+    with pytest.raises(ValueError, match="bad search range"):
+        max_tolerable_excess_noise(ProtocolParams(V20, BSQC1), 10.0, t_min=0.9, t_max=0.8)
 
 
 def test_max_distance_matches_grid_scan():
@@ -281,6 +397,16 @@ def test_grid_pass_names_the_first_unphysical_state():
     with pytest.raises(ConsistencyError) as grid:
         grid_key_rates(t, np.ones(3), x, y, z, ChannelParams.from_distance(10.0, 0.01), 0.95)
     assert str(grid.value) == f"{scalar.value} at t=0.7"
+
+
+def test_grid_pass_over_channels_is_one_pass_per_channel():
+    t, *state = _grid_states(BSQC1, V20, _t_grid(0.5, 1.0, 0.005))
+    channels = [ChannelParams.from_distance(d, eps) for d in (0.0, 100.0, 300.0)
+                for eps in (0.0, 0.02)]
+    rates = grid_key_rates(t, *state, channels, 0.95)
+    assert rates.shape == (len(channels), len(t))
+    for row, ch in zip(rates, channels):
+        assert row.tolist() == grid_key_rates(t, *state, ch, 0.95).tolist()
 
 
 @pytest.mark.parametrize("variance,family,d_km,eps,all_zero", [

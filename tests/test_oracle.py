@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from catqkd import oracle
+from catqkd import oracle, subtraction
 
 from catqkd import (
     CatalysisConfig,
@@ -300,3 +300,13 @@ def test_cutoff_below_the_cap_is_simulated():
 def test_negative_cutoff_is_refused(simulate, cfg):
     with pytest.raises(ValueError, match="cutoff must be non-negative"):
         simulate(cfg, SourceParams(1.0), cutoff=-1)
+
+
+def test_subtraction_needs_a_cutoff_of_one():
+    # the heralded state starts at l = 1: a cutoff of 0 keeps no term at all
+    cfg, src = SubtractionConfig(0.5), SourceParams(1e-5)
+    with pytest.raises(ValueError, match="cutoff must be at least 1"):
+        simulate_subtraction(cfg, src, cutoff=0)
+    sim = simulate_subtraction(cfg, src, cutoff=1)
+    assert np.all(np.isfinite(sim.spectrum.weights))
+    assert sim.p_success == pytest.approx(subtraction.success_probability(cfg, src), rel=1e-6)
