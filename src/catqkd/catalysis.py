@@ -7,13 +7,16 @@ heralded state is ``sum_l K x**l q(l) |l, l>`` with ``K**2 = (1-lam**2)
 t1**m t2**n``, ``x = lam sqrt(t1 t2)`` and ``q`` the product of the two
 arms' polynomials in ``l``, kept in the binomial basis ``C(l, j)``.  Its
 moments are then exact finite sums, and its Schmidt coefficients need
-only a cutoff set by an analytic tail bound.  BSQC is symmetric
-catalysis on both arms; SSQC catalyses the idler arm only.
+only a cutoff set by an analytic tail bound; products in that basis use
+tables built once per pair of lengths, and a bounded memo serves repeated
+moment inputs.  BSQC is symmetric catalysis on both arms; SSQC catalyses
+the idler arm only.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -162,42 +165,71 @@ def _arm(photons: int, t: float) -> tuple[list[int], int]:
             for s in range(photons + 1)], a**photons
 
 
+@functools.lru_cache(maxsize=None)
+def _products(len_p: int, len_q: int) -> tuple:
+    # C(l,i) C(l,j) = sum_k C(k,i) C(i,k-j) C(l,k): the (k, coefficient) terms of each
+    # (i, j), with i <= j only when the lengths match, as the left side is symmetric
+    return tuple((i, j, tuple((k, math.comb(k, i) * math.comb(i, k - j))
+                              for k in range(max(i, j), i + j + 1)))
+                 for i in range(len_p) for j in range(len_q) if i <= j or len_p != len_q)
+
+
 def _mul(p: list[int], q: list[int]) -> list[int]:
-    # C(l,i) C(l,j) = sum_k C(k,i) C(i,k-j) C(l,k), which for q = [0, 1] = l is
-    # l C(l,j) = (j+1) C(l,j+1) + j C(l,j)
     out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            for k in range(max(i, j), i + j + 1):
-                out[k] += pi * qj * (math.comb(k, i) * math.comb(i, k - j))
+    for i, j, terms in _products(len(p), len(q)):
+        w = p[i] * q[j]
+        if i < j and len(p) == len(q):
+            w = 2 * w if p is q else w + p[j] * q[i]
+        for k, c in terms:
+            out[k] += w * c
     return out
 
 
-def _moments(cfg: CatalysisConfig, src: SourceParams) -> tuple[float, float, float]:
-    """Success probability and covariance entries ``x``, ``z``, exact up to rounding.
+def _times_l(p: list[int], shift: int) -> list[int]:
+    # (l + shift) C(l,j) = (j+1) C(l,j+1) + (j + shift) C(l,j), shift 0 or 1
+    return [k * lo + (k + shift) * hi for k, (lo, hi) in enumerate(zip([0, *p], [*p, 0]))]
 
-    Each is ``sum_l y**l p(l) = sum_j p_j u**j / (1-y)``, ``y = lam**2 t1 t2``,
-    ``u = y/(1-y)``; the sums cancel heavily, so they run in integers.
-    """
-    (arm1, s1), (arm2, s2) = _arm(cfg.m, cfg.t1), _arm(cfg.n, cfg.t2)
-    (a1, b1), (a2, b2) = cfg.t1.as_integer_ratio(), cfg.t2.as_integer_ratio()
-    c, d = (f * f for f in src.alpha.as_integer_ratio())  # alpha**2 = c/d
+
+@functools.lru_cache(maxsize=1024)
+def _exact_moments(m: int, n: int, t1: float, t2: float,
+                   alpha: float) -> tuple[float, float, float]:
+    # p_d, x and the correlation sum that z scales, for _moments
+    (arm1, s1), (arm2, s2) = _arm(m, t1), _arm(n, t2)
+    (a1, b1), (a2, b2) = t1.as_integer_ratio(), t2.as_integer_ratio()
+    c, d = (f * f for f in alpha.as_integer_ratio())  # alpha**2 = c/d
     num, den = c * a1 * a2, d * b1 * b2 + c * (b1 * b2 - a1 * a2)  # u = num/den
 
-    def total(p: list[int]) -> int:  # den**deg sum_j p_j u**j
-        return sum(pj * num**j * den ** (len(p) - 1 - j) for j, pj in enumerate(p))
+    def total(p: list[int]) -> int:  # den**deg sum_j p_j u**j, by Horner in u
+        acc, scale = 0, 1
+        for pj in reversed(p):
+            acc, scale = acc * num + pj * scale, scale * den
+        return acc
 
     q = _mul(arm1, arm2)
     q_next = [qj + qk for qj, qk in zip(q, q[1:] + [0])]  # C(l+1,j) = C(l,j) + C(l,j-1)
     q2 = _mul(q, q)
     norm = total(q2)
     # K**2 / (1 - y) = t1**m t2**n d b1 b2 / den
-    pd = norm * d * b1 * b2 / (b1**cfg.m * b2**cfg.n * s1 * s2 * den ** len(q2))
+    pd = norm * d * b1 * b2 / (b1**m * b2**n * s1 * s2 * den ** len(q2))
     if not 0.0 < pd <= 1.0 + 1e-9:
         raise ConsistencyError(f"success probability {pd} outside (0, 1]")
-    nbar = total(_mul(q2, [0, 1])) / (den * norm)                 # sum_l l a_l**2
-    corr = total(_mul(_mul(q, q_next), [1, 1])) / (den * norm)  # sum_l (l+1) a_l a_l+1
-    return pd, 2.0 * nbar + 1.0, 2.0 * src.lam * math.sqrt(cfg.t1 * cfg.t2) * corr
+    nbar = total(_times_l(q2, 0)) / (den * norm)               # sum_l l a_l**2
+    corr = total(_times_l(_mul(q, q_next), 1)) / (den * norm)  # sum_l (l+1) a_l a_l+1
+    return pd, 2.0 * nbar + 1.0, corr
+
+
+def _moments(cfg: CatalysisConfig, src: SourceParams) -> tuple[float, float, float]:
+    """Success probability and covariance entries ``x``, ``z``, exact up to rounding.
+
+    Each is ``sum_l y**l p(l) = sum_j p_j u**j / (1-y)``, ``y = lam**2 t1 t2``,
+    ``u = y/(1-y)``; the sums cancel heavily, so they run in integers, with
+    product coefficients from a table per pair of lengths and one Horner
+    pass per sum.  The last 1024 inputs ``(m, n, t1, t2, alpha)`` are
+    memoised; ``z``'s factor ``lam sqrt(t1 t2)`` is applied outside, so
+    ``alpha = -0.0`` keeps its sign.
+    """
+    pd, x, corr = _exact_moments(cfg.m, cfg.n, cfg.t1, cfg.t2, src.alpha)
+    return pd, x, 2.0 * src.lam * math.sqrt(cfg.t1 * cfg.t2) * corr
 
 
 def success_probability(cfg: CatalysisConfig, src: SourceParams) -> float:

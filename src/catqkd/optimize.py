@@ -115,21 +115,29 @@ def _t_grid(t_min: float, t_max: float, step: float) -> tuple[float, ...]:
     return tuple(t_min + k * (t_max - t_min) / cells for k in range(cells + 1))
 
 
+def _grid_rates(p: ProtocolParams, ch: ChannelParams, t_min: float, t_max: float,
+                step: float) -> tuple[tuple[float, ...], list[float]]:
+    family, grid = _family(p), _t_grid(t_min, t_max, step)
+    t, *state = _grid_states(family, p.source, grid)
+    rates = grid_key_rates(t, *state, ch, p.beta).tolist()
+    return grid, rates + [0.0] * (len(grid) - len(rates))  # left out: the points at t >= 1
+
+
+def _refine(p: ProtocolParams, ch: ChannelParams, grid: Sequence[float],
+            rates: list[float], refine_tol: float) -> TransmittanceOptimum:
+    if max(rates) <= 0.0:
+        return TransmittanceOptimum(t=grid[0], key_rate=0.0, all_zero=True)
+    t_ref, r_ref = refine_grid_max(lambda u: _rate_at(p, ch, u), grid, rates, refine_tol)
+    return TransmittanceOptimum(t=t_ref, key_rate=r_ref, all_zero=False)
+
+
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams,
                            t_min: float = 0.5, t_max: float = 1.0,
                            step: float = 0.005, refine_tol: float = 1e-4) -> TransmittanceOptimum:
     """Best catalyser or tap transmittance for the key rate of the family ``p.scheme``."""
     if p.scheme is None:
         raise ValueError("the bare protocol has no transmittance to optimise")
-    family = _family(p)
-    grid = _t_grid(t_min, t_max, step)
-    t, *state = _grid_states(family, p.source, grid)
-    rates = grid_key_rates(t, *state, ch, p.beta).tolist()
-    rates += [0.0] * (len(grid) - len(rates))  # left out: the points at t >= 1, the last
-    if max(rates) <= 0.0:
-        return TransmittanceOptimum(t=grid[0], key_rate=0.0, all_zero=True)
-    t_ref, r_ref = refine_grid_max(lambda u: _rate_at(p, ch, u), grid, rates, refine_tol)
-    return TransmittanceOptimum(t=t_ref, key_rate=r_ref, all_zero=False)
+    return _refine(p, ch, *_grid_rates(p, ch, t_min, t_max, step), refine_tol)
 
 
 def best_key_rate(p: ProtocolParams, ch: ChannelParams, **opt_kwargs) -> float:
@@ -225,14 +233,21 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
 
 def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
                  atten_db_per_km: float = 0.2, d_max: float = 1500.0,
-                 resolution_km: float = 0.1, **opt_kwargs) -> float:
-    """Largest distance in km where the optimised key rate stays above floor."""
+                 resolution_km: float = 0.1, t_min: float = 0.5, t_max: float = 1.0,
+                 step: float = 0.005, refine_tol: float = 1e-4) -> float:
+    """Largest distance in km where the optimised key rate stays above floor.
+
+    A grid rate at the floor decides a probe: the refinement never does worse.
+    """
     if floor <= 0.0:
         raise ValueError(f"key-rate floor must be positive, got {floor}")
 
     def reaches(lanes: list[int], distances: list[float]) -> list[bool]:
         ch = ChannelParams.from_distance(distances[0], epsilon=epsilon,
                                          atten_db_per_km=atten_db_per_km)
-        return [best_key_rate(p, ch, **opt_kwargs) >= floor]
+        if p.scheme is None:
+            return [secret_key_rate(p, ch).key_rate >= floor]
+        grid, rates = _grid_rates(p, ch, t_min, t_max, step)
+        return [max(rates) >= floor or _refine(p, ch, grid, rates, refine_tol).key_rate >= floor]
 
     return _largest_true(reaches, [0.0], [d_max], resolution_km)[0]

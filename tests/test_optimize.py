@@ -325,6 +325,18 @@ def test_max_distance_matches_grid_scan():
     assert not reaches(got + 0.2)
 
 
+@pytest.mark.parametrize("family", [None, SchemeFamily("subtraction"), BSQC1,
+                                    SchemeFamily("ssqc", 1)])
+def test_max_distance_equals_the_optimised_rate_bisection(family):
+    # a probe that a grid rate decides skips the refinement, with the same result
+    p = ProtocolParams(V20, family)
+
+    def reaches(lanes, distances):
+        return [best_key_rate(p, ChannelParams.from_distance(distances[0], 0.01)) >= 1e-6]
+
+    assert max_distance(p) == _largest_true(reaches, [0.0], [1500.0], 0.1)[0]
+
+
 def test_max_distance_boundaries():
     # a floor above the zero-distance rate is unreachable anywhere
     assert max_distance(ProtocolParams(V20), epsilon=0.01, floor=10.0) == 0.0
@@ -437,28 +449,35 @@ def test_optimum_equals_the_scalar_grid_and_golden_search(variance, family, d_km
 
 
 def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
-    moments, optima = [], []
-    real_moments, real_opt = catalysis.pd_and_covariance, optimize.optimize_transmittance
+    moments, passes, refined = [], [], []
+    real_moments = catalysis.pd_and_covariance
+    real_rates, real_refine = optimize.grid_key_rates, optimize.refine_grid_max
 
     def counted_moments(cfg, src):
         moments.append(cfg.t1)
         return real_moments(cfg, src)
 
-    def counted_opt(*args, **kwargs):
-        optima.append(real_opt(*args, **kwargs))
-        return optima[-1]
+    def counted_rates(*args):
+        passes.append(args)
+        return real_rates(*args)
+
+    def counted_refine(*args):
+        refined.append(args)
+        return real_refine(*args)
 
     monkeypatch.setattr(catalysis, "pd_and_covariance", counted_moments)
-    monkeypatch.setattr(optimize, "optimize_transmittance", counted_opt)
+    monkeypatch.setattr(optimize, "grid_key_rates", counted_rates)
+    monkeypatch.setattr(optimize, "refine_grid_max", counted_refine)
     _grid_states.cache_clear()
     max_distance(ProtocolParams(V20, BSQC1))
     grid = [0.5 + k * 0.5 / 100 for k in range(101)]
     counts = Counter(moments)
     assert all(counts[t] == 1 for t in grid)
-    # every other call is a golden-section probe: at most 13 per refined optimisation
-    refined = sum(not opt.all_zero for opt in optima)
-    assert len(optima) > 10
-    assert len(moments) <= len(grid) + 13 * refined
+    # a probe with a grid rate at the floor is decided without refinement
+    assert len(passes) > 10
+    assert 0 < len(refined) < len(passes)
+    # every other call is a golden-section probe: at most 13 per refinement
+    assert len(moments) <= len(grid) + 13 * len(refined)
 
     calls = len(moments)
     states = _grid_states(BSQC1, V20, tuple(grid))
