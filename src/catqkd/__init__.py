@@ -30,7 +30,6 @@ from .keyrate import (
 )
 from .optimize import (
     TransmittanceOptimum,
-    best_key_rate,
     max_distance,
     max_tolerable_excess_noise,
     optimize_transmittance,
@@ -52,7 +51,6 @@ __all__ = [
     "SubtractionConfig",
     "TransmittanceOptimum",
     "TwoModeCovariance",
-    "best_key_rate",
     "channel_transmittance",
     "log_negativity",
     "log_negativity_tmsv",

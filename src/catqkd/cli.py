@@ -248,13 +248,9 @@ def cmd_success_prob(args) -> int:
     for alpha in alphas:
         src = SourceParams(alpha=alpha)
         for family in entries:
-            scheme = None if family is None else family.at(t)
-            if scheme is None:
-                pd = 1.0
-            elif isinstance(scheme, SubtractionConfig):
-                pd = subtraction.success_probability(scheme, src)
-            else:
-                pd = catalysis.success_probability(scheme, src)
+            pd = 1.0 if family is None else (
+                subtraction if family.kind == "subtraction" else catalysis
+            ).success_probability(family.at(t), src)
             rows.append({"alpha": alpha, **_labels(family), "t": t, "p_success": pd})
     _emit(args, ["alpha", "scheme", "m", "n", "t", "p_success"], rows)
     return EXIT_OK

@@ -106,8 +106,9 @@ class ChannelParams:
 class ProtocolParams:
     """Source, optional heralding scheme and reconciliation efficiency.
 
-    :func:`secret_key_rate` takes a concrete scheme; the optimisers take a
-    :class:`SchemeFamily`.  ``None`` is the bare protocol for both.
+    :func:`secret_key_rate` takes a concrete scheme, whose state
+    :func:`source_state` builds; the optimisers take a :class:`SchemeFamily`.
+    ``None`` is the bare protocol for both.
     """
 
     source: SourceParams
@@ -131,15 +132,19 @@ class KeyRateResult:
     symplectic: tuple[float, float, float]
 
 
-def source_state(p: ProtocolParams) -> tuple[float, TwoModeCovariance]:
-    """Heralding probability and covariance of the prepared state."""
-    if p.scheme is None:
-        return 1.0, catalysis.tmsv_covariance(p.source)
-    if isinstance(p.scheme, CatalysisConfig):
-        return catalysis.pd_and_covariance(p.scheme, p.source)
-    if isinstance(p.scheme, SubtractionConfig):
-        return subtraction.p1_and_covariance(p.scheme, p.source)
-    raise TypeError(f"unsupported scheme {p.scheme!r}")
+def source_state(scheme: Scheme, source: SourceParams) -> tuple[float, TwoModeCovariance]:
+    """Heralding probability and covariance of the state ``scheme`` prepares from ``source``.
+
+    ``None`` is the bare source.  The key rate, the optimiser's grid and its
+    golden-section probes all take their states from here.
+    """
+    if scheme is None:
+        return 1.0, catalysis.tmsv_covariance(source)
+    if isinstance(scheme, CatalysisConfig):
+        return catalysis.pd_and_covariance(scheme, source)
+    if isinstance(scheme, SubtractionConfig):
+        return subtraction.p1_and_covariance(scheme, source)
+    raise TypeError(f"unsupported scheme {scheme!r}")
 
 
 def propagate_covariance(cov: TwoModeCovariance, ch: ChannelParams) -> TwoModeCovariance:
@@ -207,7 +212,7 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
 
 def secret_key_rate(p: ProtocolParams, ch: ChannelParams) -> KeyRateResult:
     """Asymptotic reverse-reconciliation key rate against collective attacks."""
-    p_success, cov = source_state(p)
+    p_success, cov = source_state(p.scheme, p.source)
     i_ab = mutual_information(cov, ch.xi)
     l1, l2, l3 = symplectic_eigenvalues(cov, ch)
     holevo = (

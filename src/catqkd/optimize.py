@@ -5,14 +5,15 @@ which says what the transmittance t sets: both catalysers (bsqc), the
 idler's only (ssqc) or the tap (subtraction, rate 0 at t = 1).  The key
 rate is cheap but not concave in t, so the optimiser walks a coarse grid
 first and then refines the best cell with a scalar golden-section search.
-The grid is evaluated in one array pass: the source states on it depend
-on the family and the source only, so they are built once and reused for
-every channel.  Noise and distance limits bisect on top of that, with a
-few probe points past the found edge against non-monotone profiles.  The
-distance limit re-optimises the transmittance at every probe.  The noise
-limit needs only the sign of the best rate, which the grid pass alone
-decides, so it bisects every distance of a sweep in lockstep, one grid
-pass over all of them per step.
+The grid is evaluated in one array pass: its source states come from
+:func:`~catqkd.keyrate.source_state`, one heralded point at a time, and
+depend on the family and the source only, so they are built once and
+reused for every channel.  Noise and distance limits bisect on top of
+that, with a few probe points past the found edge against non-monotone
+profiles.  The distance limit re-optimises the transmittance at every
+probe.  The noise limit needs only the sign of the best rate, which the
+grid pass alone decides, so it bisects every distance of a sweep in
+lockstep, one grid pass over all of them per step.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import catalysis, subtraction
 from .catalysis import SourceParams
-from .keyrate import ChannelParams, ProtocolParams, SchemeFamily, grid_key_rates, secret_key_rate
+from .keyrate import (ChannelParams, ProtocolParams, SchemeFamily, grid_key_rates, secret_key_rate,
+                      source_state)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -79,17 +80,13 @@ def _grid_states(family: SchemeFamily, source: SourceParams,
                  grid: tuple[float, ...]) -> np.ndarray:
     """Read-only rows ``t, p, x, y, z`` of the states the family prepares on the grid.
 
-    Grid points where the family heralds nothing are left out.
+    Each is :func:`~catqkd.keyrate.source_state` of the family's scheme at one
+    grid point; points where the family heralds nothing are left out.
     """
     t = [u for u in grid if family.heralds(u)]
-    if family.kind == "subtraction":
-        states = np.array([t, *subtraction.closed_forms(np.array(t), source)])
-    else:
-        rows = []
-        for u in t:
-            pd, cov = catalysis.pd_and_covariance(family.at(u), source)
-            rows.append((pd, cov.x, cov.y, cov.z))
-        states = np.array([t, *zip(*rows)])
+    rows = [(pd, cov.x, cov.y, cov.z)
+            for pd, cov in (source_state(family.at(u), source) for u in t)]
+    states = np.array([t, *zip(*rows)])
     states.setflags(write=False)
     return states
 
@@ -138,13 +135,6 @@ def optimize_transmittance(p: ProtocolParams, ch: ChannelParams,
     if p.scheme is None:
         raise ValueError("the bare protocol has no transmittance to optimise")
     return _refine(p, ch, *_grid_rates(p, ch, t_min, t_max, step), refine_tol)
-
-
-def best_key_rate(p: ProtocolParams, ch: ChannelParams, **opt_kwargs) -> float:
-    """Key rate with the transmittance optimised (pass-through for the bare protocol)."""
-    if p.scheme is None:
-        return secret_key_rate(p, ch).key_rate
-    return optimize_transmittance(p, ch, **opt_kwargs).key_rate
 
 
 def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: float,
@@ -217,8 +207,8 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     distances = [distance_km] if scalar else list(distance_km)
     tcs = [ChannelParams.from_distance(d, atten_db_per_km=atten_db_per_km).tc for d in distances]
     if p.scheme is None:  # the bare source, as a one-point grid
-        cov = catalysis.tmsv_covariance(p.source)
-        t, *state = None, *np.array([[1.0], [cov.x], [cov.y], [cov.z]])
+        pd, cov = source_state(None, p.source)
+        t, state = None, np.array([[pd], [cov.x], [cov.y], [cov.z]])
     else:
         t, *state = _grid_states(_family(p), p.source, _t_grid(t_min, t_max, step))
 

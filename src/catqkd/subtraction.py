@@ -15,9 +15,8 @@ and x*y - z**2 = 3 identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .catalysis import SourceParams, TwoModeCovariance
 
@@ -33,29 +32,24 @@ class SubtractionConfig:
             raise ValueError(f"transmittance t={self.t} outside (0, 1)")
 
 
-def closed_forms(t, src: SourceParams):
-    """``(P1, x, y, z)`` at tap transmittance ``t``, a float or an array of floats.
-
-    ``np.float_power`` calls the C library's ``pow``, as Python's ``**`` on
-    floats does, so a float and an array give the same bits.
-    """
+def closed_forms(t: float, src: SourceParams) -> tuple[float, float, float, float]:
+    """``(P1, x, y, z)`` at tap transmittance ``t``, for one ``t`` at a time."""
     if src.lam == 0.0:
         raise ValueError("photon subtraction cannot herald on a vacuum source")
     lam2 = src.lam**2
     a2, b2 = (1.0 - lam2) * (1.0 - t) / t, lam2 * t
     one = 1.0 - b2
-    return (a2 * b2 / np.float_power(one, 2), (3.0 + b2) / one, (1.0 + 3.0 * b2) / one,
-            4.0 * np.sqrt(b2) / one)
+    return a2 * b2 / one**2, (3.0 + b2) / one, (1.0 + 3.0 * b2) / one, 4.0 * math.sqrt(b2) / one
 
 
 def success_probability(cfg: SubtractionConfig, src: SourceParams) -> float:
     """Probability of tapping off exactly one photon (0 from a vacuum source)."""
-    return float(closed_forms(cfg.t, src)[0]) if src.lam > 0.0 else 0.0
+    return closed_forms(cfg.t, src)[0] if src.lam > 0.0 else 0.0
 
 
 def p1_and_covariance(cfg: SubtractionConfig, src: SourceParams) -> tuple[float, TwoModeCovariance]:
     """Success probability and covariance of the subtracted state."""
-    p1, x, y, z = (float(v) for v in closed_forms(cfg.t, src))
+    p1, x, y, z = closed_forms(cfg.t, src)
     return p1, TwoModeCovariance(x=x, y=y, z=z)
 
 

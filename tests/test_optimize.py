@@ -18,7 +18,6 @@ from catqkd import (
     SubtractionConfig,
     TransmittanceOptimum,
     TwoModeCovariance,
-    best_key_rate,
     catalysis,
     channel_transmittance,
     max_distance,
@@ -26,13 +25,19 @@ from catqkd import (
     optimize,
     optimize_transmittance,
     secret_key_rate,
-    von_neumann_g,
 )
-from catqkd.keyrate import grid_key_rates
+from catqkd.keyrate import grid_key_rates, source_state
 from catqkd.optimize import _grid_states, _largest_true, _t_grid, golden_section_max
 
 V20 = SourceParams.from_variance(20.0)
 BSQC1 = SchemeFamily("bsqc", 1)
+
+
+def _best_rate(p, ch):
+    """The key rate with the transmittance optimised; the bare protocol's rate for ``None``."""
+    if p.scheme is None:
+        return secret_key_rate(p, ch).key_rate
+    return optimize_transmittance(p, ch).key_rate
 
 
 def test_golden_section_on_parabola():
@@ -44,11 +49,6 @@ def test_golden_section_on_parabola():
 def test_bare_protocol_has_nothing_to_optimise():
     with pytest.raises(ValueError, match="no transmittance"):
         optimize_transmittance(ProtocolParams(V20), ChannelParams(0.5))
-    # pass-through still works
-    rate = best_key_rate(ProtocolParams(V20), ChannelParams.from_distance(10.0, 0.01))
-    assert rate == pytest.approx(
-        secret_key_rate(ProtocolParams(V20), ChannelParams.from_distance(10.0, 0.01)).key_rate
-    )
 
 
 def test_transparent_limit_at_zero_distance():
@@ -108,7 +108,7 @@ def test_zero_photon_families_stay_apart():
 def test_optimisers_refuse_a_concrete_scheme():
     ch = ChannelParams.from_distance(100.0, 0.01)
     p = ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9))
-    for search in (lambda: optimize_transmittance(p, ch), lambda: best_key_rate(p, ch),
+    for search in (lambda: optimize_transmittance(p, ch),
                    lambda: max_tolerable_excess_noise(p, 100.0), lambda: max_distance(p)):
         with pytest.raises(TypeError, match="SchemeFamily"):
             search()
@@ -193,7 +193,7 @@ def test_max_noise_matches_direct_bisection():
     got = max_tolerable_excess_noise(p, d, tol=1e-5)
 
     def rate(eps):
-        return best_key_rate(p, ChannelParams.from_distance(d, eps))
+        return _best_rate(p, ChannelParams.from_distance(d, eps))
 
     lo, hi = 0.0, 0.2
     assert rate(lo) > 0.0 and rate(hi) == 0.0
@@ -220,11 +220,11 @@ def test_max_noise_decreases_with_distance():
 
 
 def _scalar_noise_limit(p, d_km, eps_max=0.2, tol=1e-5, probes=4):
-    """The search one distance at a time: bisect best_key_rate(...) > 0, probe past the edge."""
+    """The search one distance at a time: bisect _best_rate(...) > 0, probe past the edge."""
     tc = channel_transmittance(d_km)
 
     def positive(eps):
-        return best_key_rate(p, ChannelParams(tc=tc, epsilon=eps)) > 0.0
+        return _best_rate(p, ChannelParams(tc=tc, epsilon=eps)) > 0.0
 
     if not positive(0.0):
         return 0.0
@@ -332,7 +332,7 @@ def test_max_distance_equals_the_optimised_rate_bisection(family):
     p = ProtocolParams(V20, family)
 
     def reaches(lanes, distances):
-        return [best_key_rate(p, ChannelParams.from_distance(distances[0], 0.01)) >= 1e-6]
+        return [_best_rate(p, ChannelParams.from_distance(distances[0], 0.01)) >= 1e-6]
 
     assert max_distance(p) == _largest_true(reaches, [0.0], [1500.0], 0.1)[0]
 
@@ -392,13 +392,8 @@ def test_grid_pass_matches_the_scalar_rate(scheme, variance, d_km, eps):
             if " at t=" in message:  # from the grid pass, which names the first failing t
                 assert message == f"{exc} at t={t}"
             return
-    for rate, res in zip(grid_rates(), results):
-        if res is None:
-            assert rate == 0.0
-            continue
-        # near-zero rates cancel, so the error is measured against the terms' sizes
-        g = sum(von_neumann_g((nu - 1.0) / 2.0) for nu in res.symplectic)
-        assert abs(rate - res.key_rate) <= 1e-12 * res.p_success * (p.beta * res.i_ab + g)
+    # the grid pass promises the bits of secret_key_rate
+    assert grid_rates() == [0.0 if res is None else res.key_rate for res in results]
 
 
 def test_grid_pass_names_the_first_unphysical_state():
@@ -419,6 +414,33 @@ def test_grid_pass_over_channels_is_one_pass_per_channel():
     assert rates.shape == (len(channels), len(t))
     for row, ch in zip(rates, channels):
         assert row.tolist() == grid_key_rates(t, *state, ch, 0.95).tolist()
+
+
+_FAMILIES = [*(SchemeFamily(kind, n) for kind in ("bsqc", "ssqc") for n in range(6)),
+             SchemeFamily("subtraction")]
+
+
+@pytest.mark.parametrize("variance", [1.5, 20.0, 1e3, 1e6])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_grid_states_are_the_source_states(family, variance):
+    # the grid takes each state from source_state: the same Python floats, field by field
+    source = SourceParams.from_variance(variance)
+    grid = _t_grid(0.5, 1.0, 0.005)
+    t, *columns = _grid_states(family, source, grid)
+    assert t.tolist() == [u for u in grid if family.heralds(u)]
+    for k, u in enumerate(t.tolist()):
+        pd, cov = source_state(family.at(u), source)
+        assert {type(v) for v in (pd, cov.x, cov.y, cov.z)} == {float}
+        assert [column[k] for column in columns] == [pd, cov.x, cov.y, cov.z]
+
+
+def test_grid_and_source_state_refuse_a_vacuum_alike():
+    vacuum, family = SourceParams.from_variance(1.0), SchemeFamily("subtraction")
+    with pytest.raises(ValueError, match="vacuum") as grid:
+        _grid_states(family, vacuum, _t_grid(0.5, 1.0, 0.005))
+    with pytest.raises(ValueError, match="vacuum") as scalar:
+        source_state(family.at(0.5), vacuum)
+    assert str(grid.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("variance,family,d_km,eps,all_zero", [
