@@ -6,12 +6,14 @@
 Run it from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
-4242 (``verify`` is one of them), two edge commands (subtraction's success
-probability down to a vacuum source, and its vacuum refusal), and
-``scripts/reproduce_figures.py`` with and without ``--quick``.  A CLI
-command's digest covers its exit code, standard output and standard error;
-a figure's covers the CSV file it writes.  To compare two versions, run it
-in both checkouts and diff the outputs.
+4242 (``verify`` is one of them), three edge commands (subtraction's success
+probability down to a vacuum source, its vacuum refusal, and a noise sweep
+whose search warns of a revival), and ``scripts/reproduce_figures.py`` with
+and without ``--quick``.  A CLI command's digest covers its exit code,
+standard output, standard error and the category and message of each
+warning it raises (recorded, as their printed form names the file and line
+of the call site); a figure's covers the CSV file it writes.  To compare two
+versions, run it in both checkouts and diff the outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import importlib.util
 import io
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path.cwd()
@@ -29,6 +32,7 @@ SEEDS = (0, 7, 4242)
 EDGE_COMMANDS = [
     ["success-prob", "--scheme", "subtraction"],
     ["keyrate", "--scheme", "subtraction", "--alpha", "0"],
+    ["excess-noise", "--variance", "1.5", "--d-min", "550", "--d-max", "750", "--d-step", "5"],
 ]
 
 
@@ -53,9 +57,13 @@ def run_cli(argv: list[str]) -> str:
     from catqkd.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(list(argv))
-    return digest(str(code).encode(), out.getvalue().encode(), err.getvalue().encode())
+    warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return digest(str(code).encode(), out.getvalue().encode(), err.getvalue().encode(),
+                  warned.encode())
 
 
 def main() -> int:

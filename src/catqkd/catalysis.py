@@ -209,12 +209,16 @@ def _exact_moments(m: int, n: int, t1: float, t2: float,
     q_next = [qj + qk for qj, qk in zip(q, q[1:] + [0])]  # C(l+1,j) = C(l,j) + C(l,j-1)
     q2 = _mul(q, q)
     norm = total(q2)
-    # K**2 / (1 - y) = t1**m t2**n d b1 b2 / den
-    pd = norm * d * b1 * b2 / (b1**m * b2**n * s1 * s2 * den ** len(q2))
-    if not 0.0 < pd <= 1.0 + 1e-9:
-        raise ConsistencyError(f"success probability {pd} outside (0, 1]")
-    nbar = total(_times_l(q2, 0)) / (den * norm)               # sum_l l a_l**2
-    corr = total(_times_l(_mul(q, q_next), 1)) / (den * norm)  # sum_l (l+1) a_l a_l+1
+    try:
+        # K**2 / (1 - y) = t1**m t2**n d b1 b2 / den
+        pd = norm * d * b1 * b2 / (b1**m * b2**n * s1 * s2 * den ** len(q2))
+        if not 0.0 < pd <= 1.0 + 1e-9:
+            raise ConsistencyError(f"success probability {pd} outside (0, 1]")
+        nbar = total(_times_l(q2, 0)) / (den * norm)               # sum_l l a_l**2
+        corr = total(_times_l(_mul(q, q_next), 1)) / (den * norm)  # sum_l (l+1) a_l a_l+1
+    except OverflowError:  # a ratio of the exact sums is too large for a float
+        raise ConsistencyError(f"moments overflow a float at (m, n, t1, t2, alpha) = "
+                               f"{(m, n, t1, t2, alpha)}") from None
     return pd, 2.0 * nbar + 1.0, corr
 
 

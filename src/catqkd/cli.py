@@ -31,6 +31,7 @@ from . import __version__, catalysis, oracle, subtraction
 from .catalysis import CatalysisConfig, SourceParams
 from .errors import ConsistencyError
 from .keyrate import (
+    DEFAULT_ATTENUATION_DB_PER_KM,
     ChannelParams,
     ProtocolParams,
     SchemeFamily,
@@ -94,8 +95,8 @@ def _add_link(sp: argparse.ArgumentParser) -> None:
     group.add_argument("--variance", type=float, default=None,
                        help="source quadrature variance in shot-noise units")
     sp.add_argument("--beta", type=float, default=0.95, help="reconciliation efficiency")
-    sp.add_argument("--atten-db-km", type=float, default=0.2, dest="atten_db_km",
-                    help="fibre attenuation in dB/km")
+    sp.add_argument("--atten-db-km", type=float, default=DEFAULT_ATTENUATION_DB_PER_KM,
+                    dest="atten_db_km", help="fibre attenuation in dB/km")
 
 
 def _add_epsilon(sp: argparse.ArgumentParser) -> None:

@@ -10,10 +10,12 @@ The grid is evaluated in one array pass: its source states come from
 depend on the family and the source only, so they are built once and
 reused for every channel.  Noise and distance limits bisect on top of
 that, with a few probe points past the found edge against non-monotone
-profiles.  The distance limit re-optimises the transmittance at every
-probe.  The noise limit needs only the sign of the best rate, which the
-grid pass alone decides, so it bisects every distance of a sweep in
-lockstep, one grid pass over all of them per step.
+profiles.  A distance probe whose best grid rate reaches the floor is
+decided by the grid pass alone; only the other probes refine the best cell.
+The noise limit needs only the sign of the best rate, which the grid pass
+alone decides, so it bisects every distance of a sweep in lockstep, one
+grid pass over all of them per step.  Every search follows one recipe,
+the module constants below.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalysis import SourceParams
-from .keyrate import (ChannelParams, ProtocolParams, SchemeFamily, grid_key_rates, secret_key_rate,
-                      source_state)
+from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolParams, SchemeFamily,
+                      grid_key_rates, secret_key_rate, source_state)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
+_REFINE_TOL = 1e-4  # golden-section bracket width
+_EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
+_D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
+_PROBES = 4  # revival probes past a found edge
 
 
 @dataclass(frozen=True)
@@ -76,14 +83,13 @@ def refine_grid_max(f, grid: Sequence[float], values: Sequence[float],
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_states(family: SchemeFamily, source: SourceParams,
-                 grid: tuple[float, ...]) -> np.ndarray:
+def _grid_states(family: SchemeFamily, source: SourceParams) -> np.ndarray:
     """Read-only rows ``t, p, x, y, z`` of the states the family prepares on the grid.
 
     Each is :func:`~catqkd.keyrate.source_state` of the family's scheme at one
     grid point; points where the family heralds nothing are left out.
     """
-    t = [u for u in grid if family.heralds(u)]
+    t = [u for u in _GRID if family.heralds(u)]
     rows = [(pd, cov.x, cov.y, cov.z)
             for pd, cov in (source_state(family.at(u), source) for u in t)]
     states = np.array([t, *zip(*rows)])
@@ -103,42 +109,27 @@ def _family(p: ProtocolParams) -> SchemeFamily:
     return p.scheme
 
 
-@functools.lru_cache(maxsize=16)
-def _t_grid(t_min: float, t_max: float, step: float) -> tuple[float, ...]:
-    """The optimiser's transmittance grid: ``t_min`` to ``t_max`` in cells of about ``step``."""
-    if not 0.0 < t_min < t_max <= 1.0:
-        raise ValueError(f"bad search range [{t_min}, {t_max}]")
-    cells = max(1, int(round((t_max - t_min) / step)))
-    return tuple(t_min + k * (t_max - t_min) / cells for k in range(cells + 1))
-
-
-def _grid_rates(p: ProtocolParams, ch: ChannelParams, t_min: float, t_max: float,
-                step: float) -> tuple[tuple[float, ...], list[float]]:
-    family, grid = _family(p), _t_grid(t_min, t_max, step)
-    t, *state = _grid_states(family, p.source, grid)
+def _grid_rates(p: ProtocolParams, ch: ChannelParams) -> list[float]:
+    t, *state = _grid_states(_family(p), p.source)
     rates = grid_key_rates(t, *state, ch, p.beta).tolist()
-    return grid, rates + [0.0] * (len(grid) - len(rates))  # left out: the points at t >= 1
+    return rates + [0.0] * (len(_GRID) - len(rates))  # left out: the points at t >= 1
 
 
-def _refine(p: ProtocolParams, ch: ChannelParams, grid: Sequence[float],
-            rates: list[float], refine_tol: float) -> TransmittanceOptimum:
+def _refine(p: ProtocolParams, ch: ChannelParams, rates: list[float]) -> TransmittanceOptimum:
     if max(rates) <= 0.0:
-        return TransmittanceOptimum(t=grid[0], key_rate=0.0, all_zero=True)
-    t_ref, r_ref = refine_grid_max(lambda u: _rate_at(p, ch, u), grid, rates, refine_tol)
+        return TransmittanceOptimum(t=_GRID[0], key_rate=0.0, all_zero=True)
+    t_ref, r_ref = refine_grid_max(lambda u: _rate_at(p, ch, u), _GRID, rates, _REFINE_TOL)
     return TransmittanceOptimum(t=t_ref, key_rate=r_ref, all_zero=False)
 
 
-def optimize_transmittance(p: ProtocolParams, ch: ChannelParams,
-                           t_min: float = 0.5, t_max: float = 1.0,
-                           step: float = 0.005, refine_tol: float = 1e-4) -> TransmittanceOptimum:
+def optimize_transmittance(p: ProtocolParams, ch: ChannelParams) -> TransmittanceOptimum:
     """Best catalyser or tap transmittance for the key rate of the family ``p.scheme``."""
     if p.scheme is None:
         raise ValueError("the bare protocol has no transmittance to optimise")
-    return _refine(p, ch, *_grid_rates(p, ch, t_min, t_max, step), refine_tol)
+    return _refine(p, ch, _grid_rates(p, ch))
 
 
-def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: float,
-                  probes: int = 4) -> list[float]:
+def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: float) -> list[float]:
     """Per lane i, the largest x in [lo[i], hi[i]] with the condition true.
 
     ``pred(lanes, xs)`` says for each lane index in ``lanes`` whether the
@@ -169,11 +160,10 @@ def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: fl
                     a[i] = mid
                 else:
                     b[i] = mid
-        probing = [i for i in searching
-                   if probes > 0 and i not in restarted and hi[i] - b[i] > resolution]
+        probing = [i for i in searching if i not in restarted and hi[i] - b[i] > resolution]
         revived = {i: [] for i in probing}
-        for k in range(1, probes + 1):
-            xs = [b[i] + (hi[i] - b[i]) * k / probes for i in probing]
+        for k in range(1, _PROBES + 1):
+            xs = [b[i] + (hi[i] - b[i]) * k / _PROBES for i in probing]
             for i, x, holds in zip(probing, xs, ask(probing, xs)):
                 if holds:
                     revived[i].append(x)
@@ -190,9 +180,8 @@ def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: fl
 
 
 def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[float],
-                               atten_db_per_km: float = 0.2,
-                               eps_max: float = 0.2, tol: float = 1e-5, t_min: float = 0.5,
-                               t_max: float = 1.0, step: float = 0.005) -> float | list[float]:
+                               atten_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM
+                               ) -> float | list[float]:
     """Largest excess noise with a positive key rate at the given distance, or at each of several.
 
     A rate is positive at some transmittance exactly when it is positive at
@@ -200,8 +189,8 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     a point only if it beats the best grid rate.  So every probed noise
     value is one grid pass over the cached grid states, for all distances
     at once.  Returns 0 when even a noiseless channel yields no key, and
-    ``eps_max`` when the whole search interval stays positive; a list for
-    a sequence of distances.
+    0.2, the top of the search interval, when the whole interval stays
+    positive; a list for a sequence of distances.
     """
     scalar = np.ndim(distance_km) == 0
     distances = [distance_km] if scalar else list(distance_km)
@@ -210,22 +199,20 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
         pd, cov = source_state(None, p.source)
         t, state = None, np.array([[pd], [cov.x], [cov.y], [cov.z]])
     else:
-        t, *state = _grid_states(_family(p), p.source, _t_grid(t_min, t_max, step))
+        t, *state = _grid_states(_family(p), p.source)
 
     def positive(lanes: list[int], eps: list[float]) -> list[bool]:
         channels = [ChannelParams(tc=tcs[i], epsilon=e) for i, e in zip(lanes, eps)]
         rates = grid_key_rates(t, *state, channels[0] if scalar else channels, p.beta)
         return (np.atleast_2d(rates) > 0.0).any(axis=1).tolist()
 
-    limits = _largest_true(positive, [0.0] * len(tcs), [eps_max] * len(tcs), tol)
+    limits = _largest_true(positive, [0.0] * len(tcs), [_EPS_MAX] * len(tcs), _EPS_TOL)
     return limits[0] if scalar else limits
 
 
 def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
-                 atten_db_per_km: float = 0.2, d_max: float = 1500.0,
-                 resolution_km: float = 0.1, t_min: float = 0.5, t_max: float = 1.0,
-                 step: float = 0.005, refine_tol: float = 1e-4) -> float:
-    """Largest distance in km where the optimised key rate stays above floor.
+                 atten_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM) -> float:
+    """Largest distance in km, up to 1500, where the optimised key rate stays above floor.
 
     A grid rate at the floor decides a probe: the refinement never does worse.
     """
@@ -237,7 +224,7 @@ def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
                                          atten_db_per_km=atten_db_per_km)
         if p.scheme is None:
             return [secret_key_rate(p, ch).key_rate >= floor]
-        grid, rates = _grid_rates(p, ch, t_min, t_max, step)
-        return [max(rates) >= floor or _refine(p, ch, grid, rates, refine_tol).key_rate >= floor]
+        rates = _grid_rates(p, ch)
+        return [max(rates) >= floor or _refine(p, ch, rates).key_rate >= floor]
 
-    return _largest_true(reaches, [0.0], [d_max], resolution_km)[0]
+    return _largest_true(reaches, [0.0], [_D_MAX], _D_RES)[0]

@@ -31,6 +31,7 @@ from .series import Jet, jet_const, jet_div, jet_mul, mixed_partial_at_zero
 from .subtraction import SubtractionConfig
 
 _TAIL_MASS_LIMIT = 1e-8
+_CUTOFF_TAIL = 1e-12  # weight-sum tail that adaptive_cutoff leaves out
 
 # Bookkeeping variable layout for the four-variable generating function:
 # (tau, gamma) differentiate the signal-arm kernel, (tau1, gamma1) the
@@ -166,16 +167,16 @@ def generating_function_moments(cfg: CatalysisConfig,
     return pd, s_var, s_cor
 
 
-def adaptive_cutoff(lam: float, tail: float = 1e-12) -> int:
-    """Fock cutoff keeping the source's weight-sum tail below ``tail``.
+def adaptive_cutoff(lam: float) -> int:
+    """Fock cutoff keeping the source's weight-sum tail below ``_CUTOFF_TAIL``.
 
-    Chosen so that ``sqrt(1-lam**2) * lam**(c+1) / (1-lam) < tail``, which
+    Chosen so that ``sqrt(1-lam**2) * lam**(c+1) / (1-lam) < _CUTOFF_TAIL``, which
     bounds the truncation error of every reported quantity including the
     absolute Schmidt sum, not just the probability mass.
     """
     if lam <= 0.0:
         return 60
-    bound = math.log(tail * (1.0 - lam) / math.sqrt(1.0 - lam**2))
+    bound = math.log(_CUTOFF_TAIL * (1.0 - lam) / math.sqrt(1.0 - lam**2))
     return max(60, math.ceil(bound / math.log(lam)))
 
 

@@ -1,6 +1,7 @@
 """The integer moment kernel against its first, plain form, and its memo."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +81,9 @@ ALPHA = st.floats(0.0, 700.0) | st.sampled_from([0.0, 700.0])
 @example(m=1, n=0, t1=5e-324, t2=1.0, alpha=0.0)   # refused: a ratio overflows a float
 def test_kernel_equals_the_plain_sums(m, n, t1, t2, alpha):
     want = _outcome(_plain_moments, m, n, t1, t2, alpha)
+    if want[0] is OverflowError:  # the kernel refuses the same input, naming it
+        want = (ConsistencyError,
+                f"moments overflow a float at (m, n, t1, t2, alpha) = {(m, n, t1, t2, alpha)}")
     catalysis._exact_moments.cache_clear()
     assert _outcome(catalysis._moments, m, n, t1, t2, alpha) == want   # computed
     assert _outcome(catalysis._moments, m, n, t1, t2, alpha) == want   # from the memo
@@ -134,6 +138,13 @@ def test_memo_refuses_again_on_a_repeat_call():
         with pytest.raises(ConsistencyError, match=r"success probability 0\.0 outside \(0, 1\]"):
             catalysis.success_probability(cfg, src)
     assert catalysis._exact_moments.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("t1", [1e-310, 5e-324])
+def test_an_overflowing_moment_is_refused_with_its_inputs(t1):
+    # at alpha = 0 the correlation sum over p_d overflows a float for a subnormal t1
+    with pytest.raises(ConsistencyError, match=re.escape(f"(1, 0, {t1}, 1.0, 0.0)")):
+        catalysis.success_probability(CatalysisConfig(1, 0, t1, 1.0), SourceParams(0.0))
 
 
 def test_memo_serves_repeated_probes_of_a_distance_search():

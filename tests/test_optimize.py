@@ -27,7 +27,7 @@ from catqkd import (
     secret_key_rate,
 )
 from catqkd.keyrate import grid_key_rates, source_state
-from catqkd.optimize import _grid_states, _largest_true, _t_grid, golden_section_max
+from catqkd.optimize import _GRID, _grid_states, _largest_true, golden_section_max
 
 V20 = SourceParams.from_variance(20.0)
 BSQC1 = SchemeFamily("bsqc", 1)
@@ -159,14 +159,14 @@ def test_largest_true_warns_on_revival():
         return [x <= 5.0 or 14.0 <= x <= 17.0 for x in xs]
 
     with pytest.warns(UserWarning, match="non-monotone"):
-        edge, = _largest_true(pred, [0.0], [20.0], 1e-3, probes=8)
+        edge, = _largest_true(pred, [0.0], [20.0], 1e-3)
     assert edge == pytest.approx(17.0, abs=1e-2)
 
 
 def test_only_the_revived_lane_restarts():
-    # lane 1 revives at 16.25 and again at 18.875, past 17: only the first restarts it
+    # lane 1 revives at 16.25 and again at 18.5, past 17: only the first restarts it
     conditions = [lambda x: x <= 7.3,
-                  lambda x: x <= 5.0 or 14.0 <= x <= 17.0 or 18.8 <= x <= 19.0]
+                  lambda x: x <= 5.0 or 14.0 <= x <= 17.0 or 18.4 <= x <= 18.6]
     asked = []
 
     def pred(lanes, xs):
@@ -174,10 +174,9 @@ def test_only_the_revived_lane_restarts():
         return [conditions[i](x) for i, x in zip(lanes, xs)]
 
     with pytest.warns(UserWarning, match="non-monotone") as record:
-        edges = _largest_true(pred, [0.0, 0.0], [20.0, 20.0], 1e-3, probes=8)
+        edges = _largest_true(pred, [0.0, 0.0], [20.0, 20.0], 1e-3)
     assert len(record) == 1 and "holds again at 16.25" in str(record[0].message)
-    alone, = _largest_true(lambda lanes, xs: [conditions[0](x) for x in xs],
-                           [0.0], [20.0], 1e-3, probes=8)
+    alone, = _largest_true(lambda lanes, xs: [conditions[0](x) for x in xs], [0.0], [20.0], 1e-3)
     assert edges[0] == alone
     assert edges[1] == pytest.approx(17.0, abs=1e-2)
     # lockstep: both lanes share each step up to the probes, then lane 1 searches alone
@@ -190,7 +189,7 @@ def test_max_noise_matches_direct_bisection():
     # oracle: bisect the fixed-transmittance rate directly at the same tol
     p = ProtocolParams(V20, BSQC1)
     d = 100.0
-    got = max_tolerable_excess_noise(p, d, tol=1e-5)
+    got = max_tolerable_excess_noise(p, d)
 
     def rate(eps):
         return _best_rate(p, ChannelParams.from_distance(d, eps))
@@ -286,7 +285,7 @@ def test_noise_limit_needs_no_golden_section_probes(monkeypatch):
     for family in (BSQC1, None, SchemeFamily("subtraction")):
         max_tolerable_excess_noise(ProtocolParams(V20, family), [50.0, 150.0, 300.0])
     assert rates == []
-    assert sorted(moments) == sorted(_t_grid(0.5, 1.0, 0.005))
+    assert sorted(moments) == sorted(_GRID)
 
 
 def test_noise_limit_refusals():
@@ -306,8 +305,6 @@ def test_noise_limit_refusals():
                            ChannelParams(1.0, 0.2)).key_rate > 0.09
     with pytest.raises(ValueError, match="distance must be non-negative"):
         max_tolerable_excess_noise(ProtocolParams(V20, BSQC1), [10.0, -1.0])
-    with pytest.raises(ValueError, match="bad search range"):
-        max_tolerable_excess_noise(ProtocolParams(V20, BSQC1), 10.0, t_min=0.9, t_max=0.8)
 
 
 def test_max_distance_matches_grid_scan():
@@ -340,7 +337,9 @@ def test_max_distance_equals_the_optimised_rate_bisection(family):
 def test_max_distance_boundaries():
     # a floor above the zero-distance rate is unreachable anywhere
     assert max_distance(ProtocolParams(V20), epsilon=0.01, floor=10.0) == 0.0
-    assert max_distance(ProtocolParams(V20), epsilon=0.0, floor=1e-30, d_max=50.0) == 50.0
+    # a lane that holds at its upper end returns it; one that fails at its lower end returns that
+    assert _largest_true(lambda lanes, xs: [i == 0 for i in lanes], [0.0, 3.0], [50.0, 60.0],
+                         0.1) == [50.0, 3.0]
     with pytest.raises(ValueError):
         max_distance(ProtocolParams(V20), floor=0.0)
 
@@ -377,8 +376,10 @@ def test_grid_pass_matches_the_scalar_rate(scheme, variance, d_km, eps):
     grid = tuple(0.5 + 0.025 * k for k in range(21))
 
     def grid_rates():
-        t, *state = _grid_states(scheme, p.source, grid)
-        rates = grid_key_rates(t, *state, ch, p.beta).tolist()
+        t = [u for u in grid if scheme.heralds(u)]
+        states = [source_state(scheme.at(u), p.source) for u in t]
+        columns = [[pd, cov.x, cov.y, cov.z] for pd, cov in states]
+        rates = grid_key_rates(np.array(t), *np.array(columns).T, ch, p.beta).tolist()
         return rates + [0.0] * (len(grid) - len(rates))
 
     results = []
@@ -407,7 +408,7 @@ def test_grid_pass_names_the_first_unphysical_state():
 
 
 def test_grid_pass_over_channels_is_one_pass_per_channel():
-    t, *state = _grid_states(BSQC1, V20, _t_grid(0.5, 1.0, 0.005))
+    t, *state = _grid_states(BSQC1, V20)
     channels = [ChannelParams.from_distance(d, eps) for d in (0.0, 100.0, 300.0)
                 for eps in (0.0, 0.02)]
     rates = grid_key_rates(t, *state, channels, 0.95)
@@ -425,9 +426,8 @@ _FAMILIES = [*(SchemeFamily(kind, n) for kind in ("bsqc", "ssqc") for n in range
 def test_grid_states_are_the_source_states(family, variance):
     # the grid takes each state from source_state: the same Python floats, field by field
     source = SourceParams.from_variance(variance)
-    grid = _t_grid(0.5, 1.0, 0.005)
-    t, *columns = _grid_states(family, source, grid)
-    assert t.tolist() == [u for u in grid if family.heralds(u)]
+    t, *columns = _grid_states(family, source)
+    assert t.tolist() == [u for u in _GRID if family.heralds(u)]
     for k, u in enumerate(t.tolist()):
         pd, cov = source_state(family.at(u), source)
         assert {type(v) for v in (pd, cov.x, cov.y, cov.z)} == {float}
@@ -437,7 +437,7 @@ def test_grid_states_are_the_source_states(family, variance):
 def test_grid_and_source_state_refuse_a_vacuum_alike():
     vacuum, family = SourceParams.from_variance(1.0), SchemeFamily("subtraction")
     with pytest.raises(ValueError, match="vacuum") as grid:
-        _grid_states(family, vacuum, _t_grid(0.5, 1.0, 0.005))
+        _grid_states(family, vacuum)
     with pytest.raises(ValueError, match="vacuum") as scalar:
         source_state(family.at(0.5), vacuum)
     assert str(grid.value) == str(scalar.value)
@@ -502,7 +502,7 @@ def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
     assert len(moments) <= len(grid) + 13 * len(refined)
 
     calls = len(moments)
-    states = _grid_states(BSQC1, V20, tuple(grid))
+    states = _grid_states(BSQC1, V20)
     assert len(moments) == calls  # served from the cache
     with pytest.raises(ValueError):
         states[1, 0] = 0.0
