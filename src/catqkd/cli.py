@@ -128,8 +128,12 @@ def _add_distance_grid(sp: argparse.ArgumentParser, d_min: float, d_max: float, 
     sp.add_argument("--d-step", type=float, default=d_step, dest="d_step")
 
 
+_MAX_GRID_STEPS = 10**6  # a sweep grid has at most this many points, plus its end point
+
+
 def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
-    if step <= 0.0 or hi < lo:
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0.0
+            and 0.0 <= (hi - lo) / step <= _MAX_GRID_STEPS):
         raise ValueError(f"bad {what} grid: [{lo}, {hi}] step {step}")
     count = int(round((hi - lo) / step)) + 1 if hi > lo else 1
     points = [lo + k * step for k in range(count)]

@@ -11,6 +11,13 @@ therefore computed from the source covariance plus ``xi`` alone; the
 Holevo bound needs the post-channel symplectic spectrum and keeps ``tc``
 explicit.  Heralded sources multiply the rate by their success
 probability, because only heralded pulses contribute key.
+
+:func:`grid_key_rates` gives the rates over a transmittance grid with the
+bits of :func:`secret_key_rate`, taking each logarithm with ``math.log2``.
+:func:`grid_has_key`, which serves the noise search, needs only whether
+some rate is positive: it takes numpy's vector ``log2`` and an error bound
+that decides almost every sign, and the exact logarithms only for the
+rates the bound leaves undecided.
 """
 
 from __future__ import annotations
@@ -242,20 +249,14 @@ def _log2(values: np.ndarray) -> np.ndarray:
                        values.size).reshape(values.shape)
 
 
-def grid_key_rates(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   z: np.ndarray, ch: ChannelParams | Sequence[ChannelParams],
-                   beta: float) -> np.ndarray:
-    """Key rates of the states ``(p_success, x, y, z)`` prepared at transmittances ``t``.
+def _checked_spectra(t: np.ndarray | None, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                     ch: ChannelParams | Sequence[ChannelParams]
+                     ) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Everything of :func:`grid_key_rates` before the logarithms, with all of its checks.
 
-    The array form of :func:`secret_key_rate`: the same formulas in the same
-    floating-point operations, so every rate has the same bits.  One channel
-    gives rates of the shape of ``t``; a sequence of channels gives one row
-    of rates per channel.  It checks what :class:`TwoModeCovariance`,
-    :func:`mutual_information` and :func:`symplectic_eigenvalues` check and
-    raises :class:`ConsistencyError` naming the first failing ``t`` (of the
-    first failing channel, which is named too when a sequence is given);
-    ``t`` is read for that message only, and ``None`` leaves it out.
-    ``p_success`` is taken as given: it is checked where it is computed.
+    Returns whether ``ch`` is a single channel, the ratio ``joint/conditional``
+    of the mutual information and the shifted eigenvalues ``(nu - 1)/2``,
+    arrays of shape (channels, len(t)) and (3, channels, len(t)).
     """
     single = isinstance(ch, ChannelParams)
     channels = [ch] if single else list(ch)
@@ -290,12 +291,82 @@ def grid_key_rates(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y
         if not single:
             where += f" on {channels[i[0]]}"
         raise ConsistencyError(message + where)
-    v = (np.maximum(nu, 1.0) - 1.0) / 2.0
+    return single, joint / conditional, (np.maximum(nu, 1.0) - 1.0) / 2.0
+
+
+def _log_terms(ratio: np.ndarray, v: np.ndarray, log2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The logarithmic terms of the raw rate, ``log2`` taking the logarithms.
+
+    ``0.5*log2(ratio)`` and, per eigenvalue, ``(w+1)*log2(w+1)`` and
+    ``w*log2(w)`` with ``w = v``, or 1 where ``v <= 0``.
+    """
     w = np.where(v <= 0.0, 1.0, v)  # von_neumann_g, which is 0 at v = 0 and NaN at NaN
-    g = np.where(v <= 0.0, 0.0, (w + 1.0) * _log2(w + 1.0) - w * _log2(w))
-    raw = p_success * (beta * (0.5 * _log2(joint / conditional)) - (g[0] + g[1] - g[2]))
+    return 0.5 * log2(ratio), (w + 1.0) * log2(w + 1.0), w * log2(w)
+
+
+def _raw_rates(p_success: np.ndarray, beta: float, v: np.ndarray, half_log: np.ndarray,
+               up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    g = np.where(v <= 0.0, 0.0, up - down)
+    return p_success * (beta * half_log - (g[0] + g[1] - g[2]))
+
+
+def grid_key_rates(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
+                   z: np.ndarray, ch: ChannelParams | Sequence[ChannelParams],
+                   beta: float) -> np.ndarray:
+    """Key rates of the states ``(p_success, x, y, z)`` prepared at transmittances ``t``.
+
+    The array form of :func:`secret_key_rate`: the same formulas in the same
+    floating-point operations, so every rate has the same bits.  One channel
+    gives rates of the shape of ``t``; a sequence of channels gives one row
+    of rates per channel.  It checks what :class:`TwoModeCovariance`,
+    :func:`mutual_information` and :func:`symplectic_eigenvalues` check and
+    raises :class:`ConsistencyError` naming the first failing ``t`` (of the
+    first failing channel, which is named too when a sequence is given);
+    ``t`` is read for that message only, and ``None`` leaves it out.
+    ``p_success`` is taken as given: it is checked where it is computed.
+    """
+    single, ratio, v = _checked_spectra(t, x, y, z, ch)
+    raw = _raw_rates(p_success, beta, v, *_log_terms(ratio, v, _log2))
     rates = np.where(raw > 0.0, raw, 0.0)
     return rates[0] if single else rates
+
+
+# Where np.log2 and math.log2 differ (by 1 ulp, 2**-52 of their value, at
+# most), the two raw rates differ by that share of each term's size plus the
+# roundings of the seven operations after the logarithms in both: less than
+# 2**-49 of the terms' summed size.  The bound is 2**-36 of it, 2**16 ulp, so
+# no such difference can flip a sign that the bound decides.
+_SIGN_BOUND = 2.0**-36
+
+
+def grid_has_key(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 z: np.ndarray, ch: ChannelParams | Sequence[ChannelParams],
+                 beta: float) -> bool | np.ndarray:
+    """Whether any rate of :func:`grid_key_rates` with the same arguments is positive.
+
+    A bool for one channel, one per channel for a sequence; the same checks
+    and refusals.  The rates are computed with numpy's vector ``log2``, which
+    may differ from ``math.log2`` in the last bit, so each raw rate gets a
+    bound: ``2**-36`` times ``p_success`` times the summed sizes of its
+    logarithmic terms.  A rate above its bound is positive and one at or
+    below minus its bound is not, whatever those last bits; every other
+    rate, NaN included, is recomputed exactly as :func:`grid_key_rates` does.
+    """
+    single, ratio, v = _checked_spectra(t, x, y, z, ch)
+    half_log, up, down = _log_terms(ratio, v, np.log2)
+    raw = _raw_rates(p_success, beta, v, half_log, up, down)
+    size = beta * np.abs(half_log) + np.where(v <= 0.0, 0.0, np.abs(up) + np.abs(down)).sum(axis=0)
+    # at least the smallest normal number: a rate that rounds to a subnormal is not decided
+    bound = np.maximum(_SIGN_BOUND * p_success * size, np.finfo(float).tiny)
+    positive = raw > bound
+    undecided = np.nonzero(~positive & ~(raw + bound <= 0.0))
+    if undecided[0].size:
+        vu = v[:, undecided[0], undecided[1]]
+        exact = _raw_rates(np.broadcast_to(p_success, raw.shape)[undecided], beta, vu,
+                           *_log_terms(ratio[undecided], vu, _log2))
+        positive[undecided] = exact > 0.0
+    has_key = positive.any(axis=1)
+    return bool(has_key[0]) if single else has_key
 
 
 def plob_bound(tc: float) -> float:

@@ -14,7 +14,10 @@ profiles.  A distance probe whose best grid rate reaches the floor is
 decided by the grid pass alone; only the other probes refine the best cell.
 The noise limit needs only the sign of the best rate, which the grid pass
 alone decides, so it bisects every distance of a sweep in lockstep, one
-grid pass over all of them per step.  Every search follows one recipe,
+grid pass over all of them per step; that pass,
+:func:`~catqkd.keyrate.grid_has_key`, certifies each rate's sign from
+numpy's ``log2`` with an error bound and takes exact logarithms only
+where the bound cannot decide.  Every search follows one recipe,
 the module constants below.
 """
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .catalysis import SourceParams
 from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolParams, SchemeFamily,
-                      grid_key_rates, secret_key_rate, source_state)
+                      grid_has_key, grid_key_rates, secret_key_rate, source_state)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
@@ -188,7 +191,8 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     a point of the optimiser's grid, as the golden-section refinement keeps
     a point only if it beats the best grid rate.  So every probed noise
     value is one grid pass over the cached grid states, for all distances
-    at once.  Returns 0 when even a noiseless channel yields no key, and
+    at once, and that pass asks :func:`~catqkd.keyrate.grid_has_key` only
+    for the signs.  Returns 0 when even a noiseless channel yields no key, and
     0.2, the top of the search interval, when the whole interval stays
     positive; a list for a sequence of distances.
     """
@@ -203,8 +207,8 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
 
     def positive(lanes: list[int], eps: list[float]) -> list[bool]:
         channels = [ChannelParams(tc=tcs[i], epsilon=e) for i, e in zip(lanes, eps)]
-        rates = grid_key_rates(t, *state, channels[0] if scalar else channels, p.beta)
-        return (np.atleast_2d(rates) > 0.0).any(axis=1).tolist()
+        return np.atleast_1d(grid_has_key(t, *state, channels[0] if scalar else channels,
+                                          p.beta)).tolist()
 
     limits = _largest_true(positive, [0.0] * len(tcs), [_EPS_MAX] * len(tcs), _EPS_TOL)
     return limits[0] if scalar else limits
@@ -216,8 +220,8 @@ def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
 
     A grid rate at the floor decides a probe: the refinement never does worse.
     """
-    if floor <= 0.0:
-        raise ValueError(f"key-rate floor must be positive, got {floor}")
+    if not 0.0 < floor < math.inf:
+        raise ValueError(f"key-rate floor must be positive and finite, got {floor}")
 
     def reaches(lanes: list[int], distances: list[float]) -> list[bool]:
         ch = ChannelParams.from_distance(distances[0], epsilon=epsilon,

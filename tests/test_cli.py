@@ -220,6 +220,31 @@ def test_max_distance_subcommand(tmp_path):
     assert 85.0 < float(row["max_distance_km"]) < 95.0
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "0"])
+def test_max_distance_refuses_a_floor_that_is_not_positive_and_finite(capsys, floor):
+    assert main(["max-distance", "--scheme", "original", "--floor", floor]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "key-rate floor must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["keyrate", "--d-max", "inf"], "distance"),
+    (["keyrate", "--d-min=-inf"], "distance"),
+    (["keyrate", "--d-step", "nan"], "distance"),
+    (["keyrate", "--d-step", "inf"], "distance"),
+    (["keyrate", "--d-min", "0", "--d-max", "1", "--d-step", "1e-300"], "distance"),
+    (["excess-noise", "--d-min", "0", "--d-max", "1e7", "--d-step", "1"], "distance"),
+    (["keyrate", "--d-min", "5", "--d-max", "1"], "distance"),
+    (["success-prob", "--alpha-step", "nan"], "alpha"),
+    (["entanglement", "--alpha-max", "nan"], "alpha"),
+])
+def test_bad_sweep_grids_are_usage_errors(capsys, argv, what):
+    # refused before a single point is built: no float-to-int error, no endless list
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"bad {what} grid" in err
+
+
 def test_config_file_splice_and_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(

@@ -1,5 +1,6 @@
 """Transmittance optimisation and noise/distance limit searches."""
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -20,13 +21,14 @@ from catqkd import (
     TwoModeCovariance,
     catalysis,
     channel_transmittance,
+    keyrate,
     max_distance,
     max_tolerable_excess_noise,
     optimize,
     optimize_transmittance,
     secret_key_rate,
 )
-from catqkd.keyrate import grid_key_rates, source_state
+from catqkd.keyrate import grid_has_key, grid_key_rates, source_state
 from catqkd.optimize import _GRID, _grid_states, _largest_true, golden_section_max
 
 V20 = SourceParams.from_variance(20.0)
@@ -340,8 +342,9 @@ def test_max_distance_boundaries():
     # a lane that holds at its upper end returns it; one that fails at its lower end returns that
     assert _largest_true(lambda lanes, xs: [i == 0 for i in lanes], [0.0, 3.0], [50.0, 60.0],
                          0.1) == [50.0, 3.0]
-    with pytest.raises(ValueError):
-        max_distance(ProtocolParams(V20), floor=0.0)
+    for floor in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="floor"):
+            max_distance(ProtocolParams(V20), floor=floor)
 
 
 def _scalar_result(p, ch, t):
@@ -506,3 +509,99 @@ def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
     assert len(moments) == calls  # served from the cache
     with pytest.raises(ValueError):
         states[1, 0] = 0.0
+
+
+def _states(family, source):
+    """The grid ``t, p, x, y, z`` of the noise search; the bare source as one point."""
+    if family is None:
+        pd, cov = source_state(None, source)
+        return None, *np.array([[pd], [cov.x], [cov.y], [cov.z]])
+    return _grid_states(family, source)
+
+
+_LANES = st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 0.2)), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from([None, *_FAMILIES]), variance=st.floats(1.0, 1e6), lanes=_LANES,
+       single=st.booleans())
+# rates of round-off size, which the bound leaves to the exact logarithms
+@example(family=None, variance=1.5, lanes=[(657.5, 0.01)], single=True)
+@example(family=None, variance=1.5, lanes=[(750.0, 0.2)], single=True)
+@example(family=None, variance=1.5, lanes=[(655.0, 0.01), (657.5, 0.01), (750.0, 0.2)],
+         single=False)
+# refused by the grid pass, alone and in a sequence
+@example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(1e-9, 0.0)], single=True)
+@example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(300.0, 0.0), (1e-9, 0.0)],
+         single=False)
+def test_sign_test_equals_the_exact_grid_rates(family, variance, lanes, single):
+    try:
+        t, *state = _states(family, SourceParams.from_variance(variance))
+    except (ValueError, ConsistencyError):  # no state: a vacuum, or a refused source
+        return
+    channels = [ChannelParams.from_distance(d, eps) for d, eps in lanes]
+    ch = channels[0] if single else channels
+    try:
+        rates = grid_key_rates(t, *state, ch, 0.95)
+    except ConsistencyError as exc:  # refused alike, with the same message
+        with pytest.raises(ConsistencyError) as raised:
+            grid_has_key(t, *state, ch, 0.95)
+        assert str(raised.value) == str(exc)
+        return
+    has_key = grid_has_key(t, *state, ch, 0.95)
+    if single:
+        assert type(has_key) is bool and has_key == bool((rates > 0.0).any())
+    else:
+        assert has_key.tolist() == (rates > 0.0).any(axis=1).tolist()
+
+
+def _count_exact_logarithms(monkeypatch):
+    """A list that gets the number of arguments of each call of ``keyrate._log2``."""
+    logs, real_log2 = [], keyrate._log2
+
+    def counted_log2(values):
+        logs.append(values.size)
+        return real_log2(values)
+
+    monkeypatch.setattr(keyrate, "_log2", counted_log2)
+    return logs
+
+
+@pytest.mark.parametrize("family", [None, SchemeFamily("subtraction"), BSQC1,
+                                    SchemeFamily("ssqc", 2)])
+def test_sign_test_without_its_bound_is_the_exact_path(monkeypatch, family):
+    # an infinite bound decides no sign, so every rate takes the exact logarithms
+    p = ProtocolParams(V20, family)
+    expected = max_tolerable_excess_noise(p, NOISE_DISTANCES)
+    cells, real_spectra = [], keyrate._checked_spectra
+
+    def counted_spectra(*args):
+        single, ratio, v = real_spectra(*args)
+        cells.append(ratio.size)
+        return single, ratio, v
+
+    monkeypatch.setattr(keyrate, "_SIGN_BOUND", math.inf)
+    monkeypatch.setattr(keyrate, "_checked_spectra", counted_spectra)
+    logs = _count_exact_logarithms(monkeypatch)
+    assert max_tolerable_excess_noise(p, NOISE_DISTANCES) == expected
+    assert sum(logs) == 7 * sum(cells) > 0
+
+
+def test_numpy_and_math_log2_agree_far_inside_the_bound():
+    # the bound is 2**16 ulp; the two logarithms must stay within 16 ulp (1 is seen)
+    tolerance = keyrate._SIGN_BOUND / 2**12
+    rng = np.random.default_rng(0)
+    near_one = 1.0 + 10.0 ** rng.uniform(-16.0, 0.0, 100_000)
+    wide = 10.0 ** rng.uniform(-12.0, 12.0, 100_000)
+    for values in (near_one, wide, wide + 1.0):
+        exact = np.array([math.log2(v) for v in values.tolist()])
+        assert (np.abs(np.log2(values) - exact) <= tolerance * np.abs(exact)).all()
+
+
+def test_noise_sweep_takes_few_exact_logarithms(monkeypatch):
+    # the subtraction sweep of the closed-form workload: 749,700 exact logarithms
+    # when every grid rate had the bits of secret_key_rate
+    logs = _count_exact_logarithms(monkeypatch)
+    p = ProtocolParams(V20, SchemeFamily("subtraction"))
+    max_tolerable_excess_noise(p, [50.0 + 5.0 * k for k in range(51)])
+    assert sum(logs) <= 0.05 * 749_700
