@@ -6,10 +6,12 @@
 Run it from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
-4242 (``verify`` is one of them), three edge commands (subtraction's success
-probability down to a vacuum source, its vacuum refusal, and a noise sweep
-whose search warns of a revival), and ``scripts/reproduce_figures.py`` with
-and without ``--quick``.  A CLI command's digest covers its exit code,
+4242 (``verify`` is one of them), five edge commands (subtraction's success
+probability down to a vacuum source, its vacuum refusal, a noise sweep whose
+search warns of a revival, an optimal-transmittance sweep of the default
+schemes over 61 distances, with rows where no transmittance gives a key, and
+one at V = 1e6 where four schemes give none), and
+``scripts/reproduce_figures.py`` with and without ``--quick``.  A CLI command's digest covers its exit code,
 standard output, standard error and the category and message of each
 warning it raises (recorded, as their printed form names the file and line
 of the call site); a figure's covers the CSV file it writes.  To compare two
@@ -33,6 +35,8 @@ EDGE_COMMANDS = [
     ["success-prob", "--scheme", "subtraction"],
     ["keyrate", "--scheme", "subtraction", "--alpha", "0"],
     ["excess-noise", "--variance", "1.5", "--d-min", "550", "--d-max", "750", "--d-step", "5"],
+    ["keyrate", "--t", "optimal", "--d-min", "0", "--d-max", "600", "--d-step", "10"],
+    ["keyrate", "--t", "optimal", "--variance", "1e6", "--d-min", "100", "--d-max", "100"],
 ]
 
 

@@ -32,7 +32,7 @@ from .optimize import (
     TransmittanceOptimum,
     max_distance,
     max_tolerable_excess_noise,
-    optimize_transmittance,
+    optimal_transmittances,
 )
 from .subtraction import SubtractionConfig
 
@@ -58,7 +58,7 @@ __all__ = [
     "max_distance",
     "max_tolerable_excess_noise",
     "mutual_information",
-    "optimize_transmittance",
+    "optimal_transmittances",
     "output_covariance",
     "pd_and_covariance",
     "plob_bound",

@@ -23,7 +23,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .keyrate import (
     secret_key_rate,
     symplectic_eigenvalues,
 )
-from .optimize import max_distance, max_tolerable_excess_noise, optimize_transmittance, refine_grid_max
+from .optimize import max_distance, max_tolerable_excess_noise, optimal_transmittances, refine_grid_max
 from .subtraction import SubtractionConfig
 
 EXIT_OK = 0
@@ -295,26 +294,50 @@ def cmd_entanglement(args) -> int:
     return EXIT_OK
 
 
+def _channels(distances: list[float], **kwargs) -> tuple[list[ChannelParams], ValueError | None]:
+    """The channels of the distances up to the first refused one, and its refusal."""
+    channels = []
+    for d in distances:
+        try:
+            channels.append(ChannelParams.from_distance(d, **kwargs))
+        except ValueError as exc:
+            return channels, exc
+    return channels, None
+
+
 def cmd_keyrate(args) -> int:
     entries = _scheme_entries(args, [None, *_FULL_SET])
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
     src = _source(args)
+    # A refused channel fails the sweep only after every nearer distance has
+    # been swept, so the exit code is the one of a distance-by-distance sweep.
+    # The optimal transmittances are searched scheme by scheme over all those
+    # distances at once, so where several fail the numerical error reported
+    # may name another distance or scheme.
+    channels, refused = _channels(distances, epsilon=args.epsilon,
+                                  atten_db_per_km=args.atten_db_km)
+
+    def transmittances(family: SchemeFamily | None) -> list:
+        if family is None or args.t != "optimal":
+            return [None if family is None else args.t] * len(channels)
+        p = ProtocolParams(source=src, beta=args.beta, scheme=family)
+        return [opt.t for opt in optimal_transmittances(p, channels)]
+
+    # with no channel left nothing is searched, so the channel's refusal is the error
+    t_used = [transmittances(family) for family in entries] if channels else []
     rows = []
-    for d in distances:
-        ch = ChannelParams.from_distance(d, epsilon=args.epsilon, atten_db_per_km=args.atten_db_km)
+    for k, (d, ch) in enumerate(zip(distances, channels)):
         plob = plob_bound(ch.tc) if ch.tc < 1.0 else math.inf
-        for family in entries:
-            p = ProtocolParams(source=src, beta=args.beta, scheme=family)
-            t_used = None
-            if family is not None:
-                t_used = optimize_transmittance(p, ch).t if args.t == "optimal" else args.t
-                p = replace(p, scheme=family.at(t_used))
-            result = secret_key_rate(p, ch)
+        for family, ts in zip(entries, t_used):
+            scheme = None if family is None else family.at(ts[k])
+            result = secret_key_rate(ProtocolParams(source=src, beta=args.beta, scheme=scheme), ch)
             rows.append({
-                "distance_km": d, **_labels(family), "t": t_used,
+                "distance_km": d, **_labels(family), "t": ts[k],
                 "p_success": result.p_success, "i_ab": result.i_ab,
                 "holevo": result.holevo, "key_rate": result.key_rate, "plob": plob,
             })
+    if refused is not None:
+        raise refused
     _emit(args, ["distance_km", "scheme", "m", "n", "t", "p_success", "i_ab", "holevo",
                  "key_rate", "plob"], rows)
     return EXIT_OK
@@ -329,13 +352,8 @@ def cmd_excess_noise(args) -> int:
     # sweep.  The search runs scheme by scheme with the distances in
     # lockstep, so where several probes fail the error reported may name
     # another distance or scheme, and warnings come in another order.
-    searched, refused = distances, None
-    for k, d in enumerate(distances):
-        try:
-            ChannelParams.from_distance(d, atten_db_per_km=args.atten_db_km)
-        except ValueError as exc:
-            searched, refused = distances[:k], exc
-            break
+    channels, refused = _channels(distances, atten_db_per_km=args.atten_db_km)
+    searched = distances[:len(channels)]
     limits = [max_tolerable_excess_noise(ProtocolParams(source=src, beta=args.beta, scheme=family),
                                          searched, atten_db_per_km=args.atten_db_km)
               for family in entries] if searched else []

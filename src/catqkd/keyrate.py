@@ -200,14 +200,24 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
     zz = ch.tc * cov.z**2                 # squared correlation after the channel
     big = cov.x**2 + yb**2 - 2.0 * zz
     det = cov.x * yb - zz
-    disc = big**2 - 4.0 * det**2
+    l3sq = cov.x * (cov.x - cov.z**2 / (cov.y + ch.xi))
+    try:
+        return _checked_eigenvalues(big, big**2 - 4.0 * det**2, l3sq)
+    except ConsistencyError:
+        # near a pure state big**2 - 4*det**2 cancels to ~1e-16*big**2, and its
+        # root splits the two eigenvalues by ~1e-8; the factored discriminant
+        # does not cancel.  Only a refused state takes it, so every accepted
+        # spectrum keeps its bits.
+        return _checked_eigenvalues(big, (cov.x - yb)**2 * ((cov.x + yb)**2 - 4.0 * zz), l3sq)
+
+
+def _checked_eigenvalues(big: float, disc: float, l3sq: float) -> tuple[float, float, float]:
     if disc < 0.0:
         if disc >= -1e-12 * max(1.0, big**2):
             disc = 0.0
         else:
             raise ConsistencyError(f"unphysical state: discriminant {disc}")
     root = math.sqrt(disc)
-    l3sq = cov.x * (cov.x - cov.z**2 / (cov.y + ch.xi))
     out = []
     for sq in (0.5 * (big + root), 0.5 * (big - root), l3sq):
         val = math.sqrt(max(sq, 0.0))
@@ -217,9 +227,13 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
     return out[0], out[1], out[2]
 
 
-def secret_key_rate(p: ProtocolParams, ch: ChannelParams) -> KeyRateResult:
-    """Asymptotic reverse-reconciliation key rate against collective attacks."""
-    p_success, cov = source_state(p.scheme, p.source)
+def _rate_terms(p_success: float, cov: TwoModeCovariance, ch: ChannelParams, beta: float
+                ) -> tuple[float, float, tuple[float, float, float], float]:
+    """``i_ab``, ``holevo``, the symplectic spectrum and the raw rate of a heralded state.
+
+    The one scalar formula of the rate: :func:`secret_key_rate` and the
+    optimiser's golden-section probes both take their rates from here.
+    """
     i_ab = mutual_information(cov, ch.xi)
     l1, l2, l3 = symplectic_eigenvalues(cov, ch)
     holevo = (
@@ -227,14 +241,20 @@ def secret_key_rate(p: ProtocolParams, ch: ChannelParams) -> KeyRateResult:
         + von_neumann_g((l2 - 1.0) / 2.0)
         - von_neumann_g((l3 - 1.0) / 2.0)
     )
-    raw = p_success * (p.beta * i_ab - holevo)
+    return i_ab, holevo, (l1, l2, l3), p_success * (beta * i_ab - holevo)
+
+
+def secret_key_rate(p: ProtocolParams, ch: ChannelParams) -> KeyRateResult:
+    """Asymptotic reverse-reconciliation key rate against collective attacks."""
+    p_success, cov = source_state(p.scheme, p.source)
+    i_ab, holevo, symplectic, raw = _rate_terms(p_success, cov, ch, p.beta)
     return KeyRateResult(
         p_success=p_success,
         i_ab=i_ab,
         holevo=holevo,
         raw=raw,
         key_rate=max(0.0, raw),
-        symplectic=(l1, l2, l3),
+        symplectic=symplectic,
     )
 
 
@@ -263,22 +283,32 @@ def _checked_spectra(t: np.ndarray | None, x: np.ndarray, y: np.ndarray, z: np.n
     tc = np.array([c.tc for c in channels])[:, None]
     xi = np.array([c.xi for c in channels])[:, None]
     tol = 1e-9
+    z2 = _sq(z)
     joint = (x + 1.0) * (y + xi)
-    conditional = joint - _sq(z)
+    conditional = joint - z2
     yb = tc * (y + xi)
-    zz = tc * _sq(z)
+    zz = tc * z2
     big = _sq(x) + _sq(yb) - 2.0 * zz
+    big2 = _sq(big)
     det = x * yb - zz
-    disc = _sq(big) - 4.0 * _sq(det)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    l3sq = x * (x - _sq(z) / (y + xi))
-    nu = np.sqrt(np.maximum([0.5 * (big + root), 0.5 * (big - root), l3sq], 0.0))
+    l3sq = x * (x - z2 / (y + xi))
+
+    def spectrum(disc):
+        root = np.sqrt(np.maximum(disc, 0.0))
+        nu = np.sqrt(np.maximum([0.5 * (big + root), 0.5 * (big - root), l3sq], 0.0))
+        return nu, (disc < -1e-12 * np.maximum(1.0, big2)) | (nu < 1.0 - tol).any(axis=0)
+
+    disc = big2 - 4.0 * _sq(det)
+    nu, refused = spectrum(disc)
+    if refused.any():  # the factored discriminant where symplectic_eigenvalues takes it
+        disc = np.where(refused, _sq(x - yb) * (_sq(x + yb) - 4.0 * zz), disc)
+        nu = spectrum(disc)[0]
     physical = (np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (x >= 1.0 - tol)
-                & (y >= 1.0 - tol) & (x * y - _sq(z) >= 1.0 - tol))
+                & (y >= 1.0 - tol) & (x * y - z2 >= 1.0 - tol))
     checks = [  # in the order secret_key_rate meets them; i indexes (channel, t)
         (~physical, lambda i: f"unphysical covariance: x={x[i[1]]}, y={y[i[1]]}, z={z[i[1]]}"),
         (conditional <= 0.0, lambda i: "conditional variance non-positive"),
-        (disc < -1e-12 * np.maximum(1.0, _sq(big)),
+        (disc < -1e-12 * np.maximum(1.0, big2),
          lambda i: f"unphysical state: discriminant {disc[i]}"),
         *((nu[k] < 1.0 - tol, lambda i, k=k: f"unphysical state: symplectic eigenvalue {nu[k][i]} < 1")
           for k in range(3)),

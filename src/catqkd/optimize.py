@@ -8,7 +8,12 @@ first and then refines the best cell with a scalar golden-section search.
 The grid is evaluated in one array pass: its source states come from
 :func:`~catqkd.keyrate.source_state`, one heralded point at a time, and
 depend on the family and the source only, so they are built once and
-reused for every channel.  Noise and distance limits bisect on top of
+reused for every channel.  A sweep over many channels,
+:func:`optimal_transmittances`, evaluates the grid for a block of
+channels per pass.  Each golden-section probe builds one state with
+:func:`~catqkd.keyrate.source_state` and takes its rate from the scalar
+formula of :func:`~catqkd.keyrate.secret_key_rate`.  Noise and distance
+limits bisect on top of
 that, with a few probe points past the found edge against non-monotone
 profiles.  A distance probe whose best grid rate reaches the floor is
 decided by the grid pass alone; only the other probes refine the best cell.
@@ -27,13 +32,13 @@ import functools
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalysis import SourceParams
 from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolParams, SchemeFamily,
-                      grid_has_key, grid_key_rates, secret_key_rate, source_state)
+                      _rate_terms, grid_has_key, grid_key_rates, secret_key_rate, source_state)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
@@ -41,6 +46,7 @@ _REFINE_TOL = 1e-4  # golden-section bracket width
 _EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
 _D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
 _PROBES = 4  # revival probes past a found edge
+_BLOCK = 32  # channels per grid pass of optimal_transmittances
 
 
 @dataclass(frozen=True)
@@ -100,36 +106,62 @@ def _grid_states(family: SchemeFamily, source: SourceParams) -> np.ndarray:
     return states
 
 
-def _rate_at(p: ProtocolParams, ch: ChannelParams, t: float) -> float:
-    if not p.scheme.heralds(t):
+def _probe_rate(family: SchemeFamily, source: SourceParams, ch: ChannelParams, beta: float,
+                t: float) -> float:
+    """The key rate of ``family`` at ``t``, with the bits of :func:`secret_key_rate`."""
+    if not family.heralds(t):
         return 0.0
-    return secret_key_rate(replace(p, scheme=p.scheme.at(t)), ch).key_rate
+    return max(0.0, _rate_terms(*source_state(family.at(t), source), ch, beta)[-1])
 
 
 def _family(p: ProtocolParams) -> SchemeFamily:
+    if p.scheme is None:
+        raise ValueError("the bare protocol has no transmittance to optimise")
     if not isinstance(p.scheme, SchemeFamily):
         raise TypeError(f"the optimisers take a SchemeFamily, not {p.scheme!r}")
     return p.scheme
 
 
-def _grid_rates(p: ProtocolParams, ch: ChannelParams) -> list[float]:
+def _grid_rows(p: ProtocolParams, channels: Sequence[ChannelParams]) -> list[list[float]]:
+    """Per channel, the rates on the whole grid, from one pass over the cached grid states."""
     t, *state = _grid_states(_family(p), p.source)
-    rates = grid_key_rates(t, *state, ch, p.beta).tolist()
-    return rates + [0.0] * (len(_GRID) - len(rates))  # left out: the points at t >= 1
+    left_out = [0.0] * (len(_GRID) - len(t))  # the points at t >= 1
+    return [rates + left_out for rates in grid_key_rates(t, *state, channels, p.beta).tolist()]
 
 
 def _refine(p: ProtocolParams, ch: ChannelParams, rates: list[float]) -> TransmittanceOptimum:
     if max(rates) <= 0.0:
         return TransmittanceOptimum(t=_GRID[0], key_rate=0.0, all_zero=True)
-    t_ref, r_ref = refine_grid_max(lambda u: _rate_at(p, ch, u), _GRID, rates, _REFINE_TOL)
+    probe = functools.partial(_probe_rate, p.scheme, p.source, ch, p.beta)
+    t_ref, r_ref = refine_grid_max(probe, _GRID, rates, _REFINE_TOL)
     return TransmittanceOptimum(t=t_ref, key_rate=r_ref, all_zero=False)
 
 
+def optimal_transmittances(p: ProtocolParams, channels: Sequence[ChannelParams]
+                           ) -> list[TransmittanceOptimum]:
+    """Best catalyser or tap transmittance of the family ``p.scheme`` on each channel.
+
+    Each channel gets the optimum it would get alone.  One grid pass covers
+    a block of up to 32 channels (``_BLOCK``), so only one block of rates is
+    held at a time, and each channel's best grid cell is then refined on its
+    own.  A state that the grid pass refuses raises
+    :class:`~catqkd.errors.ConsistencyError` naming ``t`` and the channel.
+    """
+    channels = list(channels)
+    _family(p)  # refused with no channel too
+    optima = []
+    for k in range(0, len(channels), _BLOCK):
+        block = channels[k:k + _BLOCK]
+        optima += [_refine(p, ch, rates) for ch, rates in zip(block, _grid_rows(p, block))]
+    return optima
+
+
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams) -> TransmittanceOptimum:
-    """Best catalyser or tap transmittance for the key rate of the family ``p.scheme``."""
-    if p.scheme is None:
-        raise ValueError("the bare protocol has no transmittance to optimise")
-    return _refine(p, ch, _grid_rates(p, ch))
+    """Best catalyser or tap transmittance for the key rate of the family ``p.scheme``.
+
+    :func:`optimal_transmittances` on the one channel ``ch``.
+    """
+    return optimal_transmittances(p, [ch])[0]
 
 
 def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: float) -> list[float]:
@@ -228,7 +260,7 @@ def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
                                          atten_db_per_km=atten_db_per_km)
         if p.scheme is None:
             return [secret_key_rate(p, ch).key_rate >= floor]
-        rates = _grid_rates(p, ch)
+        rates, = _grid_rows(p, [ch])
         return [max(rates) >= floor or _refine(p, ch, rates).key_rate >= floor]
 
     return _largest_true(reaches, [0.0], [_D_MAX], _D_RES)[0]

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from catqkd import ChannelParams, ProtocolParams, SourceParams
+from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams
 from catqkd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -14,7 +14,7 @@ from catqkd.cli import (
     build_parser,
     main,
 )
-from catqkd.optimize import max_tolerable_excess_noise
+from catqkd.optimize import max_tolerable_excess_noise, optimize_transmittance
 
 SINGLE_ALPHA = ["--alpha-min", "1", "--alpha-max", "1", "--alpha-step", "1"]
 
@@ -161,6 +161,40 @@ def test_keyrate_optimal_transmittance(tmp_path):
     assert float(row["key_rate"]) > 0.0
 
 
+def test_keyrate_optimal_rows_follow_the_distance_grid(tmp_path):
+    # the sweep searches scheme by scheme; the rows still come distance by distance
+    out = tmp_path / "opt.csv"
+    assert main(["keyrate", "--t", "optimal", "--d-min", "0", "--d-max", "500",
+                 "--d-step", "100", "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out)
+    assert len(rows) == 6 * 7
+    source = SourceParams.from_variance(20.0)
+    for row in rows:
+        assert row["distance_km"] == str(int(row["distance_km"]))
+        if row["scheme"] == "original":
+            assert row["t"] == ""
+            continue
+        family = SchemeFamily(row["scheme"], int(row["n"]))
+        ch = ChannelParams.from_distance(float(row["distance_km"]), 0.01)
+        opt = optimize_transmittance(ProtocolParams(source, family), ch)
+        assert row["t"] == format(opt.t, ".9g")
+    assert [r["distance_km"] for r in rows[::7]] == ["0", "100", "200", "300", "400", "500"]
+
+
+# the nearer channels have subnormal transmittances, whose rates take inf - inf
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
+    # 16200 km has transmittance 0; 16000 and 16100 km are swept first
+    assert main(["keyrate", "--t", "optimal", "--scheme", "subtraction", "--d-min", "16000",
+                 "--d-max", "16400", "--d-step", "100"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "catqkd: error: channel transmittance 0.0 outside (0, 1]\n"
+    # a numerical refusal at a nearer distance comes first
+    assert main(["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--variance", "1e6",
+                 "--epsilon", "0", "--d-min", "0", "--d-max", "1e-6",
+                 "--d-step", "1e-7"]) == EXIT_NUMERIC
+    assert "symplectic eigenvalue" in capsys.readouterr().err
+
+
 def test_fixed_t_commands_reject_optimal(capsys):
     assert main(["success-prob", "--t", "optimal", *SINGLE_ALPHA]) == EXIT_USAGE
     assert "fixed --t" in capsys.readouterr().err
@@ -205,7 +239,7 @@ def test_excess_noise_refused_channel_fails_after_nearer_distances(capsys):
     near_error = ["excess-noise", "--variance", "1e6", "--d-min", "1e-9",
                   "--d-max", "20000", "--d-step", "19999"]
     assert main(near_error) == EXIT_NUMERIC
-    assert "discriminant" in capsys.readouterr().err
+    assert "symplectic eigenvalue" in capsys.readouterr().err
     assert main(["excess-noise", "--d-min", "0", "--d-max", "20000",
                  "--d-step", "10000"]) == EXIT_USAGE
     assert "channel transmittance 0.0" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catqkd import (
@@ -24,6 +24,7 @@ from catqkd import (
     tmsv_covariance,
     von_neumann_g,
 )
+from catqkd.keyrate import grid_key_rates
 from catqkd.oracle import two_mode_symplectic_numeric
 from catqkd.subtraction import p1_and_covariance
 
@@ -204,8 +205,25 @@ def test_plob_bound():
     d_km=st.floats(0.0, 150.0),
     eps=st.floats(0.0, 0.05),
 )
+@example(alpha=0.3, d_km=1e-13, eps=1e-13)  # refused as "eigenvalue 0.99999999 < 1" before
 def test_rate_never_exceeds_the_mutual_information(alpha, d_km, eps):
     p = ProtocolParams(SourceParams(alpha))
     res = secret_key_rate(p, ChannelParams.from_distance(d_km, eps))
     assert res.holevo >= -1e-12
     assert res.key_rate <= p.beta * res.i_ab + 1e-12
+
+
+@pytest.mark.parametrize("alpha, d_km, eps", [
+    (0.3, 1e-13, 1e-13), (0.3125, 1e-9, 0.0), (1.2022874101015064, 0.0, 0.0)])
+def test_near_pure_states_take_the_factored_discriminant(alpha, d_km, eps):
+    # big**2 - 4*det**2 cancelled here and split the two eigenvalues of a
+    # nearly pure state by ~1e-8, which was refused as an eigenvalue below 1
+    p = ProtocolParams(SourceParams(alpha))
+    ch = ChannelParams.from_distance(d_km, eps)
+    res = secret_key_rate(p, ch)
+    assert all(1.0 <= nu < 1.0 + 1e-10 for nu in res.symplectic)
+    assert 0.0 <= res.holevo < 1e-10
+    cov = tmsv_covariance(p.source)
+    grid = grid_key_rates(None, np.ones(1), np.array([cov.x]), np.array([cov.y]),
+                          np.array([cov.z]), ch, p.beta)
+    assert grid.tolist() == [res.key_rate]

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams, optimize_transmittance
+from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams
+from catqkd.optimize import optimize_transmittance
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "optimal_t_landscape.py"
 _spec = importlib.util.spec_from_file_location("optimal_t_landscape", _SCRIPT)

@@ -25,11 +25,11 @@ from catqkd import (
     max_distance,
     max_tolerable_excess_noise,
     optimize,
-    optimize_transmittance,
     secret_key_rate,
 )
 from catqkd.keyrate import grid_has_key, grid_key_rates, source_state
-from catqkd.optimize import _GRID, _grid_states, _largest_true, golden_section_max
+from catqkd.optimize import (_GRID, _grid_states, _largest_true, golden_section_max,
+                             optimize_transmittance)
 
 V20 = SourceParams.from_variance(20.0)
 BSQC1 = SchemeFamily("bsqc", 1)
@@ -275,27 +275,39 @@ def test_noise_limits_over_distances_match_single_calls(family):
 
 def test_noise_limit_needs_no_golden_section_probes(monkeypatch):
     rates, moments = [], []
-    real_moments = catalysis.pd_and_covariance
+    real_moments, real_probe = catalysis.pd_and_covariance, optimize._probe_rate
 
     def counted_moments(cfg, src):
         moments.append(cfg.t1)
         return real_moments(cfg, src)
 
+    def counted_probe(*args):
+        rates.append(args)
+        return real_probe(*args)
+
     monkeypatch.setattr(catalysis, "pd_and_covariance", counted_moments)
+    # every golden-section probe takes its rate from _probe_rate; the bare
+    # source's rate would come from secret_key_rate
+    monkeypatch.setattr(optimize, "_probe_rate", counted_probe)
     monkeypatch.setattr(optimize, "secret_key_rate", lambda *args: rates.append(args))
     _grid_states.cache_clear()
     for family in (BSQC1, None, SchemeFamily("subtraction")):
         max_tolerable_excess_noise(ProtocolParams(V20, family), [50.0, 150.0, 300.0])
     assert rates == []
     assert sorted(moments) == sorted(_GRID)
+    # the patch sees the probes of an optimisation: at most 13, as _REFINE_TOL allows
+    optimize_transmittance(ProtocolParams(V20, BSQC1), ChannelParams.from_distance(150.0, 0.01))
+    assert 0 < len(rates) <= 13
 
 
 def test_noise_limit_refusals():
     p = ProtocolParams(SourceParams.from_variance(1e6), SchemeFamily("bsqc", 0))
     with pytest.raises(ConsistencyError) as one:
         max_tolerable_excess_noise(p, 1e-9)
-    assert str(one.value) == ("unphysical state: symplectic eigenvalue 0.9999999789499209 < 1"
-                              " at t=0.58")
+    # t = 0.58 (x = 2.01) was refused too until a refused spectrum retried the
+    # factored discriminant; at t = 1, x = 1e6 leaves no digits for an eigenvalue near 1
+    assert str(one.value) == ("unphysical state: symplectic eigenvalue 0.9999769738901874 < 1"
+                              " at t=1.0")
     # a sequence names the channel, however many of its lanes are still searching
     for distances in ([300.0, 1e-9], [1e-9], [1e-9, 0.0]):
         with pytest.raises(ConsistencyError) as lanes:
@@ -458,19 +470,93 @@ def test_grid_and_source_state_refuse_a_vacuum_alike():
 def test_optimum_equals_the_scalar_grid_and_golden_search(variance, family, d_km, eps, all_zero):
     p = ProtocolParams(SourceParams.from_variance(variance), family)
     ch = ChannelParams.from_distance(d_km, eps)
+    expected = _scalar_optimum(p, ch)
+    assert expected.all_zero == all_zero
+    assert optimize_transmittance(p, ch) == expected
+
+
+def _scalar_optimum(p, ch):
+    """The optimiser's recipe one scalar rate at a time: a 101-point grid, then golden section."""
     grid = [0.5 + k * 0.5 / 100 for k in range(101)]
     rates = [_scalar_rate(p, ch, t) for t in grid]
     best = max(range(len(grid)), key=rates.__getitem__)
     if rates[best] <= 0.0:
-        expected = TransmittanceOptimum(t=grid[best], key_rate=0.0, all_zero=True)
-    else:
-        t, rate = golden_section_max(lambda u: _scalar_rate(p, ch, u),
-                                     grid[max(0, best - 1)], grid[min(100, best + 1)], 1e-4)
-        if rate < rates[best]:
-            t, rate = grid[best], rates[best]
-        expected = TransmittanceOptimum(t=t, key_rate=rate, all_zero=False)
-    assert expected.all_zero == all_zero
-    assert optimize_transmittance(p, ch) == expected
+        return TransmittanceOptimum(t=grid[best], key_rate=0.0, all_zero=True)
+    t, rate = golden_section_max(lambda u: _scalar_rate(p, ch, u),
+                                 grid[max(0, best - 1)], grid[min(100, best + 1)], 1e-4)
+    if rate < rates[best]:
+        t, rate = grid[best], rates[best]
+    return TransmittanceOptimum(t=t, key_rate=rate, all_zero=False)
+
+
+@pytest.mark.parametrize("variance,family,count", [
+    (1e3, SchemeFamily("subtraction"), 1),  # 0 km: refined up to t = 1
+    (20.0, SchemeFamily("subtraction"), 32),
+    (20.0, BSQC1, 33),
+    (20.0, SchemeFamily("ssqc", 2), 33),
+    (1e3, SchemeFamily("subtraction"), 151),
+])
+def test_optimal_transmittances_equal_the_scalar_search_per_channel(monkeypatch, variance,
+                                                                     family, count):
+    # 0 to 600 km, every other channel noisy: the far noisy ones give no key at any t
+    p = ProtocolParams(SourceParams.from_variance(variance), family)
+    channels = [ChannelParams.from_distance(600.0 * k / count, 0.05 * (k % 2))
+                for k in range(count)]
+    passes, real_rates = [], optimize.grid_key_rates
+
+    def counted_rates(t, p_success, x, y, z, chs, beta):
+        passes.append(len(chs))
+        return real_rates(t, p_success, x, y, z, chs, beta)
+
+    monkeypatch.setattr(optimize, "grid_key_rates", counted_rates)
+    optima = optimize.optimal_transmittances(p, channels)
+    assert optima == [_scalar_optimum(p, ch) for ch in channels]
+    # one grid pass per block of channels, and never more than one block of rates at once
+    assert passes == [min(optimize._BLOCK, count - k) for k in range(0, count, optimize._BLOCK)]
+    flags = {opt.all_zero for opt in optima}
+    assert flags == ({False} if count == 1 else {False, True})
+    if variance == 1e3:
+        assert optima[0].t > _GRID[-2]  # the bracket's top is the unit transmittance
+
+
+def test_optimal_transmittances_refuse_alike():
+    assert optimize.optimal_transmittances(ProtocolParams(V20, BSQC1), []) == []
+    with pytest.raises(ValueError, match="no transmittance"):
+        optimize.optimal_transmittances(ProtocolParams(V20), [])
+    with pytest.raises(TypeError, match="SchemeFamily"):
+        optimize.optimal_transmittances(ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9)), [])
+    # a refused channel is named, as in the grid pass over a sequence of channels
+    p = ProtocolParams(SourceParams.from_variance(1e6), SchemeFamily("bsqc", 0))
+    channels = [ChannelParams.from_distance(d) for d in (300.0, 1e-9)]
+    t, *state = _grid_states(p.scheme, p.source)
+    with pytest.raises(ConsistencyError) as grid:
+        grid_key_rates(t, *state, channels, p.beta)
+    with pytest.raises(ConsistencyError) as sweep:
+        optimize.optimal_transmittances(p, channels)
+    assert str(sweep.value) == str(grid.value)
+    assert str(sweep.value).endswith(f" on {channels[1]}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=_SCHEMES, variance=st.floats(1.0, 1e6), t=st.floats(0.5, 1.0),
+       d_km=st.floats(0.0, 1e3), eps=st.floats(0.0, 0.1))
+@example(scheme=SchemeFamily("subtraction"), variance=20.0, t=1.0, d_km=100.0, eps=0.01)
+@example(scheme=SchemeFamily("subtraction"), variance=1e3, t=0.99995, d_km=0.0, eps=0.01)
+@example(scheme=SchemeFamily("bsqc", 0), variance=1e6, t=1.0, d_km=1e-9, eps=0.0)  # refused
+def test_probe_rate_is_the_key_rate(scheme, variance, t, d_km, eps):
+    p = ProtocolParams(SourceParams.from_variance(variance), scheme)
+    ch = ChannelParams.from_distance(d_km, eps)
+    try:
+        expected = _scalar_rate(p, ch, t)
+    except (ValueError, ConsistencyError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            optimize._probe_rate(scheme, p.source, ch, p.beta, t)
+        assert str(raised.value) == str(exc)
+        return
+    rate = optimize._probe_rate(scheme, p.source, ch, p.beta, t)
+    assert type(rate) is float and rate.hex() == expected.hex()
+    if not scheme.heralds(t):
+        assert rate == 0.0
 
 
 def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
