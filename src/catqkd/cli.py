@@ -266,7 +266,7 @@ def _best_log_negativity(cfg_at, src) -> tuple[float, float]:
     def value(t: float) -> float:
         return catalysis.log_negativity(catalysis.schmidt_spectrum(cfg_at(t), src))
 
-    grid = [0.5 + k * 0.01 for k in range(51)]
+    grid = _grid(0.5, 1.0, 0.01, "t")
     return refine_grid_max(value, grid, [value(t) for t in grid], 1e-3)
 
 

@@ -12,17 +12,18 @@ Holevo bound needs the post-channel symplectic spectrum and keeps ``tc``
 explicit.  Heralded sources multiply the rate by their success
 probability, because only heralded pulses contribute key.
 
-:func:`grid_key_rates` gives the rates over a transmittance grid with the
-bits of :func:`secret_key_rate`, taking each logarithm with ``math.log2``.
-:func:`grid_has_key`, which serves the noise search, needs only whether
-some rate is positive: it takes numpy's vector ``log2`` and an error bound
-that decides almost every sign, and the exact logarithms only for the
-rates the bound leaves undecided.
+:func:`grid_key_rates` gives the rates over a transmittance grid, one row
+per channel of a sequence, with the bits of :func:`secret_key_rate`, taking
+each logarithm with ``math.log2``.  :func:`grid_has_key`, which serves the
+noise search, needs only whether some rate is positive: it takes numpy's
+vector ``log2`` and an error bound that decides almost every sign, and the
+exact logarithms only for the rates the bound leaves undecided.  Both
+refuse a state by running the scalar formula on it, so each refusal has
+the text :func:`secret_key_rate` gives.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -97,6 +98,9 @@ class ChannelParams:
             raise ValueError(f"channel transmittance {self.tc} outside (0, 1]")
         if not (0.0 <= self.epsilon < math.inf):
             raise ValueError(f"excess noise must be finite and non-negative, got {self.epsilon}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"channel noise (1 - tc)/tc + epsilon overflows at tc={self.tc}, "
+                             f"epsilon={self.epsilon}")
 
     @property
     def xi(self) -> float:
@@ -270,16 +274,14 @@ def _log2(values: np.ndarray) -> np.ndarray:
 
 
 def _checked_spectra(t: np.ndarray | None, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     ch: ChannelParams | Sequence[ChannelParams]
-                     ) -> tuple[bool, np.ndarray, np.ndarray]:
+                     channels: Sequence[ChannelParams]) -> tuple[np.ndarray, np.ndarray]:
     """Everything of :func:`grid_key_rates` before the logarithms, with all of its checks.
 
-    Returns whether ``ch`` is a single channel, the ratio ``joint/conditional``
-    of the mutual information and the shifted eigenvalues ``(nu - 1)/2``,
-    arrays of shape (channels, len(t)) and (3, channels, len(t)).
+    Returns the ratio ``joint/conditional`` of the mutual information and the
+    shifted eigenvalues ``(nu - 1)/2``, arrays of shape (channels, len(t)) and
+    (3, channels, len(t)).  The first refused (channel, t) cell is handed to
+    :func:`_rate_terms`, and its refusal is raised naming ``t`` and the channel.
     """
-    single = isinstance(ch, ChannelParams)
-    channels = [ch] if single else list(ch)
     tc = np.array([c.tc for c in channels])[:, None]
     xi = np.array([c.xi for c in channels])[:, None]
     tol = 1e-9
@@ -302,26 +304,20 @@ def _checked_spectra(t: np.ndarray | None, x: np.ndarray, y: np.ndarray, z: np.n
     nu, refused = spectrum(disc)
     if refused.any():  # the factored discriminant where symplectic_eigenvalues takes it
         disc = np.where(refused, _sq(x - yb) * (_sq(x + yb) - 4.0 * zz), disc)
-        nu = spectrum(disc)[0]
+        nu, refused = spectrum(disc)
     physical = (np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (x >= 1.0 - tol)
                 & (y >= 1.0 - tol) & (x * y - z2 >= 1.0 - tol))
-    checks = [  # in the order secret_key_rate meets them; i indexes (channel, t)
-        (~physical, lambda i: f"unphysical covariance: x={x[i[1]]}, y={y[i[1]]}, z={z[i[1]]}"),
-        (conditional <= 0.0, lambda i: "conditional variance non-positive"),
-        (disc < -1e-12 * np.maximum(1.0, big2),
-         lambda i: f"unphysical state: discriminant {disc[i]}"),
-        *((nu[k] < 1.0 - tol, lambda i, k=k: f"unphysical state: symplectic eigenvalue {nu[k][i]} < 1")
-          for k in range(3)),
-    ]
-    failed = functools.reduce(np.logical_or, [bad for bad, _ in checks])
-    if failed.any():
-        i = np.unravel_index(failed.argmax(), failed.shape)
-        message = next(text(i) for bad, text in checks if np.broadcast_to(bad, failed.shape)[i])
-        where = "" if t is None else f" at t={t[i[1]]}"
-        if not single:
-            where += f" on {channels[i[0]]}"
-        raise ConsistencyError(message + where)
-    return single, joint / conditional, (np.maximum(nu, 1.0) - 1.0) / 2.0
+    refused |= ~physical | (conditional <= 0.0)
+    if refused.any():
+        k, j = np.unravel_index(refused.argmax(), refused.shape)
+        where = ("" if t is None else f" at t={t[j]}") + f" on {channels[k]}"
+        try:
+            _rate_terms(1.0, TwoModeCovariance(float(x[j]), float(y[j]), float(z[j])),
+                        channels[k], 1.0)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"{exc}{where}") from None
+        raise AssertionError(f"the scalar rate formula accepts a state the grid refused{where}")
+    return joint / conditional, (np.maximum(nu, 1.0) - 1.0) / 2.0
 
 
 def _log_terms(ratio: np.ndarray, v: np.ndarray, log2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,24 +337,22 @@ def _raw_rates(p_success: np.ndarray, beta: float, v: np.ndarray, half_log: np.n
 
 
 def grid_key_rates(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   z: np.ndarray, ch: ChannelParams | Sequence[ChannelParams],
-                   beta: float) -> np.ndarray:
+                   z: np.ndarray, channels: Sequence[ChannelParams], beta: float) -> np.ndarray:
     """Key rates of the states ``(p_success, x, y, z)`` prepared at transmittances ``t``.
 
     The array form of :func:`secret_key_rate`: the same formulas in the same
-    floating-point operations, so every rate has the same bits.  One channel
-    gives rates of the shape of ``t``; a sequence of channels gives one row
-    of rates per channel.  It checks what :class:`TwoModeCovariance`,
-    :func:`mutual_information` and :func:`symplectic_eigenvalues` check and
-    raises :class:`ConsistencyError` naming the first failing ``t`` (of the
-    first failing channel, which is named too when a sequence is given);
-    ``t`` is read for that message only, and ``None`` leaves it out.
-    ``p_success`` is taken as given: it is checked where it is computed.
+    floating-point operations, so every rate has the same bits, one row of
+    rates per channel.  It refuses what :class:`TwoModeCovariance`,
+    :func:`mutual_information` and :func:`symplectic_eigenvalues` refuse: on
+    the first refused ``t`` of the first refused channel it raises the
+    :class:`ConsistencyError` of :func:`_rate_terms`, with ``t`` and the
+    channel appended; ``t`` is read for that message only, and ``None``
+    leaves it out.  ``p_success`` is taken as given: it is checked where it
+    is computed.
     """
-    single, ratio, v = _checked_spectra(t, x, y, z, ch)
+    ratio, v = _checked_spectra(t, x, y, z, channels)
     raw = _raw_rates(p_success, beta, v, *_log_terms(ratio, v, _log2))
-    rates = np.where(raw > 0.0, raw, 0.0)
-    return rates[0] if single else rates
+    return np.where(raw > 0.0, raw, 0.0)
 
 
 # Where np.log2 and math.log2 differ (by 1 ulp, 2**-52 of their value, at
@@ -370,19 +364,18 @@ _SIGN_BOUND = 2.0**-36
 
 
 def grid_has_key(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 z: np.ndarray, ch: ChannelParams | Sequence[ChannelParams],
-                 beta: float) -> bool | np.ndarray:
+                 z: np.ndarray, channels: Sequence[ChannelParams], beta: float) -> np.ndarray:
     """Whether any rate of :func:`grid_key_rates` with the same arguments is positive.
 
-    A bool for one channel, one per channel for a sequence; the same checks
-    and refusals.  The rates are computed with numpy's vector ``log2``, which
-    may differ from ``math.log2`` in the last bit, so each raw rate gets a
-    bound: ``2**-36`` times ``p_success`` times the summed sizes of its
-    logarithmic terms.  A rate above its bound is positive and one at or
-    below minus its bound is not, whatever those last bits; every other
-    rate, NaN included, is recomputed exactly as :func:`grid_key_rates` does.
+    One bool per channel; the same refusals, from :func:`_rate_terms`.  The
+    rates are computed with numpy's vector ``log2``, which may differ from
+    ``math.log2`` in the last bit, so each raw rate gets a bound: ``2**-36``
+    times ``p_success`` times the summed sizes of its logarithmic terms.  A
+    rate above its bound is positive and one at or below minus its bound is
+    not, whatever those last bits; every other rate, NaN included, is
+    recomputed exactly as :func:`grid_key_rates` does.
     """
-    single, ratio, v = _checked_spectra(t, x, y, z, ch)
+    ratio, v = _checked_spectra(t, x, y, z, channels)
     half_log, up, down = _log_terms(ratio, v, np.log2)
     raw = _raw_rates(p_success, beta, v, half_log, up, down)
     size = beta * np.abs(half_log) + np.where(v <= 0.0, 0.0, np.abs(up) + np.abs(down)).sum(axis=0)
@@ -395,8 +388,7 @@ def grid_has_key(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: 
         exact = _raw_rates(np.broadcast_to(p_success, raw.shape)[undecided], beta, vu,
                            *_log_terms(ratio[undecided], vu, _log2))
         positive[undecided] = exact > 0.0
-    has_key = positive.any(axis=1)
-    return bool(has_key[0]) if single else has_key
+    return positive.any(axis=1)
 
 
 def plob_bound(tc: float) -> float:

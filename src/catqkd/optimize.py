@@ -239,8 +239,7 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
 
     def positive(lanes: list[int], eps: list[float]) -> list[bool]:
         channels = [ChannelParams(tc=tcs[i], epsilon=e) for i, e in zip(lanes, eps)]
-        return np.atleast_1d(grid_has_key(t, *state, channels[0] if scalar else channels,
-                                          p.beta)).tolist()
+        return grid_has_key(t, *state, channels, p.beta).tolist()
 
     limits = _largest_true(positive, [0.0] * len(tcs), [_EPS_MAX] * len(tcs), _EPS_TOL)
     return limits[0] if scalar else limits

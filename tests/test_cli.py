@@ -181,13 +181,12 @@ def test_keyrate_optimal_rows_follow_the_distance_grid(tmp_path):
     assert [r["distance_km"] for r in rows[::7]] == ["0", "100", "200", "300", "400", "500"]
 
 
-# the nearer channels have subnormal transmittances, whose rates take inf - inf
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
-    # 16200 km has transmittance 0; 16000 and 16100 km are swept first
-    assert main(["keyrate", "--t", "optimal", "--scheme", "subtraction", "--d-min", "16000",
-                 "--d-max", "16400", "--d-step", "100"]) == EXIT_USAGE
-    assert capsys.readouterr().err == "catqkd: error: channel transmittance 0.0 outside (0, 1]\n"
+    # at 15500 km the channel noise (1 - tc)/tc overflows; 15000 km is swept first
+    assert main(["keyrate", "--t", "optimal", "--scheme", "subtraction", "--d-min", "15000",
+                 "--d-max", "15800", "--d-step", "500"]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("catqkd: error: channel noise (1 - tc)/tc + epsilon"
+                                       " overflows at tc=1e-310, epsilon=0.01\n")
     # a numerical refusal at a nearer distance comes first
     assert main(["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--variance", "1e6",
                  "--epsilon", "0", "--d-min", "0", "--d-max", "1e-6",

@@ -49,6 +49,10 @@ def test_channel_params():
         ChannelParams(tc=0.0)
     with pytest.raises(ValueError):
         ChannelParams(tc=0.5, epsilon=-0.01)
+    # a subnormal transmittance whose noise (1 - tc)/tc overflows to inf
+    assert ChannelParams.from_distance(15400.0).xi == 1e308
+    with pytest.raises(ValueError, match="overflows at tc=1e-310, epsilon=0.0"):
+        ChannelParams.from_distance(15500.0)
     with pytest.raises(ValueError):
         ProtocolParams(V20, beta=0.0)
 
@@ -225,5 +229,5 @@ def test_near_pure_states_take_the_factored_discriminant(alpha, d_km, eps):
     assert 0.0 <= res.holevo < 1e-10
     cov = tmsv_covariance(p.source)
     grid = grid_key_rates(None, np.ones(1), np.array([cov.x]), np.array([cov.y]),
-                          np.array([cov.z]), ch, p.beta)
-    assert grid.tolist() == [res.key_rate]
+                          np.array([cov.z]), [ch], p.beta)
+    assert grid.tolist() == [[res.key_rate]]

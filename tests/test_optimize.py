@@ -1,6 +1,7 @@
 """Transmittance optimisation and noise/distance limit searches."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -307,12 +308,12 @@ def test_noise_limit_refusals():
     # t = 0.58 (x = 2.01) was refused too until a refused spectrum retried the
     # factored discriminant; at t = 1, x = 1e6 leaves no digits for an eigenvalue near 1
     assert str(one.value) == ("unphysical state: symplectic eigenvalue 0.9999769738901874 < 1"
-                              " at t=1.0")
-    # a sequence names the channel, however many of its lanes are still searching
+                              f" at t=1.0 on {ChannelParams.from_distance(1e-9)}")
+    # a sequence names the same channel, however many of its lanes are still searching
     for distances in ([300.0, 1e-9], [1e-9], [1e-9, 0.0]):
         with pytest.raises(ConsistencyError) as lanes:
             max_tolerable_excess_noise(p, distances)
-        assert str(lanes.value) == f"{one.value} on {ChannelParams.from_distance(1e-9)}"
+        assert str(lanes.value) == str(one.value)
     # a golden-section probe at t = 0.99975 used to refuse this; the grid point t = 1 has a key
     assert max_tolerable_excess_noise(p, 0.0) == 0.2
     assert secret_key_rate(replace(p, scheme=p.scheme.at(1.0)),
@@ -394,7 +395,7 @@ def test_grid_pass_matches_the_scalar_rate(scheme, variance, d_km, eps):
         t = [u for u in grid if scheme.heralds(u)]
         states = [source_state(scheme.at(u), p.source) for u in t]
         columns = [[pd, cov.x, cov.y, cov.z] for pd, cov in states]
-        rates = grid_key_rates(np.array(t), *np.array(columns).T, ch, p.beta).tolist()
+        rates, = grid_key_rates(np.array(t), *np.array(columns).T, [ch], p.beta).tolist()
         return rates + [0.0] * (len(grid) - len(rates))
 
     results = []
@@ -406,7 +407,7 @@ def test_grid_pass_matches_the_scalar_rate(scheme, variance, d_km, eps):
                 grid_rates()
             message = str(raised.value)
             if " at t=" in message:  # from the grid pass, which names the first failing t
-                assert message == f"{exc} at t={t}"
+                assert message == f"{exc} at t={t} on {ch}"
             return
     # the grid pass promises the bits of secret_key_rate
     assert grid_rates() == [0.0 if res is None else res.key_rate for res in results]
@@ -417,9 +418,20 @@ def test_grid_pass_names_the_first_unphysical_state():
     x, y, z = np.array([3.0, 0.5, 0.5]), np.full(3, 3.0), np.array([2.0, 0.0, 0.0])
     with pytest.raises(ConsistencyError) as scalar:
         TwoModeCovariance(x=0.5, y=3.0, z=0.0)
+    ch = ChannelParams.from_distance(10.0, 0.01)
     with pytest.raises(ConsistencyError) as grid:
-        grid_key_rates(t, np.ones(3), x, y, z, ChannelParams.from_distance(10.0, 0.01), 0.95)
-    assert str(grid.value) == f"{scalar.value} at t=0.7"
+        grid_key_rates(t, np.ones(3), x, y, z, [ch], 0.95)
+    assert str(grid.value) == f"{scalar.value} at t=0.7 on {ch}"
+
+
+def test_grid_pass_refusal_the_scalar_formula_accepts_is_an_error(monkeypatch):
+    # the grid pass takes its refusal text from _rate_terms; should the two
+    # formulas disagree, the grid pass must still not return
+    monkeypatch.setattr(keyrate, "_rate_terms", lambda *args: (0.0, 0.0, (1.0, 1.0, 1.0), 0.0))
+    t, *state = _grid_states(SchemeFamily("bsqc", 0), SourceParams.from_variance(1e6))
+    ch = ChannelParams.from_distance(1e-9)  # its spectrum is refused at t = 1
+    with pytest.raises(AssertionError, match=re.escape(f" at t=1.0 on {ch}")):
+        grid_key_rates(t, *state, [ch], 0.95)
 
 
 def test_grid_pass_over_channels_is_one_pass_per_channel():
@@ -429,7 +441,7 @@ def test_grid_pass_over_channels_is_one_pass_per_channel():
     rates = grid_key_rates(t, *state, channels, 0.95)
     assert rates.shape == (len(channels), len(t))
     for row, ch in zip(rates, channels):
-        assert row.tolist() == grid_key_rates(t, *state, ch, 0.95).tolist()
+        assert row.tolist() == grid_key_rates(t, *state, [ch], 0.95)[0].tolist()
 
 
 _FAMILIES = [*(SchemeFamily(kind, n) for kind in ("bsqc", "ssqc") for n in range(6)),
@@ -609,36 +621,29 @@ _LANES = st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 0.2)), min_size=
 
 
 @settings(max_examples=80, deadline=None)
-@given(family=st.sampled_from([None, *_FAMILIES]), variance=st.floats(1.0, 1e6), lanes=_LANES,
-       single=st.booleans())
+@given(family=st.sampled_from([None, *_FAMILIES]), variance=st.floats(1.0, 1e6), lanes=_LANES)
 # rates of round-off size, which the bound leaves to the exact logarithms
-@example(family=None, variance=1.5, lanes=[(657.5, 0.01)], single=True)
-@example(family=None, variance=1.5, lanes=[(750.0, 0.2)], single=True)
-@example(family=None, variance=1.5, lanes=[(655.0, 0.01), (657.5, 0.01), (750.0, 0.2)],
-         single=False)
+@example(family=None, variance=1.5, lanes=[(657.5, 0.01)])
+@example(family=None, variance=1.5, lanes=[(750.0, 0.2)])
+@example(family=None, variance=1.5, lanes=[(655.0, 0.01), (657.5, 0.01), (750.0, 0.2)])
 # refused by the grid pass, alone and in a sequence
-@example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(1e-9, 0.0)], single=True)
-@example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(300.0, 0.0), (1e-9, 0.0)],
-         single=False)
-def test_sign_test_equals_the_exact_grid_rates(family, variance, lanes, single):
+@example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(1e-9, 0.0)])
+@example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(300.0, 0.0), (1e-9, 0.0)])
+def test_sign_test_equals_the_exact_grid_rates(family, variance, lanes):
     try:
         t, *state = _states(family, SourceParams.from_variance(variance))
     except (ValueError, ConsistencyError):  # no state: a vacuum, or a refused source
         return
     channels = [ChannelParams.from_distance(d, eps) for d, eps in lanes]
-    ch = channels[0] if single else channels
     try:
-        rates = grid_key_rates(t, *state, ch, 0.95)
+        rates = grid_key_rates(t, *state, channels, 0.95)
     except ConsistencyError as exc:  # refused alike, with the same message
         with pytest.raises(ConsistencyError) as raised:
-            grid_has_key(t, *state, ch, 0.95)
+            grid_has_key(t, *state, channels, 0.95)
         assert str(raised.value) == str(exc)
         return
-    has_key = grid_has_key(t, *state, ch, 0.95)
-    if single:
-        assert type(has_key) is bool and has_key == bool((rates > 0.0).any())
-    else:
-        assert has_key.tolist() == (rates > 0.0).any(axis=1).tolist()
+    has_key = grid_has_key(t, *state, channels, 0.95)
+    assert has_key.tolist() == (rates > 0.0).any(axis=1).tolist()
 
 
 def _count_exact_logarithms(monkeypatch):
@@ -662,9 +667,9 @@ def test_sign_test_without_its_bound_is_the_exact_path(monkeypatch, family):
     cells, real_spectra = [], keyrate._checked_spectra
 
     def counted_spectra(*args):
-        single, ratio, v = real_spectra(*args)
+        ratio, v = real_spectra(*args)
         cells.append(ratio.size)
-        return single, ratio, v
+        return ratio, v
 
     monkeypatch.setattr(keyrate, "_SIGN_BOUND", math.inf)
     monkeypatch.setattr(keyrate, "_checked_spectra", counted_spectra)
