@@ -6,12 +6,15 @@
 Run it from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
-4242 (``verify`` is one of them), seven edge commands (subtraction's success
+4242 (``verify`` is one of them), nine edge commands (subtraction's success
 probability down to a vacuum source, its vacuum refusal, a noise sweep whose
 search warns of a revival, an optimal-transmittance sweep of the default
 schemes over 61 distances, with rows where no transmittance gives a key, one
-at V = 1e6 where four schemes give none, and a noise search and an
-optimal-transmittance sweep that the grid pass refuses at V = 1e6), and
+at V = 1e6 where four schemes give none, a noise search and an
+optimal-transmittance sweep that the grid pass refuses at V = 1e6, ``verify``
+with the mirrored beam-splitter sign, and the optimal-transmittance
+entanglement of ssqc2 on a vacuum source, whose Schmidt spectra have
+``x = 0``), and
 ``scripts/reproduce_figures.py`` with and without ``--quick``.  A CLI command's digest covers its exit code,
 standard output, standard error and the category and message of each
 warning it raises (recorded, as their printed form names the file and line
@@ -42,6 +45,9 @@ EDGE_COMMANDS = [
      "--d-max", "1e-9"],
     ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "0", "--variance", "1e6",
      "--epsilon", "0", "--d-min", "0", "--d-max", "1e-9", "--d-step", "1e-9"],
+    ["verify", "--flip-bs-sign"],
+    ["entanglement", "--t", "optimal", "--scheme", "ssqc", "--n", "2", "--alpha-min", "0",
+     "--alpha-max", "0.1", "--alpha-step", "0.1"],
 ]
 
 

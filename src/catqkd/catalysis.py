@@ -15,7 +15,6 @@ the idler arm only.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -252,13 +251,66 @@ def output_covariance(cfg: CatalysisConfig, src: SourceParams) -> TwoModeCovaria
     return pd_and_covariance(cfg, src)[1]
 
 
+_SECANT_STEPS = 8  # calls of the tail bound after which _cutoff only halves its bracket
+
+
+def _cutoff(tail, x: float, photons: int) -> int:
+    """Smallest ``c < _MAX_TERMS`` with ``tail(c) <= _TAIL``, else ``_MAX_TERMS``.
+
+    ``tail`` is infinite below ``c0``, the first ``c`` with ``(c + 2)(1 - x) >
+    photons``, and strictly decreasing from there on, so the crossing is
+    unique.  The search starts at an estimate of ``c0``, moved down while
+    ``tail`` is finite below it, and keeps a bracket: ``tail(lo) > _TAIL`` (or
+    ``lo`` lies below ``c0``) and ``hi`` is the answer so far.  Below ``c0``
+    it steps up; from there each guess is a secant step on ``log tail``, the
+    first one with the slope ``log x`` of the geometric factor, rounded up
+    and clamped into the bracket, so an exact guess is confirmed by one
+    more call just below it.  After ``_SECANT_STEPS`` calls it only halves
+    the bracket, so it makes at most about 30 calls; most spectra take 4 to 6.
+    """
+    if not x < 1.0:
+        return _MAX_TERMS
+    c = min(max(photons - 1, math.ceil(photons / (1.0 - x)) - 2, 0), _MAX_TERMS)
+    while c > 0 and tail(c - 1) < math.inf:
+        c -= 1
+    lo, hi = c - 1, _MAX_TERMS
+    points: list[tuple[int, float]] = []  # (c, log tail(c)) where tail(c) is finite and positive
+    calls = 0
+    while hi - lo > 1:
+        value = tail(c)
+        calls += 1
+        if value <= _TAIL:
+            hi = c
+        else:
+            lo = c
+        if 0.0 < value < math.inf:
+            points.append((c, math.log(value)))
+        guess = math.nan  # halve the bracket
+        if value == math.inf:  # below c0
+            guess = c + 1
+        elif calls <= _SECANT_STEPS and len(points) == 1:
+            guess = points[0][0] + (math.log(_TAIL) - points[0][1]) / math.log(x)
+        elif calls <= _SECANT_STEPS and len(points) >= 2 and points[-1][1] != points[-2][1]:
+            (c1, f1), (c2, f2) = points[-2:]
+            guess = c2 + (math.log(_TAIL) - f2) * (c2 - c1) / (f2 - f1)
+        c = (min(max(math.ceil(guess), lo + 1), hi - 1) if math.isfinite(guess)
+             else (lo + hi) // 2)
+    return hi
+
+
 def schmidt_spectrum(cfg: CatalysisConfig, src: SourceParams) -> SchmidtSpectrum:
     """Signed Schmidt coefficients ``w_l = K x**l q(l) / sqrt(pd)``, ``l = 0..L``.
 
     ``|q|`` is majorised by ``Q``, the product of the arms' polynomials
     with absolute coefficients, and ``Q(l+1)/Q(l) <= (l+1)/(l+1-m-n)``, so
     ``sum_{l>L} |w_l|`` has a geometric upper bound, kept as ``tail_bound``.
-    ``L`` is the smallest cutoff with a bound of at most ``_TAIL``.  Past
+    ``L`` is the smallest cutoff with a bound of at most ``_TAIL``, found by
+    :func:`_cutoff` in a few evaluations of the bound.  The search is exact:
+    the bound is infinite up to a first index and strictly decreasing after
+    it, as the ratio of consecutive bounds is at most ``x (L+2)/(L+2-m-n) <
+    1``, so the crossing of ``_TAIL`` is unique and the search returns it
+    only after checking the bound on both sides of it.  ``x = 0`` (a vacuum
+    source) gives a bound of 0 from the first finite index on.  Past
     ``_MAX_TERMS`` this raises :class:`ConsistencyError` before allocating.
     """
     x = src.lam * math.sqrt(cfg.t1 * cfg.t2)
@@ -274,7 +326,7 @@ def schmidt_spectrum(cfg: CatalysisConfig, src: SourceParams) -> SchmidtSpectrum
             sum(abs(c) * math.comb(cutoff + 1, s) for s, c in enumerate(arm)) for arm in arms)
         return first / (1.0 - x * (cutoff + 2) / gap)
 
-    cutoff = bisect.bisect_left(range(_MAX_TERMS), True, key=lambda c: tail(c) <= _TAIL)
+    cutoff = _cutoff(tail, x, cfg.m + cfg.n)
     if cutoff == _MAX_TERMS:
         raise ConsistencyError(f"Schmidt spectrum at lam={src.lam:.12g}, t1={cfg.t1}, "
                                f"t2={cfg.t2} needs more than {_MAX_TERMS} terms")

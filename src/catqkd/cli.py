@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -430,20 +432,19 @@ def _verify_orthogonality(rows, sign):
     rows.append(("beamsplitter-orthogonality", dev, 1e-10))
 
 
-def _verify_symplectic(rows, rng):
+def _verify_symplectic(rows, rng: random.Random):
     dev = 0.0
     for _ in range(20):
-        src = SourceParams(alpha=float(rng.uniform(0.2, 3.0)))
-        kind = rng.integers(0, 3)
+        src = SourceParams(alpha=rng.uniform(0.2, 3.0))
+        kind = rng.randrange(3)
         if kind == 0:
             cov = catalysis.tmsv_covariance(src)
         elif kind == 1:
-            cfg = CatalysisConfig.bsqc(int(rng.integers(0, 3)), float(rng.uniform(0.6, 0.99)))
+            cfg = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
             cov = catalysis.output_covariance(cfg, src)
         else:
-            cov = subtraction.output_covariance(
-                SubtractionConfig(t=float(rng.uniform(0.5, 0.99))), src)
-        ch = ChannelParams(tc=float(rng.uniform(1e-3, 1.0)), epsilon=float(rng.uniform(0.0, 0.1)))
+            cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
+        ch = ChannelParams(tc=rng.uniform(1e-3, 1.0), epsilon=rng.uniform(0.0, 0.1))
         l1, l2, l3 = symplectic_eigenvalues(cov, ch)
         matrix = propagate_covariance(cov, ch).as_matrix()
         n1, n2 = oracle.two_mode_symplectic_numeric(matrix)
@@ -472,7 +473,9 @@ def _verify_flip(rows, cutoff):
 
 def cmd_verify(args) -> int:
     sign = 1.0 if args.flip_bs_sign else -1.0
-    rng = np.random.default_rng(args.seed)
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
+    rng = random.Random(args.seed)
     checks: list[tuple[str, float, float]] = []
     _verify_orthogonality(checks, sign)
     _verify_catalysis(checks, sign, args.cutoff)
@@ -496,7 +499,9 @@ def cmd_verify(args) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and each subcommand's parser, built once per process for every ``main``."""
     parser = _Parser(prog="catqkd", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"catqkd {__version__}")

@@ -175,6 +175,9 @@ def mutual_information(cov: TwoModeCovariance, xi: float) -> float:
     variances, so it never appears.
     """
     joint = (cov.x + 1.0) * (cov.y + xi)
+    if not math.isfinite(joint):
+        raise ConsistencyError(f"mutual information overflows a float: (x + 1)(y + xi) is inf "
+                               f"at x={cov.x}, y={cov.y}, xi={xi}")
     conditional = joint - cov.z**2
     if conditional <= 0.0:
         raise ConsistencyError("conditional variance non-positive")
@@ -202,11 +205,16 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
     """
     yb = ch.tc * (cov.y + ch.xi)          # Bob's variance after the channel
     zz = ch.tc * cov.z**2                 # squared correlation after the channel
-    big = cov.x**2 + yb**2 - 2.0 * zz
     det = cov.x * yb - zz
     l3sq = cov.x * (cov.x - cov.z**2 / (cov.y + ch.xi))
     try:
-        return _checked_eigenvalues(big, big**2 - 4.0 * det**2, l3sq)
+        big = cov.x**2 + yb**2 - 2.0 * zz
+        disc = big**2 - 4.0 * det**2
+    except OverflowError:  # a float power, past about 1e77 for yb
+        raise ConsistencyError(f"symplectic invariant overflows a float at Bob's variance "
+                               f"{yb} after the channel") from None
+    try:
+        return _checked_eigenvalues(big, disc, l3sq)
     except ConsistencyError:
         # near a pure state big**2 - 4*det**2 cancels to ~1e-16*big**2, and its
         # root splits the two eigenvalues by ~1e-8; the factored discriminant

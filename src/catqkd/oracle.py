@@ -2,10 +2,14 @@
 
 Fock-space simulations expand states in the photon-number basis up to a
 cutoff, with exact beam-splitter matrix elements.  ``bs_fock_amplitude``
-evaluates them for a whole photon-number ladder in one numpy pass, so a
-simulation makes one call per arm.  A cutoff above 2^20 terms, the cap
-of the Schmidt spectra in :mod:`catqkd.catalysis`, raises
-:class:`CutoffError` before any array is allocated.  The paper's
+evaluates them for a whole photon-number ladder in one numpy pass.  A
+catalysis simulation takes each arm's ladder from a memo of the last 32
+keys ``(t, photons, cutoff, sign)``, so equal arms (BSQC) and repeated
+inputs cost one call each (``catqkd verify`` meets 30 distinct ladders in
+its 108 catalysis arms); subtraction makes one call per simulation.  A
+cutoff above 2^20 terms, the cap of the Schmidt spectra in
+:mod:`catqkd.catalysis`, raises :class:`CutoffError` before any array is
+allocated.  The paper's
 generating-function route for catalysis takes mixed partial derivatives
 with truncated Taylor jets (:mod:`catqkd.series`).  Tests and ``catqkd
 verify`` check the production closed forms against both.
@@ -19,6 +23,7 @@ observables must agree between them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -207,6 +212,16 @@ class HeraldedSimulation:
     log_negativity: float
 
 
+@functools.lru_cache(maxsize=32)
+def _ladder(t: float, photons: int, cutoff: int, sign: float) -> np.ndarray:
+    # <l, photons|B(t)|l, photons> for l = 0..cutoff, read-only as every caller shares it;
+    # 32 keys hold the 30 ladders of verify's catalysis checks
+    ls = np.arange(cutoff + 1)
+    amps = bs_fock_amplitude(t, ls, photons, ls, photons, sign)
+    amps.setflags(write=False)
+    return amps
+
+
 def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
                        cutoff: int | None = None, sign: float = -1.0) -> HeraldedSimulation:
     """Exact Fock-basis simulation of two-arm photon catalysis.
@@ -220,8 +235,8 @@ def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
         cutoff = adaptive_cutoff(lam)
     _check_cutoff(lam, cutoff, f"catalysis with lam={lam:.4f}")
     ls = np.arange(cutoff + 1)
-    g1 = bs_fock_amplitude(cfg.t1, ls, cfg.m, ls, cfg.m, sign)
-    g2 = bs_fock_amplitude(cfg.t2, ls, cfg.n, ls, cfg.n, sign)
+    g1 = _ladder(cfg.t1, cfg.m, cutoff, sign)
+    g2 = _ladder(cfg.t2, cfg.n, cutoff, sign)
     amps = math.sqrt(1.0 - lam**2) * lam**ls * g1 * g2
     pd = float(amps @ amps)
     weights = amps / math.sqrt(pd)

@@ -1,12 +1,13 @@
 """Photon catalysis: closed-form anchors, Fock-oracle agreement, invariants."""
 
+import bisect
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catqkd import (
@@ -24,6 +25,8 @@ from catqkd import (
     success_probability,
     tmsv_covariance,
 )
+from catqkd import catalysis
+from catqkd.catalysis import _MAX_TERMS, _TAIL
 from catqkd.oracle import generating_function_moments, simulate_catalysis
 
 ALPHAS = [1.0, 3.0]
@@ -229,6 +232,60 @@ def test_schmidt_size_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def _bisected_cutoff(tail, x, photons):
+    # the reference: the search before the secant one, 20 calls of the bound
+    return bisect.bisect_left(range(_MAX_TERMS), True, key=lambda c: tail(c) <= _TAIL)
+
+
+def _spectrum_or_refusal(cfg, src):
+    try:
+        spec = schmidt_spectrum(cfg, src)
+    except ConsistencyError as exc:
+        return str(exc)
+    return spec.cutoff, spec.tail_bound, spec.weights.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(0, 5),
+    n=st.integers(0, 5),
+    t1=st.sampled_from([0.5, 0.7, 0.9, 0.99, 1.0]),
+    t2=st.sampled_from([0.5, 0.7, 0.9, 0.99, 1.0]),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+)
+@example(m=0, n=0, t1=1.0, t2=1.0, alpha=0.0)  # x = 0: the bound is 0 from the start
+@example(m=5, n=5, t1=0.5, t2=1.0, alpha=0.0)
+@example(m=5, n=5, t1=1.0, t2=1.0, alpha=1e-300)
+# next to the 2^20 cap: the largest cutoff, 1048575, and the smallest refused alpha
+@example(m=0, n=0, t1=1.0, t2=1.0, alpha=121.64798125867759)
+@example(m=0, n=0, t1=1.0, t2=1.0, alpha=121.6479812586776)
+@example(m=5, n=5, t1=1.0, t2=1.0, alpha=121.09625383121325)
+@example(m=5, n=5, t1=1.0, t2=1.0, alpha=121.09625383121326)
+@example(m=1, n=1, t1=1.0, t2=1.0, alpha=1e9)  # x rounds to 1: the bound is never finite
+def test_cutoff_search_equals_the_bisection(m, n, t1, t2, alpha):
+    cfg, src = CatalysisConfig(m=m, n=n, t1=t1, t2=t2), SourceParams(alpha)
+    spectrum = _spectrum_or_refusal(cfg, src)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalysis, "_cutoff", _bisected_cutoff)
+        assert spectrum == _spectrum_or_refusal(cfg, src)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.floats(1e-6, 0.8),
+    photons=st.integers(0, 10),
+    first=st.integers(0, 60),
+    start=st.floats(-60.0, 60.0),
+    ratio=st.floats(1e-3, 0.999),
+)
+def test_cutoff_search_takes_its_start_from_the_bound(x, photons, first, start, ratio):
+    # a bound finite from `first` on, wherever x and photons put the estimate of it
+    def tail(c):
+        return math.inf if c < first else math.exp(start) * ratio ** (c - first)
+
+    assert catalysis._cutoff(tail, x, photons) == _bisected_cutoff(tail, x, photons)
 
 
 def test_schmidt_spectrum_of_transparent_catalyser_is_geometric():

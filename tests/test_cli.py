@@ -194,6 +194,21 @@ def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
     assert "symplectic eigenvalue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # Bob's variance 1e198 after the channel: its square overflows a float
+    (["keyrate", "--epsilon", "1e200", "--d-min", "100", "--d-max", "100"],
+     "catqkd: numerical error: symplectic invariant overflows a float at Bob's variance "
+     "1e+198 after the channel\n"),
+    # tc = 1e-308 and xi = 1e308, one step before the channel is refused
+    (["keyrate", "--scheme", "original", "--d-min", "15400", "--d-max", "15400"],
+     "catqkd: numerical error: mutual information overflows a float: (x + 1)(y + xi) is inf "
+     "at x=19.999999999999996, y=19.999999999999996, xi=1e+308\n"),
+])
+def test_overflows_are_refused_with_the_quantity(capsys, argv, message):
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", message)
+
+
 def test_fixed_t_commands_reject_optimal(capsys):
     assert main(["success-prob", "--t", "optimal", *SINGLE_ALPHA]) == EXIT_USAGE
     assert "fixed --t" in capsys.readouterr().err
@@ -328,6 +343,24 @@ def test_verify_passes_both_sign_conventions(capsys):
 def test_verify_with_starved_cutoff_is_a_numeric_error(capsys):
     assert main(["verify", "--cutoff", "20"]) == EXIT_NUMERIC
     assert "cutoff" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_is_a_usage_error(capsys):
+    assert main(["verify", "--seed", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "catqkd: error: seed must be non-negative, got -1\n"
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    argv = ["success-prob", "--t", "0.9", *SINGLE_ALPHA]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["keyrate", "--t", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "outside (0, 1]" in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == first
 
 
 def test_verify_negative_cutoff_is_a_usage_error(capsys):

@@ -259,10 +259,26 @@ def test_one_amplitude_call_per_arm(cutoff, monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "bs_fock_amplitude", counted)
+    oracle._ladder.cache_clear()
+    # bsqc's two arms are one ladder, computed once and then served by the memo
     simulate_catalysis(CatalysisConfig.bsqc(2, 0.9), SourceParams(1.0), cutoff=cutoff)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    simulate_catalysis(CatalysisConfig.bsqc(2, 0.9), SourceParams(1.0), cutoff=cutoff)
+    assert len(calls) == 1
     simulate_subtraction(SubtractionConfig(0.9), SourceParams(1.0), cutoff=cutoff)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_memoised_ladders_are_read_only_and_keyed_on_the_sign():
+    oracle._ladder.cache_clear()
+    plus = oracle._ladder(0.9, 1, 40, 1.0)
+    minus = oracle._ladder(0.9, 1, 40, -1.0)
+    assert oracle._ladder.cache_info().currsize == 2
+    ls = np.arange(41)
+    assert np.array_equal(minus, bs_fock_amplitude(0.9, ls, 1, ls, 1, -1.0))
+    assert np.array_equal(plus, bs_fock_amplitude(0.9, ls, 1, ls, 1, 1.0))
+    with pytest.raises(ValueError, match="read-only"):
+        minus[0] = 0.0
 
 
 @pytest.mark.parametrize("simulate, cfg", [
