@@ -269,7 +269,9 @@ def _best_log_negativity(cfg_at, src) -> tuple[float, float]:
         return catalysis.log_negativity(catalysis.schmidt_spectrum(cfg_at(t), src))
 
     grid = _grid(0.5, 1.0, 0.01, "t")
-    return refine_grid_max(value, grid, [value(t) for t in grid], 1e-3)
+    values = [value(t) for t in grid]
+    best = max(range(len(grid)), key=values.__getitem__)
+    return refine_grid_max(value, grid, best, values[best], 1e-3)
 
 
 def cmd_entanglement(args) -> int:

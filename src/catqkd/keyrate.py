@@ -12,14 +12,13 @@ Holevo bound needs the post-channel symplectic spectrum and keeps ``tc``
 explicit.  Heralded sources multiply the rate by their success
 probability, because only heralded pulses contribute key.
 
-:func:`grid_key_rates` gives the rates over a transmittance grid, one row
-per channel of a sequence, with the bits of :func:`secret_key_rate`, taking
-each logarithm with ``math.log2``.  :func:`grid_has_key`, which serves the
-noise search, needs only whether some rate is positive: it takes numpy's
-vector ``log2`` and an error bound that decides almost every sign, and the
-exact logarithms only for the rates the bound leaves undecided.  Both
-refuse a state by running the scalar formula on it, so each refusal has
-the text :func:`secret_key_rate` gives.
+:func:`grid_best` serves every search over a transmittance grid: per
+channel of a sequence, the first index of the largest grid rate and that
+rate, with the bits of :func:`secret_key_rate`.  It takes numpy's vector
+``log2`` with an error bound to rule out the cells that can be neither the
+maximum nor tie it, and exact ``math.log2`` logarithms for the few left.
+It refuses a state by running the scalar formula on it, so each refusal
+has the text :func:`secret_key_rate` gives.
 """
 
 from __future__ import annotations
@@ -283,39 +282,43 @@ def _log2(values: np.ndarray) -> np.ndarray:
 
 def _checked_spectra(t: np.ndarray | None, x: np.ndarray, y: np.ndarray, z: np.ndarray,
                      channels: Sequence[ChannelParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Everything of :func:`grid_key_rates` before the logarithms, with all of its checks.
+    """Everything of :func:`grid_best` before the logarithms, with all of its checks.
 
     Returns the ratio ``joint/conditional`` of the mutual information and the
     shifted eigenvalues ``(nu - 1)/2``, arrays of shape (channels, len(t)) and
     (3, channels, len(t)).  The first refused (channel, t) cell is handed to
     :func:`_rate_terms`, and its refusal is raised naming ``t`` and the channel.
+    A cell whose squares overflow is refused, as the scalar formula's are.
     """
     tc = np.array([c.tc for c in channels])[:, None]
     xi = np.array([c.xi for c in channels])[:, None]
     tol = 1e-9
-    z2 = _sq(z)
-    joint = (x + 1.0) * (y + xi)
-    conditional = joint - z2
-    yb = tc * (y + xi)
-    zz = tc * z2
-    big = _sq(x) + _sq(yb) - 2.0 * zz
-    big2 = _sq(big)
-    det = x * yb - zz
-    l3sq = x * (x - z2 / (y + xi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = _sq(z)
+        joint = (x + 1.0) * (y + xi)
+        conditional = joint - z2
+        yb = tc * (y + xi)
+        zz = tc * z2
+        big = _sq(x) + _sq(yb) - 2.0 * zz
+        big2 = _sq(big)
+        det = x * yb - zz
+        l3sq = x * (x - z2 / (y + xi))
 
-    def spectrum(disc):
-        root = np.sqrt(np.maximum(disc, 0.0))
-        nu = np.sqrt(np.maximum([0.5 * (big + root), 0.5 * (big - root), l3sq], 0.0))
-        return nu, (disc < -1e-12 * np.maximum(1.0, big2)) | (nu < 1.0 - tol).any(axis=0)
+        def spectrum(disc):
+            root = np.sqrt(np.maximum(disc, 0.0))
+            nu = np.sqrt(np.maximum([0.5 * (big + root), 0.5 * (big - root), l3sq], 0.0))
+            return nu, (disc < -1e-12 * np.maximum(1.0, big2)) | (nu < 1.0 - tol).any(axis=0)
 
-    disc = big2 - 4.0 * _sq(det)
-    nu, refused = spectrum(disc)
-    if refused.any():  # the factored discriminant where symplectic_eigenvalues takes it
-        disc = np.where(refused, _sq(x - yb) * (_sq(x + yb) - 4.0 * zz), disc)
+        disc = big2 - 4.0 * _sq(det)
         nu, refused = spectrum(disc)
-    physical = (np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (x >= 1.0 - tol)
-                & (y >= 1.0 - tol) & (x * y - z2 >= 1.0 - tol))
-    refused |= ~physical | (conditional <= 0.0)
+        if refused.any():  # the factored discriminant where symplectic_eigenvalues takes it
+            disc = np.where(refused, _sq(x - yb) * (_sq(x + yb) - 4.0 * zz), disc)
+            nu, refused = spectrum(disc)
+        physical = (np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (x >= 1.0 - tol)
+                    & (y >= 1.0 - tol) & (x * y - z2 >= 1.0 - tol))
+    # the scalar formula refuses an overflowing joint variance or big**2; a
+    # square that overflows while big2 stays finite fails the discriminant test
+    refused |= ~physical | (conditional <= 0.0) | ~np.isfinite(joint) | ~np.isfinite(big2)
     if refused.any():
         k, j = np.unravel_index(refused.argmax(), refused.shape)
         where = ("" if t is None else f" at t={t[j]}") + f" on {channels[k]}"
@@ -328,81 +331,74 @@ def _checked_spectra(t: np.ndarray | None, x: np.ndarray, y: np.ndarray, z: np.n
     return joint / conditional, (np.maximum(nu, 1.0) - 1.0) / 2.0
 
 
-def _log_terms(ratio: np.ndarray, v: np.ndarray, log2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The logarithmic terms of the raw rate, ``log2`` taking the logarithms.
+def _raw_rates(p_success: np.ndarray, beta: float, ratio: np.ndarray, v: np.ndarray, log2
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw rates of the cells ``(ratio, v)`` in the operations of :func:`_rate_terms`.
 
+    ``log2`` takes the logarithms.  Also returns the logarithmic terms
     ``0.5*log2(ratio)`` and, per eigenvalue, ``(w+1)*log2(w+1)`` and
-    ``w*log2(w)`` with ``w = v``, or 1 where ``v <= 0``.
+    ``w*log2(w)``, where ``w = v``, or 1 where ``v <= 0``.
     """
-    w = np.where(v <= 0.0, 1.0, v)  # von_neumann_g, which is 0 at v = 0 and NaN at NaN
-    return 0.5 * log2(ratio), (w + 1.0) * log2(w + 1.0), w * log2(w)
-
-
-def _raw_rates(p_success: np.ndarray, beta: float, v: np.ndarray, half_log: np.ndarray,
-               up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    g = np.where(v <= 0.0, 0.0, up - down)
-    return p_success * (beta * half_log - (g[0] + g[1] - g[2]))
-
-
-def grid_key_rates(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   z: np.ndarray, channels: Sequence[ChannelParams], beta: float) -> np.ndarray:
-    """Key rates of the states ``(p_success, x, y, z)`` prepared at transmittances ``t``.
-
-    The array form of :func:`secret_key_rate`: the same formulas in the same
-    floating-point operations, so every rate has the same bits, one row of
-    rates per channel.  It refuses what :class:`TwoModeCovariance`,
-    :func:`mutual_information` and :func:`symplectic_eigenvalues` refuse: on
-    the first refused ``t`` of the first refused channel it raises the
-    :class:`ConsistencyError` of :func:`_rate_terms`, with ``t`` and the
-    channel appended; ``t`` is read for that message only, and ``None``
-    leaves it out.  ``p_success`` is taken as given: it is checked where it
-    is computed.
-    """
-    ratio, v = _checked_spectra(t, x, y, z, channels)
-    raw = _raw_rates(p_success, beta, v, *_log_terms(ratio, v, _log2))
-    return np.where(raw > 0.0, raw, 0.0)
+    vacuum = v <= 0.0
+    w = np.where(vacuum, 1.0, v)  # von_neumann_g, which is 0 at v = 0 and NaN at NaN
+    half_log, up, down = 0.5 * log2(ratio), (w + 1.0) * log2(w + 1.0), w * log2(w)
+    g = np.where(vacuum, 0.0, up - down)
+    return p_success * (beta * half_log - (g[0] + g[1] - g[2])), half_log, up, down
 
 
 # Where np.log2 and math.log2 differ (by 1 ulp, 2**-52 of their value, at
 # most), the two raw rates differ by that share of each term's size plus the
 # roundings of the seven operations after the logarithms in both: less than
 # 2**-49 of the terms' summed size.  The bound is 2**-36 of it, 2**16 ulp, so
-# no such difference can flip a sign that the bound decides.
+# the exact rate lies strictly within the bound of the vector one.
 _SIGN_BOUND = 2.0**-36
 
 
-def grid_has_key(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 z: np.ndarray, channels: Sequence[ChannelParams], beta: float) -> np.ndarray:
-    """Whether any rate of :func:`grid_key_rates` with the same arguments is positive.
+def grid_best(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
+              z: np.ndarray, channels: Sequence[ChannelParams], beta: float
+              ) -> list[tuple[int, float]]:
+    """Per channel, the best key rate of the states ``(p_success, x, y, z)`` prepared at ``t``.
 
-    One bool per channel; the same refusals, from :func:`_rate_terms`.  The
-    rates are computed with numpy's vector ``log2``, which may differ from
-    ``math.log2`` in the last bit, so each raw rate gets a bound: ``2**-36``
-    times ``p_success`` times the summed sizes of its logarithmic terms.  A
-    rate above its bound is positive and one at or below minus its bound is
-    not, whatever those last bits; every other rate, NaN included, is
-    recomputed exactly as :func:`grid_key_rates` does.
+    One pair ``(k, rate)`` per channel: the first index of the largest rate
+    and that rate, with the bits of :func:`secret_key_rate`; ``(0, 0.0)``
+    when no rate is positive.  The rates are first computed with numpy's
+    ``log2``, which may differ from ``math.log2`` in the last bit, within a
+    bound: ``2**-36`` times ``p_success`` times the summed sizes of the
+    logarithmic terms.  A cell whose upper bound is at most 0, or below the
+    largest lower bound of its row, can neither be the maximum nor tie it;
+    every other cell, NaN included, is recomputed with ``math.log2``.
+
+    It refuses what :class:`TwoModeCovariance`, :func:`mutual_information`
+    and :func:`symplectic_eigenvalues` refuse: on the first refused ``t`` of
+    the first refused channel it raises the :class:`ConsistencyError` of
+    :func:`_rate_terms`, with ``t`` and the channel appended; ``t`` is read
+    for that message only, and ``None`` leaves it out.  ``p_success`` is
+    taken as given: it is checked where it is computed.
     """
     ratio, v = _checked_spectra(t, x, y, z, channels)
-    half_log, up, down = _log_terms(ratio, v, np.log2)
-    raw = _raw_rates(p_success, beta, v, half_log, up, down)
-    size = beta * np.abs(half_log) + np.where(v <= 0.0, 0.0, np.abs(up) + np.abs(down)).sum(axis=0)
+    raw, half_log, up, down = _raw_rates(p_success, beta, ratio, v, np.log2)
+    # half_log and up are >= 0; a vacuum eigenvalue's terms, 2 and 0, only widen the bound
+    size = beta * half_log + (up + np.abs(down)).sum(axis=0)
     # at least the smallest normal number: a rate that rounds to a subnormal is not decided
     bound = np.maximum(_SIGN_BOUND * p_success * size, np.finfo(float).tiny)
-    positive = raw > bound
-    undecided = np.nonzero(~positive & ~(raw + bound <= 0.0))
-    if undecided[0].size:
-        vu = v[:, undecided[0], undecided[1]]
-        exact = _raw_rates(np.broadcast_to(p_success, raw.shape)[undecided], beta, vu,
-                           *_log_terms(ratio[undecided], vu, _log2))
-        positive[undecided] = exact > 0.0
-    return positive.any(axis=1)
+    upper = raw + bound
+    lower = np.fmax.reduce(raw - bound, axis=1)[:, None]  # of the row's best cell
+    rows, cols = np.nonzero(~((upper <= 0.0) | (upper < lower)))
+    exact = _raw_rates(p_success[cols], beta, ratio[rows, cols], v[:, rows, cols], _log2)[0]
+    best = [(0, 0.0)] * len(channels)
+    for i, k, rate in zip(rows.tolist(), cols.tolist(), exact.tolist()):
+        if rate > best[i][1]:  # cells in row order: the first of equal rates stays
+            best[i] = (k, rate)
+    return best
 
 
 def plob_bound(tc: float) -> float:
-    """Repeaterless capacity -log2(1 - tc) of the pure-loss channel."""
+    """Repeaterless capacity -log2(1 - tc) of the pure-loss channel.
+
+    Taken as ``-log1p(-tc)/ln 2``: ``1 - tc`` would lose the digits of a small ``tc``.
+    """
     if not 0.0 < tc <= 1.0:
         raise ValueError(f"channel transmittance {tc} outside (0, 1]")
     if tc == 1.0:
         raise ValueError("infinite capacity at unit transmittance")
-    return -math.log2(1.0 - tc)
+    return -math.log1p(-tc) / math.log(2.0)

@@ -15,15 +15,13 @@ channels per pass.  Each golden-section probe builds one state with
 formula of :func:`~catqkd.keyrate.secret_key_rate`.  Noise and distance
 limits bisect on top of
 that, with a few probe points past the found edge against non-monotone
-profiles.  A distance probe whose best grid rate reaches the floor is
-decided by the grid pass alone; only the other probes refine the best cell.
-The noise limit needs only the sign of the best rate, which the grid pass
-alone decides, so it bisects every distance of a sweep in lockstep, one
-grid pass over all of them per step; that pass,
-:func:`~catqkd.keyrate.grid_has_key`, certifies each rate's sign from
-numpy's ``log2`` with an error bound and takes exact logarithms only
-where the bound cannot decide.  Every search follows one recipe,
-the module constants below.
+profiles.  Every search reads one thing per channel from the grid pass,
+:func:`~catqkd.keyrate.grid_best`: the best grid cell and its rate.  The
+optimiser refines that cell; a distance probe whose best grid rate
+reaches the floor is decided without refinement; the noise limit needs
+only whether that rate is positive, so it bisects every distance of a
+sweep in lockstep, one grid pass over all of them per step.  Every search
+follows one recipe, the module constants below.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 
 from .catalysis import SourceParams
 from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolParams, SchemeFamily,
-                      _rate_terms, grid_has_key, grid_key_rates, secret_key_rate, source_state)
+                      _rate_terms, grid_best, secret_key_rate, source_state)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
@@ -76,18 +74,17 @@ def golden_section_max(f, a: float, b: float, tol: float) -> tuple[float, float]
     return x, f(x)
 
 
-def refine_grid_max(f, grid: Sequence[float], values: Sequence[float],
+def refine_grid_max(f, grid: Sequence[float], best: int, value: float,
                     tol: float) -> tuple[float, float]:
-    """Refine the best of ``values = [f(t) for t in grid]`` by golden section.
+    """Refine the best grid point ``grid[best]``, where ``f`` is ``value``, by golden section.
 
     The search runs over the grid cells on either side of the best point
     and keeps that point if the refinement does no better.
     """
-    best = max(range(len(grid)), key=values.__getitem__)
     lo, hi = grid[max(0, best - 1)], grid[min(len(grid) - 1, best + 1)]
     t_ref, v_ref = golden_section_max(f, lo, hi, tol)
-    if v_ref < values[best]:
-        return grid[best], values[best]
+    if v_ref < value:
+        return grid[best], value
     return t_ref, v_ref
 
 
@@ -122,18 +119,17 @@ def _family(p: ProtocolParams) -> SchemeFamily:
     return p.scheme
 
 
-def _grid_rows(p: ProtocolParams, channels: Sequence[ChannelParams]) -> list[list[float]]:
-    """Per channel, the rates on the whole grid, from one pass over the cached grid states."""
+def _grid_best(p: ProtocolParams, channels: Sequence[ChannelParams]) -> list[tuple[int, float]]:
+    """Per channel, the best grid cell and its rate, from one pass over the cached grid states."""
     t, *state = _grid_states(_family(p), p.source)
-    left_out = [0.0] * (len(_GRID) - len(t))  # the points at t >= 1
-    return [rates + left_out for rates in grid_key_rates(t, *state, channels, p.beta).tolist()]
+    return grid_best(t, *state, channels, p.beta)
 
 
-def _refine(p: ProtocolParams, ch: ChannelParams, rates: list[float]) -> TransmittanceOptimum:
-    if max(rates) <= 0.0:
+def _refine(p: ProtocolParams, ch: ChannelParams, best: int, rate: float) -> TransmittanceOptimum:
+    if rate <= 0.0:
         return TransmittanceOptimum(t=_GRID[0], key_rate=0.0, all_zero=True)
     probe = functools.partial(_probe_rate, p.scheme, p.source, ch, p.beta)
-    t_ref, r_ref = refine_grid_max(probe, _GRID, rates, _REFINE_TOL)
+    t_ref, r_ref = refine_grid_max(probe, _GRID, best, rate, _REFINE_TOL)
     return TransmittanceOptimum(t=t_ref, key_rate=r_ref, all_zero=False)
 
 
@@ -152,7 +148,7 @@ def optimal_transmittances(p: ProtocolParams, channels: Sequence[ChannelParams]
     optima = []
     for k in range(0, len(channels), _BLOCK):
         block = channels[k:k + _BLOCK]
-        optima += [_refine(p, ch, rates) for ch, rates in zip(block, _grid_rows(p, block))]
+        optima += [_refine(p, ch, *best) for ch, best in zip(block, _grid_best(p, block))]
     return optima
 
 
@@ -223,10 +219,11 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     a point of the optimiser's grid, as the golden-section refinement keeps
     a point only if it beats the best grid rate.  So every probed noise
     value is one grid pass over the cached grid states, for all distances
-    at once, and that pass asks :func:`~catqkd.keyrate.grid_has_key` only
-    for the signs.  Returns 0 when even a noiseless channel yields no key, and
-    0.2, the top of the search interval, when the whole interval stays
-    positive; a list for a sequence of distances.
+    at once, that asks whether the best rate of
+    :func:`~catqkd.keyrate.grid_best` is positive.  Returns 0 when even a
+    noiseless channel yields no key, and 0.2, the top of the search
+    interval, when the whole interval stays positive; a list for a
+    sequence of distances.
     """
     scalar = np.ndim(distance_km) == 0
     distances = [distance_km] if scalar else list(distance_km)
@@ -239,7 +236,7 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
 
     def positive(lanes: list[int], eps: list[float]) -> list[bool]:
         channels = [ChannelParams(tc=tcs[i], epsilon=e) for i, e in zip(lanes, eps)]
-        return grid_has_key(t, *state, channels, p.beta).tolist()
+        return [rate > 0.0 for _, rate in grid_best(t, *state, channels, p.beta)]
 
     limits = _largest_true(positive, [0.0] * len(tcs), [_EPS_MAX] * len(tcs), _EPS_TOL)
     return limits[0] if scalar else limits
@@ -259,7 +256,7 @@ def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
                                          atten_db_per_km=atten_db_per_km)
         if p.scheme is None:
             return [secret_key_rate(p, ch).key_rate >= floor]
-        rates, = _grid_rows(p, [ch])
-        return [max(rates) >= floor or _refine(p, ch, rates).key_rate >= floor]
+        (best, rate), = _grid_best(p, [ch])
+        return [rate >= floor or _refine(p, ch, best, rate).key_rate >= floor]
 
     return _largest_true(reaches, [0.0], [_D_MAX], _D_RES)[0]

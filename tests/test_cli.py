@@ -3,10 +3,11 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
-from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams
+from catqkd import ChannelParams, ConsistencyError, ProtocolParams, SchemeFamily, SourceParams
 from catqkd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -14,7 +15,8 @@ from catqkd.cli import (
     build_parser,
     main,
 )
-from catqkd.optimize import max_tolerable_excess_noise, optimize_transmittance
+from catqkd.optimize import (max_tolerable_excess_noise, optimal_transmittances,
+                             optimize_transmittance)
 
 SINGLE_ALPHA = ["--alpha-min", "1", "--alpha-max", "1", "--alpha-step", "1"]
 
@@ -207,6 +209,22 @@ def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
 def test_overflows_are_refused_with_the_quantity(capsys, argv, message):
     assert main(argv) == EXIT_NUMERIC
     assert capsys.readouterr() == ("", message)
+
+
+def test_grid_pass_refuses_an_overflow_without_numpy_warnings(capsys):
+    # Bob's variance 1e148 after the channel: the grid pass's squares overflow
+    # under numpy, which must not warn before the scalar formula's refusal
+    p = ProtocolParams(SourceParams.from_variance(20.0), SchemeFamily("bsqc", 1))
+    ch = ChannelParams.from_distance(100.0, 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError) as grid:
+            optimal_transmittances(p, [ch])
+        assert main(["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--epsilon",
+                     "1e150", "--d-min", "100", "--d-max", "100"]) == EXIT_NUMERIC
+    assert str(grid.value) == ("symplectic invariant overflows a float at Bob's variance 1e+148 "
+                               f"after the channel at t=0.5 on {ch}")
+    assert capsys.readouterr() == ("", f"catqkd: numerical error: {grid.value}\n")
 
 
 def test_fixed_t_commands_reject_optimal(capsys):

@@ -1,5 +1,6 @@
 """Key-rate pipeline: channel model, entropies, Holevo bound, PLOB."""
 
+import decimal
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from catqkd import (
     tmsv_covariance,
     von_neumann_g,
 )
-from catqkd.keyrate import grid_key_rates
+from catqkd.keyrate import grid_best
 from catqkd.oracle import two_mode_symplectic_numeric
 from catqkd.subtraction import p1_and_covariance
 
@@ -203,6 +204,16 @@ def test_plob_bound():
         plob_bound(0.0)
 
 
+@pytest.mark.parametrize("d_km", [0.5, 100.0, 360.0, 600.0, 2000.0])
+def test_plob_bound_keeps_the_digits_of_a_small_transmittance(d_km):
+    # 1 - tc loses tc: -log2(1 - tc) was off by 3e-5 at 600 km and -0 at 2000 km
+    tc = ChannelParams.from_distance(d_km).tc
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = -(1 - decimal.Decimal(tc)).ln() / decimal.Decimal(2).ln()
+    assert plob_bound(tc) == pytest.approx(float(exact), rel=4e-16, abs=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(0.3, 3.0),
@@ -228,6 +239,6 @@ def test_near_pure_states_take_the_factored_discriminant(alpha, d_km, eps):
     assert all(1.0 <= nu < 1.0 + 1e-10 for nu in res.symplectic)
     assert 0.0 <= res.holevo < 1e-10
     cov = tmsv_covariance(p.source)
-    grid = grid_key_rates(None, np.ones(1), np.array([cov.x]), np.array([cov.y]),
-                          np.array([cov.z]), [ch], p.beta)
-    assert grid.tolist() == [[res.key_rate]]
+    grid = grid_best(None, np.ones(1), np.array([cov.x]), np.array([cov.y]),
+                     np.array([cov.z]), [ch], p.beta)
+    assert grid == [(0, res.key_rate)]

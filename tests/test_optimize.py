@@ -28,7 +28,7 @@ from catqkd import (
     optimize,
     secret_key_rate,
 )
-from catqkd.keyrate import grid_has_key, grid_key_rates, source_state
+from catqkd.keyrate import grid_best, source_state
 from catqkd.optimize import (_GRID, _grid_states, _largest_true, golden_section_max,
                              optimize_transmittance)
 
@@ -391,12 +391,12 @@ def test_grid_pass_matches_the_scalar_rate(scheme, variance, d_km, eps):
     ch = ChannelParams.from_distance(d_km, eps)
     grid = tuple(0.5 + 0.025 * k for k in range(21))
 
-    def grid_rates():
+    def grid_pass():
         t = [u for u in grid if scheme.heralds(u)]
         states = [source_state(scheme.at(u), p.source) for u in t]
         columns = [[pd, cov.x, cov.y, cov.z] for pd, cov in states]
-        rates, = grid_key_rates(np.array(t), *np.array(columns).T, [ch], p.beta).tolist()
-        return rates + [0.0] * (len(grid) - len(rates))
+        best, = grid_best(np.array(t), *np.array(columns).T, [ch], p.beta)
+        return best
 
     results = []
     for t in grid:
@@ -404,13 +404,16 @@ def test_grid_pass_matches_the_scalar_rate(scheme, variance, d_km, eps):
             results.append(_scalar_result(p, ch, t))
         except (ValueError, ConsistencyError) as exc:
             with pytest.raises(type(exc)) as raised:
-                grid_rates()
+                grid_pass()
             message = str(raised.value)
             if " at t=" in message:  # from the grid pass, which names the first failing t
                 assert message == f"{exc} at t={t} on {ch}"
             return
-    # the grid pass promises the bits of secret_key_rate
-    assert grid_rates() == [0.0 if res is None else res.key_rate for res in results]
+    rates = [0.0 if res is None else res.key_rate for res in results]
+    best = max(range(len(grid)), key=rates.__getitem__)
+    # the grid pass promises the first best cell, with the bits of secret_key_rate
+    k, rate = grid_pass()
+    assert type(k) is int and (k, rate.hex()) == (best, rates[best].hex())
 
 
 def test_grid_pass_names_the_first_unphysical_state():
@@ -420,7 +423,7 @@ def test_grid_pass_names_the_first_unphysical_state():
         TwoModeCovariance(x=0.5, y=3.0, z=0.0)
     ch = ChannelParams.from_distance(10.0, 0.01)
     with pytest.raises(ConsistencyError) as grid:
-        grid_key_rates(t, np.ones(3), x, y, z, [ch], 0.95)
+        grid_best(t, np.ones(3), x, y, z, [ch], 0.95)
     assert str(grid.value) == f"{scalar.value} at t=0.7 on {ch}"
 
 
@@ -431,17 +434,17 @@ def test_grid_pass_refusal_the_scalar_formula_accepts_is_an_error(monkeypatch):
     t, *state = _grid_states(SchemeFamily("bsqc", 0), SourceParams.from_variance(1e6))
     ch = ChannelParams.from_distance(1e-9)  # its spectrum is refused at t = 1
     with pytest.raises(AssertionError, match=re.escape(f" at t=1.0 on {ch}")):
-        grid_key_rates(t, *state, [ch], 0.95)
+        grid_best(t, *state, [ch], 0.95)
 
 
 def test_grid_pass_over_channels_is_one_pass_per_channel():
     t, *state = _grid_states(BSQC1, V20)
     channels = [ChannelParams.from_distance(d, eps) for d in (0.0, 100.0, 300.0)
-                for eps in (0.0, 0.02)]
-    rates = grid_key_rates(t, *state, channels, 0.95)
-    assert rates.shape == (len(channels), len(t))
-    for row, ch in zip(rates, channels):
-        assert row.tolist() == grid_key_rates(t, *state, [ch], 0.95)[0].tolist()
+                for eps in (0.0, 0.02, 0.05)]  # no key at 300 km with noise 0.05
+    best = grid_best(t, *state, channels, 0.95)
+    assert len(best) == len(channels) and {rate > 0.0 for _, rate in best} == {False, True}
+    for cell, ch in zip(best, channels):
+        assert cell == grid_best(t, *state, [ch], 0.95)[0]
 
 
 _FAMILIES = [*(SchemeFamily(kind, n) for kind in ("bsqc", "ssqc") for n in range(6)),
@@ -514,16 +517,16 @@ def test_optimal_transmittances_equal_the_scalar_search_per_channel(monkeypatch,
     p = ProtocolParams(SourceParams.from_variance(variance), family)
     channels = [ChannelParams.from_distance(600.0 * k / count, 0.05 * (k % 2))
                 for k in range(count)]
-    passes, real_rates = [], optimize.grid_key_rates
+    passes, real_best = [], optimize.grid_best
 
-    def counted_rates(t, p_success, x, y, z, chs, beta):
+    def counted_best(t, p_success, x, y, z, chs, beta):
         passes.append(len(chs))
-        return real_rates(t, p_success, x, y, z, chs, beta)
+        return real_best(t, p_success, x, y, z, chs, beta)
 
-    monkeypatch.setattr(optimize, "grid_key_rates", counted_rates)
+    monkeypatch.setattr(optimize, "grid_best", counted_best)
     optima = optimize.optimal_transmittances(p, channels)
     assert optima == [_scalar_optimum(p, ch) for ch in channels]
-    # one grid pass per block of channels, and never more than one block of rates at once
+    # one grid pass per block of channels, and never more than one block of cells at once
     assert passes == [min(optimize._BLOCK, count - k) for k in range(0, count, optimize._BLOCK)]
     flags = {opt.all_zero for opt in optima}
     assert flags == ({False} if count == 1 else {False, True})
@@ -542,7 +545,7 @@ def test_optimal_transmittances_refuse_alike():
     channels = [ChannelParams.from_distance(d) for d in (300.0, 1e-9)]
     t, *state = _grid_states(p.scheme, p.source)
     with pytest.raises(ConsistencyError) as grid:
-        grid_key_rates(t, *state, channels, p.beta)
+        grid_best(t, *state, channels, p.beta)
     with pytest.raises(ConsistencyError) as sweep:
         optimize.optimal_transmittances(p, channels)
     assert str(sweep.value) == str(grid.value)
@@ -574,22 +577,22 @@ def test_probe_rate_is_the_key_rate(scheme, variance, t, d_km, eps):
 def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
     moments, passes, refined = [], [], []
     real_moments = catalysis.pd_and_covariance
-    real_rates, real_refine = optimize.grid_key_rates, optimize.refine_grid_max
+    real_best, real_refine = optimize.grid_best, optimize.refine_grid_max
 
     def counted_moments(cfg, src):
         moments.append(cfg.t1)
         return real_moments(cfg, src)
 
-    def counted_rates(*args):
+    def counted_best(*args):
         passes.append(args)
-        return real_rates(*args)
+        return real_best(*args)
 
     def counted_refine(*args):
         refined.append(args)
         return real_refine(*args)
 
     monkeypatch.setattr(catalysis, "pd_and_covariance", counted_moments)
-    monkeypatch.setattr(optimize, "grid_key_rates", counted_rates)
+    monkeypatch.setattr(optimize, "grid_best", counted_best)
     monkeypatch.setattr(optimize, "refine_grid_max", counted_refine)
     _grid_states.cache_clear()
     max_distance(ProtocolParams(V20, BSQC1))
@@ -635,15 +638,20 @@ def test_sign_test_equals_the_exact_grid_rates(family, variance, lanes):
     except (ValueError, ConsistencyError):  # no state: a vacuum, or a refused source
         return
     channels = [ChannelParams.from_distance(d, eps) for d, eps in lanes]
-    try:
-        rates = grid_key_rates(t, *state, channels, 0.95)
-    except ConsistencyError as exc:  # refused alike, with the same message
-        with pytest.raises(ConsistencyError) as raised:
-            grid_has_key(t, *state, channels, 0.95)
-        assert str(raised.value) == str(exc)
-        return
-    has_key = grid_has_key(t, *state, channels, 0.95)
-    assert has_key.tolist() == (rates > 0.0).any(axis=1).tolist()
+    has_key = []
+    for ch in channels:  # the scalar formula, channel by channel and cell by cell
+        rates = []
+        for j, (pd, x, y, z) in enumerate(zip(*(row.tolist() for row in state))):
+            try:
+                rates.append(keyrate._rate_terms(pd, TwoModeCovariance(x, y, z), ch, 0.95)[-1])
+            except ConsistencyError as exc:  # refused alike, naming the first refused cell
+                with pytest.raises(ConsistencyError) as raised:
+                    grid_best(t, *state, channels, 0.95)
+                where = "" if t is None else f" at t={t[j]}"
+                assert str(raised.value) == f"{exc}{where} on {ch}"
+                return
+        has_key.append(any(rate > 0.0 for rate in rates))
+    assert [rate > 0.0 for _, rate in grid_best(t, *state, channels, 0.95)] == has_key
 
 
 def _count_exact_logarithms(monkeypatch):
@@ -661,7 +669,7 @@ def _count_exact_logarithms(monkeypatch):
 @pytest.mark.parametrize("family", [None, SchemeFamily("subtraction"), BSQC1,
                                     SchemeFamily("ssqc", 2)])
 def test_sign_test_without_its_bound_is_the_exact_path(monkeypatch, family):
-    # an infinite bound decides no sign, so every rate takes the exact logarithms
+    # an infinite bound rules out no cell, so every rate takes the exact logarithms
     p = ProtocolParams(V20, family)
     expected = max_tolerable_excess_noise(p, NOISE_DISTANCES)
     cells, real_spectra = [], keyrate._checked_spectra
@@ -696,3 +704,13 @@ def test_noise_sweep_takes_few_exact_logarithms(monkeypatch):
     p = ProtocolParams(V20, SchemeFamily("subtraction"))
     max_tolerable_excess_noise(p, [50.0 + 5.0 * k for k in range(51)])
     assert sum(logs) <= 0.05 * 749_700
+
+
+def test_optimal_transmittance_sweep_takes_few_exact_logarithms(monkeypatch):
+    # the subtraction sweep of the closed-form workload, 151 distances: 105,700
+    # exact logarithms when every grid rate had the bits of secret_key_rate
+    logs = _count_exact_logarithms(monkeypatch)
+    p = ProtocolParams(V20, SchemeFamily("subtraction"))
+    channels = [ChannelParams.from_distance(2.0 * k, 0.01) for k in range(151)]
+    assert not optimize.optimal_transmittances(p, channels)[0].all_zero
+    assert sum(logs) <= 7 * 3 * len(channels)  # seven logarithms a cell, three cells a channel
