@@ -6,11 +6,12 @@
 
 Each side is a fresh directory: the parent is ``git archive`` of a
 revision, the change is the files of this checkout that git tracks or
-would add.  Both start without a bytecode cache.  An unrecorded
-``--tiny`` run on each side comes first; it writes the caches unless
-``PYTHONDONTWRITEBYTECODE`` is set, and then every pass of both sides
-compiles ``catqkd`` as it imports it, which counts in ``setup_s`` and
-``peak_rss_mb``.  The environment is passed on as it is.  For every
+would add.  Each is compiled with ``compileall`` as soon as it is made,
+so no pass compiles ``catqkd`` as it imports it, even under
+``PYTHONDONTWRITEBYTECODE``: compiling would count in ``setup_s`` and,
+in steps that follow the size of the source, in ``peak_rss_mb``.  An
+unrecorded ``--tiny`` run on each side comes first.  The environment is
+passed on as it is.  For every
 workload, pair k runs ``bench/run.py --trace 0`` once on each side with
 seed ``seeds[k]``, the parent first in even pairs and the change first
 in odd ones, each for ``run_seconds`` of ``BENCHMARK.json``.  The
@@ -29,6 +30,7 @@ won and the medians further apart than the parent's quartiles.  Metrics are the 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -132,6 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         archive(args.parent, sides["parent"])
         copy_checkout(sides["change"])
+        for side in sides.values():
+            compileall.compile_dir(side, quiet=1)
         report = {"parent": git("rev-parse", args.parent).strip(), "code_digest": {},
                   "seconds": seconds,
                   "versions": {"python": platform.python_version(),

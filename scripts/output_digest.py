@@ -6,18 +6,21 @@
 Run it from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
-4242 (``verify`` is one of them), eleven edge commands (subtraction's success
-probability down to a vacuum source, its vacuum refusal, a noise sweep whose
-search warns of a revival, an optimal-transmittance sweep of the default
-schemes over 61 distances, with rows where no transmittance gives a key, one
+4242 (``verify`` is one of them), fifteen edge commands (subtraction's
+success probability down to a vacuum source, its vacuum refusal, a noise
+sweep whose far rows are round-off (ROADMAP item 2), an
+optimal-transmittance sweep of the default schemes over 61 distances,
+with rows where no transmittance gives a key, one
 at V = 1e6 where four schemes give none, a noise search and an
 optimal-transmittance sweep that the grid pass refuses at V = 1e6, ``verify``
 with the mirrored beam-splitter sign, and the optimal-transmittance
 entanglement of ssqc2 on a vacuum source, whose Schmidt spectra have
 ``x = 0``, an optimal-transmittance sweep at V = 1.5 and 640-670 km whose
 best grid rates are of round-off size, so exact logarithms decide every
-grid cell, and one with an excess noise of 1e150 whose squares overflow
-and which the grid pass refuses), and
+grid cell, one with an excess noise of 1e150 whose squares overflow
+and which the grid pass refuses, subtraction's optimal transmittance at
+V = 1e20, where lam**2 rounds to 1, and the refusals of a source whose
+covariance or variance overflows), and
 ``scripts/reproduce_figures.py`` with and without ``--quick``.  A CLI command's digest covers its exit code,
 standard output, standard error and the category and message of each
 warning it raises (recorded, as their printed form names the file and line
@@ -55,6 +58,11 @@ EDGE_COMMANDS = [
      "--d-step", "5"],
     ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--epsilon", "1e150",
      "--d-min", "100", "--d-max", "100"],
+    ["keyrate", "--t", "optimal", "--scheme", "subtraction", "--variance", "1e20",
+     "--d-min", "100", "--d-max", "100"],
+    ["keyrate", "--scheme", "original", "--variance", "1e155", "--d-min", "100", "--d-max", "100"],
+    ["keyrate", "--scheme", "original", "--alpha", "1e200", "--d-min", "100", "--d-max", "100"],
+    ["entanglement", "--alpha-min", "1e200", "--alpha-max", "1e200"],
 ]
 
 

@@ -42,6 +42,8 @@ class SourceParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha < math.inf):
             raise ValueError(f"alpha must be a finite non-negative real, got {self.alpha}")
+        if 2.0 * self.alpha * self.alpha + 1.0 == math.inf:
+            raise ValueError(f"alpha={self.alpha} overflows the variance 2*alpha**2 + 1")
 
     @property
     def lam(self) -> float:
@@ -368,4 +370,7 @@ def log_negativity_tmsv_closed_form(src: SourceParams) -> float:
 def tmsv_covariance(src: SourceParams) -> TwoModeCovariance:
     """Covariance of the bare two-mode squeezed vacuum."""
     v = src.variance
+    if v * v == math.inf:
+        raise ConsistencyError(f"the covariance of the two-mode squeezed vacuum overflows a float: "
+                               f"V**2 is inf at V={v}")
     return TwoModeCovariance(x=v, y=v, z=math.sqrt(v**2 - 1.0))

@@ -13,9 +13,9 @@ reused for every channel.  A sweep over many channels,
 channels per pass.  Each golden-section probe builds one state with
 :func:`~catqkd.keyrate.source_state` and takes its rate from the scalar
 formula of :func:`~catqkd.keyrate.secret_key_rate`.  Noise and distance
-limits bisect on top of
-that, with a few probe points past the found edge against non-monotone
-profiles.  Every search reads one thing per channel from the grid pass,
+limits bisect on top of that: wherever the rate is more than round-off it
+crosses zero, or the floor, once, so a plain bisection finds the edge.
+Every search reads one thing per channel from the grid pass,
 :func:`~catqkd.keyrate.grid_best`: the best grid cell and its rate.  The
 optimiser refines that cell; a distance probe whose best grid rate
 reaches the floor is decided without refinement; the noise limit needs
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmitta
 _REFINE_TOL = 1e-4  # golden-section bracket width
 _EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
 _D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
-_PROBES = 4  # revival probes past a found edge
 _BLOCK = 32  # channels per grid pass of optimal_transmittances
 
 
@@ -167,46 +165,24 @@ def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: fl
     condition holds at the matching x; every step is one call over the
     lanes still searching, so the lanes run in lockstep.  A lane gives
     lo[i] where the condition fails there and hi[i] where it holds there;
-    otherwise it bisects, for a single true->false crossing.  After the
-    bisection a few probe points past the edge check for revivals; a lane
-    that revives restarts its search once, with a warning.
+    otherwise it bisects to within ``resolution`` of its single
+    true->false crossing, as the condition is taken to be monotone.
     """
     def ask(lanes: list[int], xs: list[float]):
         return pred(lanes, xs) if lanes else []
 
     a, b = list(lo), list(hi)
     lanes = [i for i, holds in enumerate(ask(list(range(len(a))), a)) if holds]
-    searching = []
     for i, holds in zip(lanes, ask(lanes, [hi[i] for i in lanes])):
         if holds:
             a[i] = hi[i]
-        else:
-            searching.append(i)
-    restarted = set()
-    while searching:
-        while active := [i for i in searching if b[i] - a[i] > resolution]:
-            mids = [0.5 * (a[i] + b[i]) for i in active]
-            for i, mid, holds in zip(active, mids, ask(active, mids)):
-                if holds:
-                    a[i] = mid
-                else:
-                    b[i] = mid
-        probing = [i for i in searching if i not in restarted and hi[i] - b[i] > resolution]
-        revived = {i: [] for i in probing}
-        for k in range(1, _PROBES + 1):
-            xs = [b[i] + (hi[i] - b[i]) * k / _PROBES for i in probing]
-            for i, x, holds in zip(probing, xs, ask(probing, xs)):
-                if holds:
-                    revived[i].append(x)
-        searching = [i for i in probing if revived[i]]
-        for i in searching:
-            warnings.warn(
-                f"non-monotone profile: condition holds again at {max(revived[i]):.6g}; "
-                "extending search",
-                stacklevel=2,
-            )
-            a[i], b[i] = max(revived[i]), hi[i]
-            restarted.add(i)
+    while active := [i for i in lanes if b[i] - a[i] > resolution]:
+        mids = [0.5 * (a[i] + b[i]) for i in active]
+        for i, mid, holds in zip(active, mids, ask(active, mids)):
+            if holds:
+                a[i] = mid
+            else:
+                b[i] = mid
     return a
 
 

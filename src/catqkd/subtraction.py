@@ -36,8 +36,8 @@ def closed_forms(t: float, src: SourceParams) -> tuple[float, float, float, floa
     """``(P1, x, y, z)`` at tap transmittance ``t``, for one ``t`` at a time."""
     if src.lam == 0.0:
         raise ValueError("photon subtraction cannot herald on a vacuum source")
-    lam2 = src.lam**2
-    a2, b2 = (1.0 - lam2) * (1.0 - t) / t, lam2 * t
+    # 1 - lam**2 is 1/(1 + alpha**2) exactly, which the difference loses as lam -> 1
+    a2, b2 = (1.0 - t) / (t * (1.0 + src.alpha**2)), src.lam**2 * t
     one = 1.0 - b2
     return a2 * b2 / one**2, (3.0 + b2) / one, (1.0 + 3.0 * b2) / one, 4.0 * math.sqrt(b2) / one
 

@@ -66,6 +66,20 @@ def test_source_parametrisations_agree():
         SourceParams.from_variance(0.5)
 
 
+def test_source_overflows_are_refused_with_the_quantity():
+    # 2 alpha**2 + 1 passes the largest float between alpha = 9.4e153 and 9.5e153
+    assert math.isfinite(SourceParams(9.4e153).variance)
+    for alpha in (9.5e153, 1e200):
+        with pytest.raises(ValueError) as exc:
+            SourceParams(alpha)
+        assert str(exc.value) == f"alpha={alpha} overflows the variance 2*alpha**2 + 1"
+    # the bare source's covariance squares V, which overflows past about 1.3e154
+    with pytest.raises(ConsistencyError) as exc:
+        tmsv_covariance(SourceParams.from_variance(1e155))
+    assert str(exc.value) == ("the covariance of the two-mode squeezed vacuum overflows a float: "
+                              "V**2 is inf at V=9.999999999999999e+154")
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="photon number"):
         CatalysisConfig(m=6, n=0, t1=0.9, t2=0.9)

@@ -205,10 +205,30 @@ def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
     (["keyrate", "--scheme", "original", "--d-min", "15400", "--d-max", "15400"],
      "catqkd: numerical error: mutual information overflows a float: (x + 1)(y + xi) is inf "
      "at x=19.999999999999996, y=19.999999999999996, xi=1e+308\n"),
+    # the bare source's covariance squares V
+    (["keyrate", "--scheme", "original", "--variance", "1e155", "--d-min", "100", "--d-max", "100"],
+     "catqkd: numerical error: the covariance of the two-mode squeezed vacuum "
+     "overflows a float: V**2 is inf at V=9.999999999999999e+154\n"),
+    # a source whose variance 2 alpha**2 + 1 overflows is refused as input
+    (["keyrate", "--scheme", "original", "--alpha", "1e200", "--d-min", "100", "--d-max", "100"],
+     "catqkd: error: alpha=1e+200 overflows the variance 2*alpha**2 + 1\n"),
+    (["entanglement", "--alpha-min", "1e200", "--alpha-max", "1e200"],
+     "catqkd: error: alpha=1e+200 overflows the variance 2*alpha**2 + 1\n"),
 ])
 def test_overflows_are_refused_with_the_quantity(capsys, argv, message):
-    assert main(argv) == EXIT_NUMERIC
+    assert main(argv) == (EXIT_NUMERIC if "numerical error" in message else EXIT_USAGE)
     assert capsys.readouterr() == ("", message)
+
+
+def test_subtraction_keeps_its_key_on_a_strong_source(tmp_path):
+    # at V = 1e20, lam**2 rounds to 1: the success probability used to read 0
+    out = tmp_path / "sub.csv"
+    assert main(["keyrate", "--t", "optimal", "--scheme", "subtraction", "--variance", "1e20",
+                 "--d-min", "100", "--d-max", "100", "--out", str(out)]) == EXIT_OK
+    (row,) = read_csv(out)
+    assert row["t"] == "0.657517361"
+    assert float(row["p_success"]) == pytest.approx(5.84e-20, rel=1e-3)
+    assert float(row["key_rate"]) == pytest.approx(9.33e-23, rel=1e-3)
 
 
 def test_grid_pass_refuses_an_overflow_without_numpy_warnings(capsys):

@@ -1,6 +1,7 @@
 """Single-photon subtraction: rational closed forms and Fock-oracle spot checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,18 @@ def test_success_probability_closed_form(alpha, t):
     assert success_probability(SubtractionConfig(t), src) == pytest.approx(
         expected, rel=1e-13
     )
+
+
+@pytest.mark.parametrize("variance", [1e15, 1e16, 1e17, 1e20])
+def test_success_probability_of_a_strong_source(variance):
+    # 1 - lam**2 = 1/(1 + alpha**2) is far below lam's rounding here; the
+    # closed form must not take it as a difference of floats
+    src, t = SourceParams.from_variance(variance), Fraction(1, 2)
+    a = Fraction(src.alpha) ** 2
+    a2, b2 = (1 - t) / (t * (1 + a)), a / (1 + a) * t
+    expected = a2 * b2 / (1 - b2) ** 2
+    got = success_probability(SubtractionConfig(0.5), src)
+    assert abs(Fraction(got) - expected) <= Fraction(1, 10**14) * expected
 
 
 def test_success_probability_peaks_at_one_quarter():
