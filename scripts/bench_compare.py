@@ -6,10 +6,11 @@
 
 Each side is a fresh directory: the parent is ``git archive`` of a
 revision, the change is the files of this checkout that git tracks or
-would add.  Each is compiled with ``compileall`` as soon as it is made,
-so no pass compiles ``catqkd`` as it imports it, even under
-``PYTHONDONTWRITEBYTECODE``: compiling would count in ``setup_s`` and,
-in steps that follow the size of the source, in ``peak_rss_mb``.  An
+would add.  Neither is compiled ahead: under ``PYTHONDONTWRITEBYTECODE``
+every pass compiles ``catqkd`` as it imports it, as a benchmark run on a
+fresh checkout does.  The compile counts in ``setup_s`` and, in steps
+that follow the size of the largest module, in ``peak_rss_mb``, so a
+change to what the sweeps import shows there.  An
 unrecorded ``--tiny`` run on each side comes first.  The environment is
 passed on as it is.  For every
 workload, pair k runs ``bench/run.py --trace 0`` once on each side with
@@ -30,7 +31,6 @@ won and the medians further apart than the parent's quartiles.  Metrics are the 
 from __future__ import annotations
 
 import argparse
-import compileall
 import json
 import os
 import platform
@@ -134,8 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         archive(args.parent, sides["parent"])
         copy_checkout(sides["change"])
-        for side in sides.values():
-            compileall.compile_dir(side, quiet=1)
         report = {"parent": git("rev-parse", args.parent).strip(), "code_digest": {},
                   "seconds": seconds,
                   "versions": {"python": platform.python_version(),

@@ -1,5 +1,8 @@
 """Security analysis of CV-QKD with photon-catalysed and photon-subtracted sources."""
 
+import importlib.util
+import sys
+
 from .catalysis import (
     CatalysisConfig,
     SchmidtSpectrum,
@@ -37,6 +40,23 @@ from .optimize import (
 from .subtraction import SubtractionConfig
 
 __version__ = "0.1.0"
+
+
+def _bind_lazily(name: str) -> None:
+    """Bind the submodule ``name`` now; compile and run it at its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+# The references that only tests and ``catqkd verify`` run stay addressable
+# (``catqkd.oracle``, ``sys.modules["catqkd.series"]``) without costing every
+# sweep process their compile time.
+_bind_lazily("oracle")
+_bind_lazily("series")
 
 __all__ = [
     "CatalysisConfig",

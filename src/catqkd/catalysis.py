@@ -107,14 +107,18 @@ class TwoModeCovariance:
 
     def __post_init__(self) -> None:
         tol = 1e-9
-        ok = (
-            math.isfinite(self.x)
-            and math.isfinite(self.y)
-            and math.isfinite(self.z)
-            and self.x >= 1.0 - tol
-            and self.y >= 1.0 - tol
-            and self.x * self.y - self.z**2 >= 1.0 - tol
-        )
+        try:
+            ok = (
+                math.isfinite(self.x)
+                and math.isfinite(self.y)
+                and math.isfinite(self.z)
+                and self.x >= 1.0 - tol
+                and self.y >= 1.0 - tol
+                and self.x * self.y - self.z**2 >= 1.0 - tol
+            )
+        except OverflowError:
+            raise ConsistencyError(f"the covariance overflows a float: z**2 is out of range "
+                                   f"at z={self.z} (x={self.x}, y={self.y})") from None
         if not ok:
             raise ConsistencyError(
                 f"unphysical covariance: x={self.x}, y={self.y}, z={self.z}"
@@ -351,20 +355,26 @@ def log_negativity(spectrum: SchmidtSpectrum) -> float:
 
 
 def log_negativity_tmsv(src: SourceParams) -> float:
-    """Log negativity of the bare source, log2((1+lam)/(1-lam))."""
-    lam = src.lam
-    return math.log2((1.0 + lam) / (1.0 - lam))
+    """Log negativity of the bare source, log2((1+lam)/(1-lam)).
+
+    Taken as ``2 asinh(alpha) / ln 2``, the same value, since
+    ``(1+lam)/(1-lam) = (alpha + sqrt(1+alpha**2))**2``: it stays finite
+    where lam rounds to 1.
+    """
+    return 2.0 * math.asinh(src.alpha) / math.log(2.0)
 
 
 def log_negativity_tmsv_closed_form(src: SourceParams) -> float:
     """Alternative closed form -log2(1+alpha**2) - 2 log2(sqrt(1+alpha**2) - alpha).
 
     Algebraically this equals ``2 log2(1 + lam)`` and so undercounts
-    :func:`log_negativity_tmsv` by ``log2(1 - lam)``; both are kept so the
-    discrepancy stays visible in sweeps.
+    :func:`log_negativity_tmsv` by ``-log2(1 - lam**2)``; both are kept so the
+    discrepancy stays visible in sweeps.  ``sqrt(1+alpha**2) - alpha`` is
+    taken as ``1/(sqrt(1+alpha**2) + alpha)``, which does not cancel to 0
+    where alpha is large.
     """
     a2 = src.alpha**2
-    return -math.log2(1.0 + a2) - 2.0 * math.log2(math.sqrt(1.0 + a2) - src.alpha)
+    return -math.log2(1.0 + a2) - 2.0 * math.log2(1.0 / (math.sqrt(1.0 + a2) + src.alpha))
 
 
 def tmsv_covariance(src: SourceParams) -> TwoModeCovariance:

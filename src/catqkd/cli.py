@@ -23,26 +23,19 @@ import csv
 import functools
 import json
 import math
-import random
 import sys
 
-import numpy as np
-
-from . import __version__, catalysis, oracle, subtraction
-from .catalysis import CatalysisConfig, SourceParams
-from .errors import ConsistencyError
+from . import __version__, catalysis, subtraction
+from .catalysis import SourceParams
 from .keyrate import (
     DEFAULT_ATTENUATION_DB_PER_KM,
     ChannelParams,
     ProtocolParams,
     SchemeFamily,
     plob_bound,
-    propagate_covariance,
     secret_key_rate,
-    symplectic_eigenvalues,
 )
 from .optimize import max_distance, max_tolerable_excess_noise, optimal_transmittances, refine_grid_max
-from .subtraction import SubtractionConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -383,110 +376,15 @@ def cmd_max_distance(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification suite
-
-
-def _verify_catalysis(rows, sign, cutoff):
-    devs = {"p_success": 0.0, "cov_x": 0.0, "cov_z": 0.0, "log_negativity": 0.0,
-            "schmidt_norm": 0.0}
-    for family in _FULL_SET:
-        for t in (0.7, 0.9, 0.95):
-            for alpha in (0.5, 1.0, 3.0):
-                cfg = family.at(t)
-                src = SourceParams(alpha=alpha)
-                sim = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=sign)
-                pd, cov = catalysis.pd_and_covariance(cfg, src)
-                spec = catalysis.schmidt_spectrum(cfg, src)
-                devs["p_success"] = max(devs["p_success"], abs(pd - sim.p_success))
-                devs["cov_x"] = max(devs["cov_x"], abs(cov.x - sim.cov.x))
-                devs["cov_z"] = max(devs["cov_z"], abs(cov.z - sim.cov.z))
-                devs["log_negativity"] = max(
-                    devs["log_negativity"],
-                    abs(catalysis.log_negativity(spec) - sim.log_negativity))
-                devs["schmidt_norm"] = max(devs["schmidt_norm"], abs(spec.squared_sum - 1.0))
-    for key in ("p_success", "cov_x", "cov_z", "log_negativity"):
-        rows.append(("catalysis-" + key, devs[key], 1e-6))
-    rows.append(("schmidt-normalisation", devs["schmidt_norm"], 1e-8))
-
-
-def _verify_subtraction(rows, sign):
-    dev = 0.0
-    for alpha in (0.5, 1.0, 3.0):
-        for t in (0.5, 0.8, 0.95):
-            cfg = SubtractionConfig(t=t)
-            src = SourceParams(alpha=alpha)
-            sim = oracle.simulate_subtraction(cfg, src, sign=sign)
-            p1, cov = subtraction.p1_and_covariance(cfg, src)
-            dev = max(dev, abs(p1 - sim.p_success), abs(cov.x - sim.cov.x),
-                      abs(cov.y - sim.cov.y), abs(cov.z - sim.cov.z))
-    rows.append(("subtraction-closed-forms", dev, 1e-6))
-
-
-def _verify_orthogonality(rows, sign):
-    dev = 0.0
-    for t in (0.3, 0.7, 0.95):
-        for total in range(0, 7):
-            j = np.arange(total + 1)[:, None]
-            p = np.arange(total + 1)
-            block = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
-            dev = max(dev, float(np.abs(block.T @ block - np.eye(total + 1)).max()))
-    rows.append(("beamsplitter-orthogonality", dev, 1e-10))
-
-
-def _verify_symplectic(rows, rng: random.Random):
-    dev = 0.0
-    for _ in range(20):
-        src = SourceParams(alpha=rng.uniform(0.2, 3.0))
-        kind = rng.randrange(3)
-        if kind == 0:
-            cov = catalysis.tmsv_covariance(src)
-        elif kind == 1:
-            cfg = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
-            cov = catalysis.output_covariance(cfg, src)
-        else:
-            cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
-        ch = ChannelParams(tc=rng.uniform(1e-3, 1.0), epsilon=rng.uniform(0.0, 0.1))
-        l1, l2, l3 = symplectic_eigenvalues(cov, ch)
-        matrix = propagate_covariance(cov, ch).as_matrix()
-        n1, n2 = oracle.two_mode_symplectic_numeric(matrix)
-        # conditional state after a homodyne of Bob's x quadrature
-        a = matrix[:2, :2]
-        b = matrix[2:, 2:]
-        c = matrix[:2, 2:]
-        proj = np.diag([1.0, 0.0])
-        cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
-        n3 = math.sqrt(max(np.linalg.det(cond), 0.0))
-        dev = max(dev, abs(l1 - n1), abs(l2 - n2), abs(l3 - n3))
-    rows.append(("symplectic-eigenvalues", dev, 1e-9))
-
-
-def _verify_flip(rows, cutoff):
-    dev = 0.0
-    for cfg in (CatalysisConfig.bsqc(1, 0.9), CatalysisConfig.ssqc(2, 0.9)):
-        src = SourceParams(alpha=1.0)
-        plus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=1.0)
-        minus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=-1.0)
-        dev = max(dev, abs(plus.p_success - minus.p_success),
-                  abs(plus.cov.x - minus.cov.x), abs(plus.cov.z - minus.cov.z),
-                  abs(plus.log_negativity - minus.log_negativity))
-    rows.append(("reflection-phase-invariance", dev, 1e-12))
-
-
 def cmd_verify(args) -> int:
     sign = 1.0 if args.flip_bs_sign else -1.0
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
-    rng = random.Random(args.seed)
-    checks: list[tuple[str, float, float]] = []
-    _verify_orthogonality(checks, sign)
-    _verify_catalysis(checks, sign, args.cutoff)
-    _verify_subtraction(checks, sign)
-    _verify_symplectic(checks, rng)
-    _verify_flip(checks, args.cutoff)
+    from . import verify  # imported here so the sweep commands never compile the oracle
+
     rows = [{"check": name, "max_abs_deviation": dev, "tolerance": tol,
              "status": "PASS" if dev <= tol else "FAIL"}
-            for name, dev, tol in checks]
+            for name, dev, tol in verify.checks(args.seed, args.cutoff, sign)]
     _emit(args, ["check", "max_abs_deviation", "tolerance", "status"], rows)
     failed = [r for r in rows if r["status"] == "FAIL"]
     if failed:

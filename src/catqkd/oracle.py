@@ -1,4 +1,4 @@
-"""Independent references for the heralded sources, never used in sweeps.
+"""Fock-space reference for the heralded sources, never used in sweeps.
 
 Fock-space simulations expand states in the photon-number basis up to a
 cutoff, with exact beam-splitter matrix elements.  ``bs_fock_amplitude``
@@ -9,10 +9,11 @@ inputs cost one call each (``catqkd verify`` meets 30 distinct ladders in
 its 108 catalysis arms); subtraction makes one call per simulation.  A
 cutoff above 2^20 terms, the cap of the Schmidt spectra in
 :mod:`catqkd.catalysis`, raises :class:`CutoffError` before any array is
-allocated.  The paper's
-generating-function route for catalysis takes mixed partial derivatives
-with truncated Taylor jets (:mod:`catqkd.series`).  Tests and ``catqkd
-verify`` check the production closed forms against both.
+allocated.  Tests and ``catqkd verify`` check the production closed
+forms against these simulations; ``verify`` uses nothing else of the
+references.  The paper's generating-function route for catalysis, the
+tests' second reference, lives with the Taylor jets it is written in,
+in :mod:`catqkd.series`, so this module does not load them.
 
 Beam-splitter convention: ``sign=-1`` (default) maps ``b -> sqrt(t) b -
 sqrt(1-t) c`` and ``c -> sqrt(1-t) b + sqrt(t) c``, so ``<0,1|B|1,0> =
@@ -31,17 +32,11 @@ import numpy as np
 
 from .catalysis import (_MAX_TERMS, CatalysisConfig, SchmidtSpectrum, SourceParams,
                         TwoModeCovariance)
-from .errors import ConsistencyError, CutoffError
-from .series import Jet, jet_const, jet_div, jet_mul, mixed_partial_at_zero
+from .errors import CutoffError
 from .subtraction import SubtractionConfig
 
 _TAIL_MASS_LIMIT = 1e-8
 _CUTOFF_TAIL = 1e-12  # weight-sum tail that adaptive_cutoff leaves out
-
-# Bookkeeping variable layout for the four-variable generating function:
-# (tau, gamma) differentiate the signal-arm kernel, (tau1, gamma1) the
-# idler-arm kernel.
-_TAU, _GAMMA, _TAU1, _GAMMA1 = range(4)
 
 
 def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
@@ -113,63 +108,6 @@ def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
         acc = acc + np.where(odd, -mag, mag)
     amp = np.where(matched, acc * np.exp(peak), 0.0)
     return float(amp) if amp.ndim == 0 else amp
-
-
-def _affine(orders: tuple[int, ...], c0: float, var: int, c1: float) -> Jet:
-    # c0 + c1 * x_var; the linear term drops when that variable is
-    # truncated at order 0 (no derivative taken in it).
-    coeffs = np.zeros(tuple(o + 1 for o in orders))
-    coeffs.flat[0] = c0
-    if orders[var] >= 1:
-        pos = [0] * len(orders)
-        pos[var] = 1
-        coeffs[tuple(pos)] = c1
-    return Jet(orders, coeffs)
-
-
-def _kernel(cfg: CatalysisConfig, lam: float, orders: tuple[int, ...],
-            tau: int, gamma: int) -> Jet:
-    # One arm's generating kernel
-    #   lam (t2 - gamma)(t1 - tau) / (sqrt(t1 t2) (1 - gamma)(1 - tau)).
-    num = jet_mul(_affine(orders, cfg.t2, gamma, -1.0), _affine(orders, cfg.t1, tau, -1.0))
-    den = jet_mul(_affine(orders, 1.0, gamma, -1.0), _affine(orders, 1.0, tau, -1.0))
-    return jet_div(num * lam, den * math.sqrt(cfg.t1 * cfg.t2))
-
-
-def _herald_scale(cfg: CatalysisConfig, lam: float) -> float:
-    # Squared prefactor of the heralded (unnormalised) amplitude series.
-    fact = math.factorial(cfg.m) * math.factorial(cfg.n)
-    return cfg.t1**cfg.m * cfg.t2**cfg.n * (1.0 - lam**2) / fact**2
-
-
-def generating_function_moments(cfg: CatalysisConfig,
-                                src: SourceParams) -> tuple[float, float, float]:
-    """Success probability and unnormalised second moments, from jets.
-
-    Returns ``(pd, s_var, s_cor)`` where ``2*s_var/pd - 1`` is the
-    quadrature variance of either mode and ``2*s_cor/pd`` the cross
-    correlation.
-    """
-    orders = (cfg.m, cfg.n, cfg.m, cfg.n)
-    derivs = orders
-    lam = src.lam
-    w = _kernel(cfg, lam, orders, _TAU, _GAMMA)
-    w1 = _kernel(cfg, lam, orders, _TAU1, _GAMMA1)
-    pi = jet_const(1.0, orders)
-    for var in range(4):
-        pi = jet_mul(pi, _affine(orders, 1.0, var, -1.0))
-    pi = jet_div(jet_const(1.0, orders), pi)
-    resolvent = jet_div(jet_const(1.0, orders), 1.0 - jet_mul(w1, w))
-
-    first = jet_mul(pi, resolvent)
-    second = jet_mul(first, resolvent)
-    scale = _herald_scale(cfg, lam)
-    pd = scale * mixed_partial_at_zero(first, derivs)
-    s_var = scale * mixed_partial_at_zero(second, derivs)
-    s_cor = scale * mixed_partial_at_zero(jet_mul(second, w), derivs)
-    if not 0.0 < pd <= 1.0 + 1e-9:
-        raise ConsistencyError(f"success probability {pd} outside (0, 1]")
-    return pd, s_var, s_cor
 
 
 def adaptive_cutoff(lam: float) -> int:

@@ -13,6 +13,11 @@ exactly because the non-constant part of a jet is nilpotent: any product
 of more than ``sum(orders)`` variables falls outside the truncation.
 The exponential runs the scalar Taylor series of exp around the constant
 term for the same number of terms.
+
+:func:`generating_function_moments` is the paper's generating-function
+route for catalysis, written in these jets: the tests check the closed
+forms of :mod:`catqkd.catalysis` against it.  No sweep and not ``catqkd
+verify`` use it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .catalysis import CatalysisConfig, SourceParams
+from .errors import ConsistencyError
 
 Orders = tuple[int, ...]
 
@@ -197,3 +205,66 @@ def mixed_partial_at_zero(f: Jet, orders: Orders) -> float:
             raise ValueError(f"derivative order {d} exceeds truncation order {o}")
         scale *= math.factorial(d)
     return float(f.coeffs[orders]) * scale
+
+
+# Bookkeeping variable layout for the four-variable generating function:
+# (tau, gamma) differentiate the signal-arm kernel, (tau1, gamma1) the
+# idler-arm kernel.
+_TAU, _GAMMA, _TAU1, _GAMMA1 = range(4)
+
+
+def _affine(orders: tuple[int, ...], c0: float, var: int, c1: float) -> Jet:
+    # c0 + c1 * x_var; the linear term drops when that variable is
+    # truncated at order 0 (no derivative taken in it).
+    coeffs = np.zeros(tuple(o + 1 for o in orders))
+    coeffs.flat[0] = c0
+    if orders[var] >= 1:
+        pos = [0] * len(orders)
+        pos[var] = 1
+        coeffs[tuple(pos)] = c1
+    return Jet(orders, coeffs)
+
+
+def _kernel(cfg: CatalysisConfig, lam: float, orders: tuple[int, ...],
+            tau: int, gamma: int) -> Jet:
+    # One arm's generating kernel
+    #   lam (t2 - gamma)(t1 - tau) / (sqrt(t1 t2) (1 - gamma)(1 - tau)).
+    num = jet_mul(_affine(orders, cfg.t2, gamma, -1.0), _affine(orders, cfg.t1, tau, -1.0))
+    den = jet_mul(_affine(orders, 1.0, gamma, -1.0), _affine(orders, 1.0, tau, -1.0))
+    return jet_div(num * lam, den * math.sqrt(cfg.t1 * cfg.t2))
+
+
+def _herald_scale(cfg: CatalysisConfig, lam: float) -> float:
+    # Squared prefactor of the heralded (unnormalised) amplitude series.
+    fact = math.factorial(cfg.m) * math.factorial(cfg.n)
+    return cfg.t1**cfg.m * cfg.t2**cfg.n * (1.0 - lam**2) / fact**2
+
+
+def generating_function_moments(cfg: CatalysisConfig,
+                                src: SourceParams) -> tuple[float, float, float]:
+    """Success probability and unnormalised second moments, from jets.
+
+    Returns ``(pd, s_var, s_cor)`` where ``2*s_var/pd - 1`` is the
+    quadrature variance of either mode and ``2*s_cor/pd`` the cross
+    correlation.
+    """
+    orders = (cfg.m, cfg.n, cfg.m, cfg.n)
+    derivs = orders
+    lam = src.lam
+    w = _kernel(cfg, lam, orders, _TAU, _GAMMA)
+    w1 = _kernel(cfg, lam, orders, _TAU1, _GAMMA1)
+    pi = jet_const(1.0, orders)
+    for var in range(4):
+        pi = jet_mul(pi, _affine(orders, 1.0, var, -1.0))
+    pi = jet_div(jet_const(1.0, orders), pi)
+    resolvent = jet_div(jet_const(1.0, orders), 1.0 - jet_mul(w1, w))
+
+    first = jet_mul(pi, resolvent)
+    second = jet_mul(first, resolvent)
+    scale = _herald_scale(cfg, lam)
+    pd = scale * mixed_partial_at_zero(first, derivs)
+    s_var = scale * mixed_partial_at_zero(second, derivs)
+    s_cor = scale * mixed_partial_at_zero(jet_mul(second, w), derivs)
+    if not 0.0 < pd <= 1.0 + 1e-9:
+        raise ConsistencyError(f"success probability {pd} outside (0, 1]")
+    return pd, s_var, s_cor

@@ -1,0 +1,124 @@
+"""The checks of ``catqkd verify``: closed forms against the Fock-space oracle.
+
+Each check group appends ``(name, max_abs_deviation, tolerance)`` rows;
+:func:`checks` runs them in a fixed order, so equal arguments give equal
+rows.  Only ``catqkd verify`` imports this module, which keeps the oracle
+off the import path of the sweep commands.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+
+from . import catalysis, oracle, subtraction
+from .catalysis import CatalysisConfig, SourceParams
+from .keyrate import ChannelParams, SchemeFamily, propagate_covariance, symplectic_eigenvalues
+from .subtraction import SubtractionConfig
+
+# the six catalysis families of the CLI's sweeps
+_FAMILIES = [SchemeFamily(kind, k) for kind in ("bsqc", "ssqc") for k in (0, 1, 2)]
+
+
+def _catalysis(rows, sign, cutoff):
+    devs = {"p_success": 0.0, "cov_x": 0.0, "cov_z": 0.0, "log_negativity": 0.0,
+            "schmidt_norm": 0.0}
+    for family in _FAMILIES:
+        for t in (0.7, 0.9, 0.95):
+            for alpha in (0.5, 1.0, 3.0):
+                cfg = family.at(t)
+                src = SourceParams(alpha=alpha)
+                sim = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=sign)
+                pd, cov = catalysis.pd_and_covariance(cfg, src)
+                spec = catalysis.schmidt_spectrum(cfg, src)
+                devs["p_success"] = max(devs["p_success"], abs(pd - sim.p_success))
+                devs["cov_x"] = max(devs["cov_x"], abs(cov.x - sim.cov.x))
+                devs["cov_z"] = max(devs["cov_z"], abs(cov.z - sim.cov.z))
+                devs["log_negativity"] = max(
+                    devs["log_negativity"],
+                    abs(catalysis.log_negativity(spec) - sim.log_negativity))
+                devs["schmidt_norm"] = max(devs["schmidt_norm"], abs(spec.squared_sum - 1.0))
+    for key in ("p_success", "cov_x", "cov_z", "log_negativity"):
+        rows.append(("catalysis-" + key, devs[key], 1e-6))
+    rows.append(("schmidt-normalisation", devs["schmidt_norm"], 1e-8))
+
+
+def _subtraction(rows, sign):
+    dev = 0.0
+    for alpha in (0.5, 1.0, 3.0):
+        for t in (0.5, 0.8, 0.95):
+            cfg = SubtractionConfig(t=t)
+            src = SourceParams(alpha=alpha)
+            sim = oracle.simulate_subtraction(cfg, src, sign=sign)
+            p1, cov = subtraction.p1_and_covariance(cfg, src)
+            dev = max(dev, abs(p1 - sim.p_success), abs(cov.x - sim.cov.x),
+                      abs(cov.y - sim.cov.y), abs(cov.z - sim.cov.z))
+    rows.append(("subtraction-closed-forms", dev, 1e-6))
+
+
+def _orthogonality(rows, sign):
+    dev = 0.0
+    for t in (0.3, 0.7, 0.95):
+        for total in range(0, 7):
+            j = np.arange(total + 1)[:, None]
+            p = np.arange(total + 1)
+            block = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
+            dev = max(dev, float(np.abs(block.T @ block - np.eye(total + 1)).max()))
+    rows.append(("beamsplitter-orthogonality", dev, 1e-10))
+
+
+def _symplectic(rows, rng: random.Random):
+    dev = 0.0
+    for _ in range(20):
+        src = SourceParams(alpha=rng.uniform(0.2, 3.0))
+        kind = rng.randrange(3)
+        if kind == 0:
+            cov = catalysis.tmsv_covariance(src)
+        elif kind == 1:
+            cfg = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
+            cov = catalysis.output_covariance(cfg, src)
+        else:
+            cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
+        ch = ChannelParams(tc=rng.uniform(1e-3, 1.0), epsilon=rng.uniform(0.0, 0.1))
+        l1, l2, l3 = symplectic_eigenvalues(cov, ch)
+        matrix = propagate_covariance(cov, ch).as_matrix()
+        n1, n2 = oracle.two_mode_symplectic_numeric(matrix)
+        # conditional state after a homodyne of Bob's x quadrature
+        a = matrix[:2, :2]
+        b = matrix[2:, 2:]
+        c = matrix[:2, 2:]
+        proj = np.diag([1.0, 0.0])
+        cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
+        n3 = math.sqrt(max(np.linalg.det(cond), 0.0))
+        dev = max(dev, abs(l1 - n1), abs(l2 - n2), abs(l3 - n3))
+    rows.append(("symplectic-eigenvalues", dev, 1e-9))
+
+
+def _flip(rows, cutoff):
+    dev = 0.0
+    for cfg in (CatalysisConfig.bsqc(1, 0.9), CatalysisConfig.ssqc(2, 0.9)):
+        src = SourceParams(alpha=1.0)
+        plus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=1.0)
+        minus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=-1.0)
+        dev = max(dev, abs(plus.p_success - minus.p_success),
+                  abs(plus.cov.x - minus.cov.x), abs(plus.cov.z - minus.cov.z),
+                  abs(plus.log_negativity - minus.log_negativity))
+    rows.append(("reflection-phase-invariance", dev, 1e-12))
+
+
+def checks(seed: int, cutoff: int | None, sign: float) -> list[tuple[str, float, float]]:
+    """Every check as ``(name, max_abs_deviation, tolerance)``, in report order.
+
+    ``seed`` seeds the randomised symplectic spot checks, ``cutoff``
+    overrides the oracle's adaptive Fock cutoff, and ``sign`` is the
+    reflected-beam phase of the oracle's beam splitter (+1 or -1).
+    """
+    rows: list[tuple[str, float, float]] = []
+    _orthogonality(rows, sign)
+    _catalysis(rows, sign, cutoff)
+    _subtraction(rows, sign)
+    _symplectic(rows, random.Random(seed))
+    _flip(rows, cutoff)
+    return rows

@@ -1,6 +1,7 @@
 """Photon catalysis: closed-form anchors, Fock-oracle agreement, invariants."""
 
 import bisect
+import decimal
 import math
 import time
 import tracemalloc
@@ -27,7 +28,8 @@ from catqkd import (
 )
 from catqkd import catalysis
 from catqkd.catalysis import _MAX_TERMS, _TAIL
-from catqkd.oracle import generating_function_moments, simulate_catalysis
+from catqkd.oracle import simulate_catalysis
+from catqkd.series import generating_function_moments
 
 ALPHAS = [1.0, 3.0]
 CONFIGS = [
@@ -78,6 +80,14 @@ def test_source_overflows_are_refused_with_the_quantity():
         tmsv_covariance(SourceParams.from_variance(1e155))
     assert str(exc.value) == ("the covariance of the two-mode squeezed vacuum overflows a float: "
                               "V**2 is inf at V=9.999999999999999e+154")
+
+
+def test_overflowing_covariance_is_refused_with_z():
+    # at t = 1 the catalyser returns the source, whose z = 2e200 squares past the float range
+    with pytest.raises(ConsistencyError) as exc:
+        pd_and_covariance(CatalysisConfig.bsqc(1, 1.0), SourceParams(1e100))
+    assert str(exc.value) == ("the covariance overflows a float: z**2 is out of range "
+                              "at z=2e+200 (x=2e+200, y=2e+200)")
 
 
 def test_config_validation():
@@ -328,6 +338,20 @@ def test_frozen_entanglement_values():
     src = SourceParams.from_variance(5.0 / 3.0)
     assert src.lam == pytest.approx(0.5, abs=1e-15)
     assert log_negativity_tmsv(src) == pytest.approx(1.5849625007211562, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1e7, 1e9, 1e150])
+def test_bare_source_log_negativity_where_lam_rounds_to_one(alpha):
+    # lam rounds to 1 from about alpha = 1e8; references from 60-digit decimal arithmetic
+    with decimal.localcontext(decimal.Context(prec=60)):
+        a = decimal.Decimal(alpha)
+        root = (1 + a * a).sqrt()
+        ln2 = decimal.Decimal(2).ln()
+        tmsv = 2 * (a + root).ln() / ln2
+        closed = 2 * (1 + a / root).ln() / ln2
+    src = SourceParams(alpha)
+    assert log_negativity_tmsv(src) == pytest.approx(float(tmsv), rel=1e-15)
+    assert log_negativity_tmsv_closed_form(src) == pytest.approx(float(closed), rel=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])

@@ -214,10 +214,24 @@ def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
      "catqkd: error: alpha=1e+200 overflows the variance 2*alpha**2 + 1\n"),
     (["entanglement", "--alpha-min", "1e200", "--alpha-max", "1e200"],
      "catqkd: error: alpha=1e+200 overflows the variance 2*alpha**2 + 1\n"),
+    # at the grid's t = 1 the catalyser returns the source, whose z**2 overflows
+    (["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--alpha", "1e100",
+      "--d-min", "100", "--d-max", "100"],
+     "catqkd: numerical error: the covariance overflows a float: z**2 is out of range "
+     "at z=2e+200 (x=2e+200, y=2e+200)\n"),
 ])
 def test_overflows_are_refused_with_the_quantity(capsys, argv, message):
     assert main(argv) == (EXIT_NUMERIC if "numerical error" in message else EXIT_USAGE)
     assert capsys.readouterr() == ("", message)
+
+
+def test_entanglement_of_a_source_whose_lam_rounds_to_one(tmp_path):
+    out = tmp_path / "en.csv"
+    assert main(["entanglement", "--alpha-min", "1e9", "--alpha-max", "1e9",
+                 "--out", str(out)]) == EXIT_OK
+    rows = {row["scheme"]: row["log_negativity"] for row in read_csv(out)}
+    assert rows["tmsv"] == "61.7947057"
+    assert rows["tmsv-closed-form"] == "2"
 
 
 def test_subtraction_keeps_its_key_on_a_strong_source(tmp_path):
