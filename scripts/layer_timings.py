@@ -23,7 +23,10 @@ not the reference seconds of ``bench/``.  BLAS threads are pinned to 1.
 - ``optimize_transmittance`` for bsqc1, with the grid states cached, and
   with the grid cache and the moment memo cleared before each call;
 - ``max_distance`` and ``max_tolerable_excess_noise`` (300 km) for bsqc1,
-  with every cache warm after the first repeat.
+  with every cache warm after the first repeat;
+- ``max_tolerable_excess_noise`` for subtraction over 601 distances (0 to
+  300 km in 0.5 km steps), timed as above, with the peak RSS of a fresh
+  interpreter that imports ``catqkd`` and runs the sweep once.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ import catqkd.cli
 catqkd.cli.build_parser()
 print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+SWEEP_KM = [0.5 * k for k in range(601)]
+_NOISE_SWEEP = """
+import resource
+from catqkd import ProtocolParams, SchemeFamily, SourceParams, max_tolerable_excess_noise
+p = ProtocolParams(SourceParams.from_variance(20.0), SchemeFamily("subtraction"))
+max_tolerable_excess_noise(p, [0.5 * k for k in range(601)])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def best(func, repeats: int, before=None) -> float:
@@ -82,6 +93,14 @@ def startup() -> str:
     cached = os.path.exists(importlib.util.cache_from_source(str(SRC / "catqkd" / "cli.py")))
     return (f"{min(s for s, _ in runs):.6f} s  peak RSS {min(m for _, m in runs):.2f} MB  "
             f"bytecode cache {'present' if cached else 'absent'}")
+
+
+def sweep_peak_rss() -> str:
+    """Peak RSS of a fresh interpreter that runs the 601-distance noise sweep once."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _NOISE_SWEEP], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return f"peak RSS {int(out) / 1024.0:.2f} MB"
 
 
 def main() -> int:
@@ -120,6 +139,10 @@ def main() -> int:
     ]
     for label, repeats, func, before in entries:
         print(f"{label:58s} N={repeats:<4d} {best(func, repeats, before):.6f} s", flush=True)
+    sub = ProtocolParams(source=src, scheme=SchemeFamily("subtraction"))
+    label, repeats = f"max_tolerable_excess_noise subtraction, {len(SWEEP_KM)} distances", 5
+    seconds = best(lambda: optimize.max_tolerable_excess_noise(sub, SWEEP_KM), repeats)
+    print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s  {sweep_peak_rss()}", flush=True)
     return 0
 
 

@@ -6,11 +6,11 @@ event is kept only when the same photon number leaves that port.  The
 heralded state is ``sum_l K x**l q(l) |l, l>`` with ``K**2 = (1-lam**2)
 t1**m t2**n``, ``x = lam sqrt(t1 t2)`` and ``q`` the product of the two
 arms' polynomials in ``l``, kept in the binomial basis ``C(l, j)``.  Its
-moments are then exact finite sums, and its Schmidt coefficients need
-only a cutoff set by an analytic tail bound; products in that basis use
-tables built once per pair of lengths, and a bounded memo serves repeated
-moment inputs.  BSQC is symmetric catalysis on both arms; SSQC catalyses
-the idler arm only.
+moments are then exact finite sums, taken together in one integer Horner
+pass, and its Schmidt coefficients need only a cutoff set by an analytic
+tail bound; products in that basis use tables built once per pair of
+lengths, and a bounded memo serves repeated moment inputs.  BSQC is
+symmetric catalysis on both arms; SSQC catalyses the idler arm only.
 """
 
 from __future__ import annotations
@@ -190,37 +190,36 @@ def _mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _times_l(p: list[int], shift: int) -> list[int]:
-    # (l + shift) C(l,j) = (j+1) C(l,j+1) + (j + shift) C(l,j), shift 0 or 1
-    return [k * lo + (k + shift) * hi for k, (lo, hi) in enumerate(zip([0, *p], [*p, 0]))]
-
-
 @functools.lru_cache(maxsize=1024)
 def _exact_moments(m: int, n: int, t1: float, t2: float,
                    alpha: float) -> tuple[float, float, float]:
     # p_d, x and the correlation sum that z scales, for _moments
-    (arm1, s1), (arm2, s2) = _arm(m, t1), _arm(n, t2)
+    arm1, s1 = _arm(m, t1)
+    arm2, s2 = (arm1, s1) if (m, t1) == (n, t2) else _arm(n, t2)  # same list: symmetric _mul
     (a1, b1), (a2, b2) = t1.as_integer_ratio(), t2.as_integer_ratio()
     c, d = (f * f for f in alpha.as_integer_ratio())  # alpha**2 = c/d
     num, den = c * a1 * a2, d * b1 * b2 + c * (b1 * b2 - a1 * a2)  # u = num/den
 
-    def total(p: list[int]) -> int:  # den**deg sum_j p_j u**j, by Horner in u
-        acc, scale = 0, 1
-        for pj in reversed(p):
-            acc, scale = acc * num + pj * scale, scale * den
-        return acc
-
     q = _mul(arm1, arm2)
     q_next = [qj + qk for qj, qk in zip(q, q[1:] + [0])]  # C(l+1,j) = C(l,j) + C(l,j-1)
-    q2 = _mul(q, q)
-    norm = total(q2)
+    q2, r = _mul(q, q), _mul(q, q_next)  # a_l**2 and a_l a_l+1, of equal length
+    # One Horner pass in u gives den**deg times g = sum_j q2_j u**j, gj = sum_j j q2_j u**j
+    # and h = sum_j (j+1) r_j u**j.  As l C(l,j) = (j+1) C(l,j+1) + j C(l,j), the sum of
+    # l a_l**2 is u g + (1+u) gj; as (l+1) C(l,j) = (j+1) (C(l,j+1) + C(l,j)), the sum of
+    # (l+1) a_l a_l+1 is (1+u) h.
+    g = gj = h = 0
+    scale = 1
+    for j in reversed(range(len(q2))):
+        w = q2[j] * scale
+        g, gj, h = g * num + w, gj * num + j * w, h * num + (j + 1) * r[j] * scale
+        scale *= den
     try:
         # K**2 / (1 - y) = t1**m t2**n d b1 b2 / den
-        pd = norm * d * b1 * b2 / (b1**m * b2**n * s1 * s2 * den ** len(q2))
+        pd = g * d * b1 * b2 / (b1**m * b2**n * s1 * s2 * scale)
         if not 0.0 < pd <= 1.0 + 1e-9:
             raise ConsistencyError(f"success probability {pd} outside (0, 1]")
-        nbar = total(_times_l(q2, 0)) / (den * norm)               # sum_l l a_l**2
-        corr = total(_times_l(_mul(q, q_next), 1)) / (den * norm)  # sum_l (l+1) a_l a_l+1
+        nbar = (num * g + (num + den) * gj) / (den * g)  # sum_l l a_l**2
+        corr = (num + den) * h / (den * g)                # sum_l (l+1) a_l a_l+1
     except OverflowError:  # a ratio of the exact sums is too large for a float
         raise ConsistencyError(f"moments overflow a float at (m, n, t1, t2, alpha) = "
                                f"{(m, n, t1, t2, alpha)}") from None
@@ -233,9 +232,9 @@ def _moments(cfg: CatalysisConfig, src: SourceParams) -> tuple[float, float, flo
     Each is ``sum_l y**l p(l) = sum_j p_j u**j / (1-y)``, ``y = lam**2 t1 t2``,
     ``u = y/(1-y)``; the sums cancel heavily, so they run in integers, with
     product coefficients from a table per pair of lengths and one Horner
-    pass per sum.  The last 1024 inputs ``(m, n, t1, t2, alpha)`` are
-    memoised; ``z``'s factor ``lam sqrt(t1 t2)`` is applied outside, so
-    ``alpha = -0.0`` keeps its sign.
+    pass for all three sums.  The last 1024 inputs ``(m, n, t1, t2,
+    alpha)`` are memoised; ``z``'s factor ``lam sqrt(t1 t2)`` is applied
+    outside, so ``alpha = -0.0`` keeps its sign.
     """
     pd, x, corr = _exact_moments(cfg.m, cfg.n, cfg.t1, cfg.t2, src.alpha)
     return pd, x, 2.0 * src.lam * math.sqrt(cfg.t1 * cfg.t2) * corr

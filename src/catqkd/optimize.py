@@ -19,9 +19,9 @@ Every search reads one thing per channel from the grid pass,
 :func:`~catqkd.keyrate.grid_best`: the best grid cell and its rate.  The
 optimiser refines that cell; a distance probe whose best grid rate
 reaches the floor is decided without refinement; the noise limit needs
-only whether that rate is positive, so it bisects every distance of a
-sweep in lockstep, one grid pass over all of them per step.  Every search
-follows one recipe, the module constants below.
+only whether that rate is positive, so it bisects the distances of a
+sweep in lockstep, a block of them at a time, one grid pass over the block
+per step.  Every search follows one recipe, the module constants below.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmitta
 _REFINE_TOL = 1e-4  # golden-section bracket width
 _EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
 _D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
-_BLOCK = 32  # channels per grid pass of optimal_transmittances
+_BLOCK = 32  # channels per grid pass of every sweep: it bounds the working set of each pass
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,15 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     A rate is positive at some transmittance exactly when it is positive at
     a point of the optimiser's grid, as the golden-section refinement keeps
     a point only if it beats the best grid rate.  So every probed noise
-    value is one grid pass over the cached grid states, for all distances
-    at once, that asks whether the best rate of
-    :func:`~catqkd.keyrate.grid_best` is positive.  Returns 0 when even a
-    noiseless channel yields no key, and 0.2, the top of the search
-    interval, when the whole interval stays positive; a list for a
-    sequence of distances.
+    value is one grid pass over the cached grid states that asks whether
+    the best rate of :func:`~catqkd.keyrate.grid_best` is positive.  The
+    distances are bisected in lockstep, in blocks of up to 32 (``_BLOCK``)
+    in sweep order, so a pass holds at most one block of rates however
+    long the sweep; a refused probe raises the grid pass's
+    :class:`~catqkd.errors.ConsistencyError` for the first block that
+    meets one.  Returns 0 when even a noiseless channel yields no key, and
+    0.2, the top of the search interval, when the whole interval stays
+    positive; a list for a sequence of distances.
     """
     scalar = np.ndim(distance_km) == 0
     distances = [distance_km] if scalar else list(distance_km)
@@ -210,11 +213,15 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     else:
         t, *state = _grid_states(_family(p), p.source)
 
-    def positive(lanes: list[int], eps: list[float]) -> list[bool]:
-        channels = [ChannelParams(tc=tcs[i], epsilon=e) for i, e in zip(lanes, eps)]
+    def positive(block: list[float], lanes: list[int], eps: list[float]) -> list[bool]:
+        channels = [ChannelParams(tc=block[i], epsilon=e) for i, e in zip(lanes, eps)]
         return [rate > 0.0 for _, rate in grid_best(t, *state, channels, p.beta)]
 
-    limits = _largest_true(positive, [0.0] * len(tcs), [_EPS_MAX] * len(tcs), _EPS_TOL)
+    limits = []
+    for k in range(0, len(tcs), _BLOCK):
+        block = tcs[k:k + _BLOCK]
+        limits += _largest_true(functools.partial(positive, block), [0.0] * len(block),
+                                [_EPS_MAX] * len(block), _EPS_TOL)
     return limits[0] if scalar else limits
 
 

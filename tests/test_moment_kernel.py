@@ -101,16 +101,6 @@ def test_product_table_is_the_binomial_identity():
                             sum(c * math.comb(ell, k) for k, c in ks.items())
 
 
-def test_times_l_multiplies_by_l_and_by_l_plus_one():
-    p = [3, -7, 0, 11]
-    for shift in (0, 1):
-        got = catalysis._times_l(p, shift)
-        assert got == _plain_mul(p, [shift, 1])
-        for ell in range(10):
-            assert sum(c * math.comb(ell, k) for k, c in enumerate(got)) == \
-                (ell + shift) * sum(c * math.comb(ell, k) for k, c in enumerate(p))
-
-
 def test_memo_keeps_the_sign_of_a_negative_zero_alpha():
     cfg = CatalysisConfig.bsqc(1, 0.9)
     catalysis._exact_moments.cache_clear()

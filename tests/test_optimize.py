@@ -246,13 +246,23 @@ def test_noise_limit_equals_the_optimised_rate_bisection(family, variance):
 
 
 @pytest.mark.parametrize("family", [None, BSQC1, SchemeFamily("subtraction")])
-def test_noise_limits_over_distances_match_single_calls(family):
+def test_noise_limits_over_distances_match_single_calls(monkeypatch, family):
+    # 70 distances, so the sweep crosses two block boundaries
     p = ProtocolParams(V20, family)
-    distances = [300.0, 0.0, 120.0, 120.0, 35.5, 1000.0]
+    distances = [300.0, 0.0, 120.0, 120.0, 35.5, 1000.0] + [5.0 * k for k in range(64)]
+    passes, real_best = [], optimize.grid_best
+
+    def counted_best(t, p_success, x, y, z, chs, beta):
+        passes.append(len(chs))
+        return real_best(t, p_success, x, y, z, chs, beta)
+
+    monkeypatch.setattr(optimize, "grid_best", counted_best)
     limits = max_tolerable_excess_noise(p, distances)
     assert isinstance(limits, list)
     assert limits == [max_tolerable_excess_noise(p, d) for d in distances]
     assert max_tolerable_excess_noise(p, []) == []
+    # no grid pass holds more than one block of channels
+    assert 0 < max(passes) <= optimize._BLOCK
 
 
 def test_noise_limit_needs_no_golden_section_probes(monkeypatch):
