@@ -313,6 +313,27 @@ def test_noise_limit_refusals():
         max_tolerable_excess_noise(ProtocolParams(V20, BSQC1), [10.0, -1.0])
 
 
+def test_noise_limit_refusal_is_raised_for_the_first_refused_block():
+    # 1e-10 and 1e-9 km are each refused, naming their own channel; a sweep
+    # blocks its distances in sweep order, so the earlier block's refusal is raised
+    p = ProtocolParams(SourceParams.from_variance(1e6), SchemeFamily("bsqc", 0))
+    messages = {}
+    for d in (1e-10, 1e-9):
+        with pytest.raises(ConsistencyError) as one:
+            max_tolerable_excess_noise(p, d)
+        messages[d] = str(one.value)
+    assert messages[1e-10] != messages[1e-9]
+    block = optimize._BLOCK
+    for first, second in ((1e-10, 1e-9), (1e-9, 1e-10)):
+        # the first block has a key everywhere; the refusals sit in the second and third
+        distances = [300.0] * (block + 8) + [first] + [300.0] * (block - 2) + [second]
+        assert distances.index(first) // block == 1
+        assert distances.index(second) // block == 2
+        with pytest.raises(ConsistencyError) as sweep:
+            max_tolerable_excess_noise(p, distances)
+        assert str(sweep.value) == messages[first]
+
+
 def test_max_distance_matches_grid_scan():
     p = ProtocolParams(V20)
     got = max_distance(p, epsilon=0.01, floor=1e-6)
