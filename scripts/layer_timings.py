@@ -19,7 +19,9 @@ not the reference seconds of ``bench/``.  BLAS threads are pinned to 1.
 - ``secret_key_rate`` of the original protocol, subtraction and bsqc1 at
   t = 0.95, with the moment memo warm;
 - one ``grid_best`` pass over the cached bsqc1 grid states, for 1 channel
-  (200 km) and for 51 (50 to 300 km in 5 km steps);
+  (200 km) and for 51 (50 to 300 km in 5 km steps), and one at 1e-9 km
+  and epsilon = 0, where the scalar rate formula decides 8 of the 101
+  near-pure cells;
 - ``optimize_transmittance`` for bsqc1, with the grid states cached, and
   with the grid cache and the moment memo cleared before each call;
 - ``max_distance`` and ``max_tolerable_excess_noise`` (300 km) for bsqc1,
@@ -122,6 +124,9 @@ def main() -> int:
     for channels in ([ch], [ChannelParams.from_distance(50.0 + 5.0 * k, 0.01) for k in range(51)]):
         entries.append((f"keyrate.grid_best bsqc1, {len(channels)} channel(s)", 51,
                         lambda channels=channels: grid_best(t, *state, channels, 0.95), None))
+    edge = [ChannelParams.from_distance(1e-9)]
+    entries.append(("keyrate.grid_best bsqc1, 1e-9 km, epsilon 0", 51,
+                    lambda: grid_best(t, *state, edge, 0.95), None))
     p = ProtocolParams(source=src, scheme=bsqc1)
 
     def clear_caches():

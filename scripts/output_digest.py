@@ -6,7 +6,7 @@
 Run it from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
-4242 (``verify`` is one of them), eighteen edge commands (subtraction's
+4242 (``verify`` is one of them), twenty edge commands (subtraction's
 success probability down to a vacuum source, its vacuum refusal, a noise
 sweep whose far rows are round-off (ROADMAP item 2), an
 optimal-transmittance sweep of the default schemes over 61 distances,
@@ -23,7 +23,10 @@ V = 1e20, where lam**2 rounds to 1, the refusals of a source whose
 covariance or variance overflows, the entanglement of a source whose lam
 rounds to 1, a catalysed covariance whose z**2 overflows, and a noise
 sweep of the default schemes over 70 distances, which crosses two
-boundaries of the 32-distance blocks that the search bisects), and
+boundaries of the 32-distance blocks that the search bisects, and an
+optimal-transmittance sweep and a noise sweep of the default schemes at
+0 and 1e-9 km, whose near-pure grid cells the scalar rate formula
+decides), and
 ``scripts/reproduce_figures.py`` with and without ``--quick``.  A CLI command's digest covers its exit code,
 standard output, standard error and the category and message of each
 warning it raises (recorded, as their printed form names the file and line
@@ -70,6 +73,9 @@ EDGE_COMMANDS = [
     ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--alpha", "1e100",
      "--d-min", "100", "--d-max", "100"],
     ["excess-noise", "--d-min", "0", "--d-max", "345", "--d-step", "5"],
+    ["keyrate", "--t", "optimal", "--epsilon", "0", "--d-min", "0", "--d-max", "1e-9",
+     "--d-step", "1e-9"],
+    ["excess-noise", "--d-min", "0", "--d-max", "1e-9", "--d-step", "1e-9"],
 ]
 
 

@@ -17,8 +17,10 @@ channel of a sequence, the first index of the largest grid rate and that
 rate, with the bits of :func:`secret_key_rate`.  It takes numpy's vector
 ``log2`` with an error bound to rule out the cells that can be neither the
 maximum nor tie it, and exact ``math.log2`` logarithms for the few left.
-It refuses a state by running the scalar formula on it, so each refusal
-has the text :func:`secret_key_rate` gives.
+It checks nothing itself and takes the states as :func:`source_state`
+gives them: the scalar formula decides each cell whose vector rate is not
+finite or whose spectrum falls below 1, so every refusal and every edge
+rate is the one :func:`secret_key_rate` gives.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .subtraction import SubtractionConfig
 Scheme = CatalysisConfig | SubtractionConfig | None
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
+_NU_MIN = 1.0 - 1e-9  # the smallest symplectic eigenvalue taken as 1, not refused
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
         # near a pure state big**2 - 4*det**2 cancels to ~1e-16*big**2, and its
         # root splits the two eigenvalues by ~1e-8; the factored discriminant
         # does not cancel.  Only a refused state takes it, so every accepted
-        # spectrum keeps its bits.
+        # spectrum keeps its bits.  grid_best hands such cells here; it keeps no copy.
         return _checked_eigenvalues(big, (cov.x - yb)**2 * ((cov.x + yb)**2 - 4.0 * zz), l3sq)
 
 
@@ -232,7 +235,7 @@ def _checked_eigenvalues(big: float, disc: float, l3sq: float) -> tuple[float, f
     out = []
     for sq in (0.5 * (big + root), 0.5 * (big - root), l3sq):
         val = math.sqrt(max(sq, 0.0))
-        if val < 1.0 - 1e-9:
+        if val < _NU_MIN:
             raise ConsistencyError(f"unphysical state: symplectic eigenvalue {val} < 1")
         out.append(max(val, 1.0))
     return out[0], out[1], out[2]
@@ -280,55 +283,24 @@ def _log2(values: np.ndarray) -> np.ndarray:
                        values.size).reshape(values.shape)
 
 
-def _checked_spectra(t: np.ndarray | None, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                     channels: Sequence[ChannelParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Everything of :func:`grid_best` before the logarithms, with all of its checks.
+def _spectra(x: np.ndarray, y: np.ndarray, z: np.ndarray, channels: Sequence[ChannelParams]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The ratio ``joint/conditional`` and the eigenvalues, shapes (channels, len(t)) and (3, ...).
 
-    Returns the ratio ``joint/conditional`` of the mutual information and the
-    shifted eigenvalues ``(nu - 1)/2``, arrays of shape (channels, len(t)) and
-    (3, channels, len(t)).  The first refused (channel, t) cell is handed to
-    :func:`_rate_terms`, and its refusal is raised naming ``t`` and the channel.
-    A cell whose squares overflow is refused, as the scalar formula's are.
+    The operations of :func:`mutual_information` and :func:`symplectic_eigenvalues`
+    without their checks: where those refuse a physical state, its rate here is NaN or
+    infinite, or an eigenvalue is below ``_NU_MIN``.
     """
     tc = np.array([c.tc for c in channels])[:, None]
     xi = np.array([c.xi for c in channels])[:, None]
-    tol = 1e-9
-    with np.errstate(over="ignore", invalid="ignore"):
-        z2 = _sq(z)
-        joint = (x + 1.0) * (y + xi)
-        conditional = joint - z2
-        yb = tc * (y + xi)
-        zz = tc * z2
-        big = _sq(x) + _sq(yb) - 2.0 * zz
-        big2 = _sq(big)
-        det = x * yb - zz
-        l3sq = x * (x - z2 / (y + xi))
-
-        def spectrum(disc):
-            root = np.sqrt(np.maximum(disc, 0.0))
-            nu = np.sqrt(np.maximum([0.5 * (big + root), 0.5 * (big - root), l3sq], 0.0))
-            return nu, (disc < -1e-12 * np.maximum(1.0, big2)) | (nu < 1.0 - tol).any(axis=0)
-
-        disc = big2 - 4.0 * _sq(det)
-        nu, refused = spectrum(disc)
-        if refused.any():  # the factored discriminant where symplectic_eigenvalues takes it
-            disc = np.where(refused, _sq(x - yb) * (_sq(x + yb) - 4.0 * zz), disc)
-            nu, refused = spectrum(disc)
-        physical = (np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (x >= 1.0 - tol)
-                    & (y >= 1.0 - tol) & (x * y - z2 >= 1.0 - tol))
-    # the scalar formula refuses an overflowing joint variance or big**2; a
-    # square that overflows while big2 stays finite fails the discriminant test
-    refused |= ~physical | (conditional <= 0.0) | ~np.isfinite(joint) | ~np.isfinite(big2)
-    if refused.any():
-        k, j = np.unravel_index(refused.argmax(), refused.shape)
-        where = ("" if t is None else f" at t={t[j]}") + f" on {channels[k]}"
-        try:
-            _rate_terms(1.0, TwoModeCovariance(float(x[j]), float(y[j]), float(z[j])),
-                        channels[k], 1.0)
-        except ConsistencyError as exc:
-            raise ConsistencyError(f"{exc}{where}") from None
-        raise AssertionError(f"the scalar rate formula accepts a state the grid refused{where}")
-    return joint / conditional, (np.maximum(nu, 1.0) - 1.0) / 2.0
+    z2 = _sq(z)
+    joint = (x + 1.0) * (y + xi)
+    yb = tc * (y + xi)
+    zz = tc * z2
+    big = _sq(x) + _sq(yb) - 2.0 * zz
+    root = np.sqrt(_sq(big) - 4.0 * _sq(x * yb - zz))
+    l3sq = x * (x - z2 / (y + xi))
+    return joint / (joint - z2), np.sqrt([0.5 * (big + root), 0.5 * (big - root), l3sq])
 
 
 def _raw_rates(p_success: np.ndarray, beta: float, ratio: np.ndarray, v: np.ndarray, log2
@@ -366,27 +338,40 @@ def grid_best(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.
     bound: ``2**-36`` times ``p_success`` times the summed sizes of the
     logarithmic terms.  A cell whose upper bound is at most 0, or below the
     largest lower bound of its row, can neither be the maximum nor tie it;
-    every other cell, NaN included, is recomputed with ``math.log2``.
+    every other cell is recomputed with ``math.log2``.
 
-    It refuses what :class:`TwoModeCovariance`, :func:`mutual_information`
-    and :func:`symplectic_eigenvalues` refuse: on the first refused ``t`` of
-    the first refused channel it raises the :class:`ConsistencyError` of
-    :func:`_rate_terms`, with ``t`` and the channel appended; ``t`` is read
-    for that message only, and ``None`` leaves it out.  ``p_success`` is
-    taken as given: it is checked where it is computed.
+    It checks nothing itself and takes the states as :func:`source_state`
+    gives them.  A cell whose vector rate is not finite, or with an
+    eigenvalue below ``_NU_MIN``, goes to :func:`_rate_terms` in row order:
+    the rate it gives is exact, and its first refusal is raised with ``t``
+    and the channel appended (``t`` is read for that message only; ``None``
+    leaves it out).
     """
-    ratio, v = _checked_spectra(t, x, y, z, channels)
-    raw, half_log, up, down = _raw_rates(p_success, beta, ratio, v, np.log2)
-    # half_log and up are >= 0; a vacuum eigenvalue's terms, 2 and 0, only widen the bound
-    size = beta * half_log + (up + np.abs(down)).sum(axis=0)
-    # at least the smallest normal number: a rate that rounds to a subnormal is not decided
-    bound = np.maximum(_SIGN_BOUND * p_success * size, np.finfo(float).tiny)
+    with np.errstate(all="ignore"):
+        ratio, nu = _spectra(x, y, z, channels)
+        v = (np.maximum(nu, 1.0) - 1.0) / 2.0
+        raw, half_log, up, down = _raw_rates(p_success, beta, ratio, v, np.log2)
+        # half_log and up are >= 0; a vacuum eigenvalue's terms, 2 and 0, only widen the bound
+        size = beta * half_log + (up + np.abs(down)).sum(axis=0)
+        # at least the smallest normal number: a rate that rounds to a subnormal is not decided
+        bound = np.maximum(_SIGN_BOUND * p_success * size, np.finfo(float).tiny)
+        deferred = ~np.isfinite(raw) | (nu < _NU_MIN).any(axis=0)
+    for i, k in zip(*(a.tolist() for a in np.nonzero(deferred))):  # in row order
+        try:
+            raw[i, k] = _rate_terms(float(p_success[k]), TwoModeCovariance(
+                float(x[k]), float(y[k]), float(z[k])), channels[i], beta)[-1]
+        except ConsistencyError as exc:
+            where = "" if t is None else f" at t={t[k]}"
+            raise ConsistencyError(f"{exc}{where} on {channels[i]}") from None
+        bound[i, k] = 0.0  # the scalar formula's rate is exact
     upper = raw + bound
     lower = np.fmax.reduce(raw - bound, axis=1)[:, None]  # of the row's best cell
-    rows, cols = np.nonzero(~((upper <= 0.0) | (upper < lower)))
-    exact = _raw_rates(p_success[cols], beta, ratio[rows, cols], v[:, rows, cols], _log2)[0]
+    kept = ~((upper <= 0.0) | (upper < lower))
+    rows, cols = np.nonzero(kept & (bound > 0.0))
+    raw[rows, cols] = _raw_rates(p_success[cols], beta, ratio[rows, cols], v[:, rows, cols],
+                                 _log2)[0]
     best = [(0, 0.0)] * len(channels)
-    for i, k, rate in zip(rows.tolist(), cols.tolist(), exact.tolist()):
+    for i, k, rate in zip(*(a.tolist() for a in np.nonzero(kept)), raw[kept].tolist()):
         if rate > best[i][1]:  # cells in row order: the first of equal rates stays
             best[i] = (k, rate)
     return best

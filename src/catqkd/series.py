@@ -86,17 +86,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Jet | float) -> Jet:
-        if isinstance(other, Jet):
-            return jet_div(self, other)
-        return Jet(self.orders, self.coeffs / float(other))
-
-    def __rtruediv__(self, other: Jet | float) -> Jet:
-        return jet_div(_lift(other, self.orders), self)
-
-    def __neg__(self) -> Jet:
-        return Jet(self.orders, -self.coeffs)
-
 
 def _lift(value: Jet | float, orders: Orders) -> Jet:
     if isinstance(value, Jet):

@@ -1,7 +1,6 @@
 """Transmittance optimisation and noise/distance limit searches."""
 
 import math
-import re
 from collections import Counter
 from dataclasses import replace
 
@@ -487,14 +486,21 @@ def test_grid_pass_names_the_first_unphysical_state():
     assert str(grid.value) == f"{scalar.value} at t=0.7 on {ch}"
 
 
-def test_grid_pass_refusal_the_scalar_formula_accepts_is_an_error(monkeypatch):
-    # the grid pass takes its refusal text from _rate_terms; should the two
-    # formulas disagree, the grid pass must still not return
-    monkeypatch.setattr(keyrate, "_rate_terms", lambda *args: (0.0, 0.0, (1.0, 1.0, 1.0), 0.0))
+def test_grid_pass_takes_the_scalar_rate_of_a_cell_it_defers(monkeypatch):
+    # near a pure state the vector spectrum falls below 1: the scalar formula
+    # decides those cells, and the rate it gives is taken as exact
+    deferred = []
+
+    def sentinel(p_success, cov, ch, beta):
+        deferred.append((cov.x, cov.y, cov.z))
+        return 0.0, 0.0, (1.0, 1.0, 1.0), 1e3
+
+    monkeypatch.setattr(keyrate, "_rate_terms", sentinel)
     t, *state = _grid_states(SchemeFamily("bsqc", 0), SourceParams.from_variance(1e6))
-    ch = ChannelParams.from_distance(1e-9)  # its spectrum is refused at t = 1
-    with pytest.raises(AssertionError, match=re.escape(f" at t=1.0 on {ch}")):
-        grid_best(t, *state, [ch], 0.95)
+    ch = ChannelParams.from_distance(1e-9)
+    (k, rate), = grid_best(t, *state, [ch], 0.95)
+    assert deferred and rate == 1e3
+    assert tuple(column[k] for column in state[1:]) == deferred[0]
 
 
 def test_grid_pass_over_channels_is_one_pass_per_channel():
@@ -692,6 +698,8 @@ _LANES = st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 0.2)), min_size=
 # refused by the grid pass, alone and in a sequence
 @example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(1e-9, 0.0)])
 @example(family=SchemeFamily("bsqc", 0), variance=1e6, lanes=[(300.0, 0.0), (1e-9, 0.0)])
+# the symplectic invariant overflows
+@example(family=BSQC1, variance=20.0, lanes=[(100.0, 1e150)])
 def test_sign_test_equals_the_exact_grid_rates(family, variance, lanes):
     try:
         t, *state = _states(family, SourceParams.from_variance(variance))
@@ -732,15 +740,15 @@ def test_sign_test_without_its_bound_is_the_exact_path(monkeypatch, family):
     # an infinite bound rules out no cell, so every rate takes the exact logarithms
     p = ProtocolParams(V20, family)
     expected = max_tolerable_excess_noise(p, NOISE_DISTANCES)
-    cells, real_spectra = [], keyrate._checked_spectra
+    cells, real_spectra = [], keyrate._spectra
 
     def counted_spectra(*args):
-        ratio, v = real_spectra(*args)
+        ratio, nu = real_spectra(*args)
         cells.append(ratio.size)
-        return ratio, v
+        return ratio, nu
 
     monkeypatch.setattr(keyrate, "_SIGN_BOUND", math.inf)
-    monkeypatch.setattr(keyrate, "_checked_spectra", counted_spectra)
+    monkeypatch.setattr(keyrate, "_spectra", counted_spectra)
     logs = _count_exact_logarithms(monkeypatch)
     assert max_tolerable_excess_noise(p, NOISE_DISTANCES) == expected
     assert sum(logs) == 7 * sum(cells) > 0
