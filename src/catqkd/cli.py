@@ -190,10 +190,6 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".9g")
     return str(value)
 
@@ -477,23 +473,15 @@ def _expand_config(argv: list[str], registry: dict[str, argparse.ArgumentParser]
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    try:
-        argv = _expand_config(argv, registry)
-    except (OSError, ValueError) as exc:
-        print(f"catqkd: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
-    try:
+    try:  # parse_args reports its own errors through SystemExit
+        args = parser.parse_args(_expand_config(argv, registry))
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"catqkd: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"catqkd: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"catqkd: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

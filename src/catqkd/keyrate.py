@@ -218,8 +218,8 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
     try:
         return _checked_eigenvalues(big, disc, l3sq)
     except ConsistencyError:
-        # near a pure state big**2 - 4*det**2 cancels to ~1e-16*big**2, and its
-        # root splits the two eigenvalues by ~1e-8; the factored discriminant
+        # near a pure state big**2 - 4*det**2 cancels to ~1e-16*big**2, or below 0,
+        # and its root splits the two eigenvalues by ~1e-8; the factored discriminant
         # does not cancel.  Only a refused state takes it, so every accepted
         # spectrum keeps its bits.  grid_best hands such cells here; it keeps no copy.
         return _checked_eigenvalues(big, (cov.x - yb)**2 * ((cov.x + yb)**2 - 4.0 * zz), l3sq)
@@ -227,10 +227,7 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
 
 def _checked_eigenvalues(big: float, disc: float, l3sq: float) -> tuple[float, float, float]:
     if disc < 0.0:
-        if disc >= -1e-12 * max(1.0, big**2):
-            disc = 0.0
-        else:
-            raise ConsistencyError(f"unphysical state: discriminant {disc}")
+        raise ConsistencyError(f"unphysical state: discriminant {disc}")
     root = math.sqrt(disc)
     out = []
     for sq in (0.5 * (big + root), 0.5 * (big - root), l3sq):

@@ -158,25 +158,25 @@ def optimize_transmittance(p: ProtocolParams, ch: ChannelParams) -> Transmittanc
     return optimal_transmittances(p, [ch])[0]
 
 
-def _largest_true(pred, lo: Sequence[float], hi: Sequence[float], resolution: float) -> list[float]:
-    """Per lane i, the largest x in [lo[i], hi[i]] with the condition true.
+def _largest_true(pred, lanes: int, hi: float, resolution: float) -> list[float]:
+    """Per lane i < ``lanes``, the largest x in [0, hi] with the condition true.
 
-    ``pred(lanes, xs)`` says for each lane index in ``lanes`` whether the
-    condition holds at the matching x; every step is one call over the
-    lanes still searching, so the lanes run in lockstep.  A lane gives
-    lo[i] where the condition fails there and hi[i] where it holds there;
+    ``pred(indices, xs)`` says for each lane index in ``indices`` whether
+    the condition holds at the matching x; every step is one call over the
+    lanes still searching, so the lanes run in lockstep.  A lane gives 0
+    where the condition fails there and ``hi`` where it holds there;
     otherwise it bisects to within ``resolution`` of its single
     true->false crossing, as the condition is taken to be monotone.
     """
-    def ask(lanes: list[int], xs: list[float]):
-        return pred(lanes, xs) if lanes else []
+    def ask(indices: list[int], xs: list[float]):
+        return pred(indices, xs) if indices else []
 
-    a, b = list(lo), list(hi)
-    lanes = [i for i, holds in enumerate(ask(list(range(len(a))), a)) if holds]
-    for i, holds in zip(lanes, ask(lanes, [hi[i] for i in lanes])):
+    a, b = [0.0] * lanes, [hi] * lanes
+    held = [i for i, holds in enumerate(ask(list(range(lanes)), a)) if holds]
+    for i, holds in zip(held, ask(held, [hi] * len(held))):
         if holds:
-            a[i] = hi[i]
-    while active := [i for i in lanes if b[i] - a[i] > resolution]:
+            a[i] = hi
+    while active := [i for i in held if b[i] - a[i] > resolution]:
         mids = [0.5 * (a[i] + b[i]) for i in active]
         for i, mid, holds in zip(active, mids, ask(active, mids)):
             if holds:
@@ -220,8 +220,7 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     limits = []
     for k in range(0, len(tcs), _BLOCK):
         block = tcs[k:k + _BLOCK]
-        limits += _largest_true(functools.partial(positive, block), [0.0] * len(block),
-                                [_EPS_MAX] * len(block), _EPS_TOL)
+        limits += _largest_true(functools.partial(positive, block), len(block), _EPS_MAX, _EPS_TOL)
     return limits[0] if scalar else limits
 
 
@@ -242,4 +241,4 @@ def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
         (best, rate), = _grid_best(p, [ch])
         return [rate >= floor or _refine(p, ch, best, rate).key_rate >= floor]
 
-    return _largest_true(reaches, [0.0], [_D_MAX], _D_RES)[0]
+    return _largest_true(reaches, 1, _D_MAX, _D_RES)[0]

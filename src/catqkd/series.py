@@ -68,20 +68,13 @@ class Jet:
     def constant_term(self) -> float:
         return float(self.coeffs.flat[0])
 
-    def __add__(self, other: Jet | float) -> Jet:
-        return jet_add(self, _lift(other, self.orders))
-
-    __radd__ = __add__
-
     def __sub__(self, other: Jet | float) -> Jet:
         return jet_sub(self, _lift(other, self.orders))
 
     def __rsub__(self, other: Jet | float) -> Jet:
         return jet_sub(_lift(other, self.orders), self)
 
-    def __mul__(self, other: Jet | float) -> Jet:
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
+    def __mul__(self, other: float) -> Jet:
         return Jet(self.orders, self.coeffs * float(other))
 
     __rmul__ = __mul__

@@ -7,11 +7,13 @@ import warnings
 
 import pytest
 
-from catqkd import ChannelParams, ConsistencyError, ProtocolParams, SchemeFamily, SourceParams
+from catqkd import (CatalysisConfig, ChannelParams, ConsistencyError, ProtocolParams,
+                    SchemeFamily, SourceParams, catalysis)
 from catqkd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    _cell,
     build_parser,
     main,
 )
@@ -124,6 +126,23 @@ def test_entanglement_includes_reference_rows(tmp_path):
     assert main(args) == EXIT_OK
     schemes = [r["scheme"] for r in read_csv(out)]
     assert schemes == ["bsqc", "tmsv", "tmsv-closed-form"]
+
+
+def test_entanglement_at_the_optimal_transmittance(tmp_path):
+    out = tmp_path / "ent.csv"
+    assert main(["entanglement", "--t", "optimal", "--scheme", "bsqc", "--n", "1",
+                 "--alpha-min", "1.5", "--alpha-max", "1.5", "--out", str(out)]) == EXIT_OK
+    row = read_csv(out)[0]
+    src = SourceParams(alpha=1.5)
+
+    def value(t):
+        return catalysis.log_negativity(catalysis.schmidt_spectrum(CatalysisConfig.bsqc(1, t),
+                                                                   src))
+
+    assert float(row["log_negativity"]) == pytest.approx(value(float(row["t"])), rel=1e-8)
+    # the refinement never does worse than the command's 51-point grid on [0.5, 1]
+    best = max(value(0.5 + k * 0.01) for k in range(51))
+    assert float(row["log_negativity"]) >= float(format(best, ".9g"))
 
 
 def test_keyrate_json_structure(tmp_path):
@@ -379,6 +398,29 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["keyrate", "--config", str(nested)]) == EXIT_USAGE
     assert "nest" in capsys.readouterr().err
     assert main(["keyrate", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
+
+
+def test_errors_print_one_line_and_exit_with_their_code(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["keyrate", "--config", str(missing)]) == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", f"catqkd: error: [Errno 2] No such file or directory: '{missing}'\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("alpha = 1\nno_such_option = 1\n")
+    assert main(["keyrate", "--config", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"catqkd: error: {bad}:2: unknown option "
+                                       "'no_such_option'\n")
+    # big - root cancels to 0 at this noise
+    assert main(["keyrate", "--scheme", "original", "--epsilon", "1e12", "--d-min", "100",
+                 "--d-max", "100"]) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", "catqkd: numerical error: unphysical state: "
+                                       "symplectic eigenvalue 0.0 < 1\n")
+
+
+def test_cells_print_floats_at_nine_digits():
+    assert [_cell(v) for v in (None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 3,
+                               1.0 / 3.0)] == ["", "nan", "inf", "-inf", "-0", "4.94065646e-324",
+                                               "3", "0.333333333"]
 
 
 def test_unwritable_output_exits_one(tmp_path):

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from catqkd import (
     tmsv_covariance,
     von_neumann_g,
 )
-from catqkd.keyrate import grid_best
+from catqkd.keyrate import grid_best, source_state
 from catqkd.oracle import two_mode_symplectic_numeric
 from catqkd.subtraction import p1_and_covariance
 
@@ -221,6 +222,7 @@ def test_plob_bound_keeps_the_digits_of_a_small_transmittance(d_km):
     eps=st.floats(0.0, 0.05),
 )
 @example(alpha=0.3, d_km=1e-13, eps=1e-13)  # refused as "eigenvalue 0.99999999 < 1" before
+@example(alpha=2.928793487789426, d_km=1.5148957419299991e-13, eps=0.0)  # holevo -1.3e-12 before
 def test_rate_never_exceeds_the_mutual_information(alpha, d_km, eps):
     p = ProtocolParams(SourceParams(alpha))
     res = secret_key_rate(p, ChannelParams.from_distance(d_km, eps))
@@ -242,3 +244,53 @@ def test_near_pure_states_take_the_factored_discriminant(alpha, d_km, eps):
     grid = grid_best(None, np.ones(1), np.array([cov.x]), np.array([cov.y]),
                      np.array([cov.z]), [ch], p.beta)
     assert grid == [(0, res.key_rate)]
+
+
+def _exact_spectrum(cov, ch):
+    """The spectrum of symplectic_eigenvalues from the same floats, in exact arithmetic."""
+    x, y, z, tc, xi = map(Fraction, (cov.x, cov.y, cov.z, ch.tc, ch.xi))
+    yb, zz = tc * (y + xi), tc * z**2
+    big, det = x**2 + yb**2 - 2 * zz, x * yb - zz
+    with decimal.localcontext(decimal.Context(prec=60)):
+        def dec(q):
+            return decimal.Decimal(q.numerator) / q.denominator
+        root = dec(big**2 - 4 * det**2).sqrt()
+        squares = ((dec(big) + root) / 2, (dec(big) - root) / 2, dec(x * (x - z**2 / (y + xi))))
+        return [float(sq.sqrt()) for sq in squares]
+
+
+def _relative_error(cov, ch):
+    return max(abs(got - ref) / ref
+               for got, ref in zip(symplectic_eigenvalues(cov, ch), _exact_spectrum(cov, ch)))
+
+
+@pytest.mark.parametrize("n, t", [(1, 0.9), (0, 0.99)])
+def test_near_pure_catalysed_spectrum_is_exact(n, t):
+    # big**2 - 4*det**2 cancels just below 0 here, and the factored discriminant
+    # gives the spectrum to round-off (a discriminant of 0 is 6e-11 and 4e-10 off)
+    cov = pd_and_covariance(CatalysisConfig.bsqc(n, t), V20)[1]
+    assert _relative_error(cov, ChannelParams.from_distance(1e-9, 0.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind, n, variance, t, d_km, eps", [
+    (None, 0, 3.0, None, 1e-9, 0.0), (None, 0, 6.0, None, 0.0, 1e-9),
+    (None, 0, 9.0, None, 1e-11, 0.0), ("bsqc", 0, 2.0, 0.6, 0.0, 1e-9),
+    ("bsqc", 0, 20.0, 0.99, 1e-9, 1e-9), ("bsqc", 0, 1e3, 0.9, 1e-12, 1e-9),
+    ("bsqc", 1, 20.0, 0.6, 1e-12, 0.0), ("bsqc", 1, 1e4, 0.9, 0.0, 1e-9),
+    ("bsqc", 2, 20.0, 0.6, 1e-12, 0.0), ("bsqc", 3, 2.0, 0.9, 1e-6, 1e-9),
+    ("bsqc", 3, 1e3, 0.99, 1e-9, 0.0), ("ssqc", 0, 20.0, 0.6, 1e-9, 0.0),
+    ("ssqc", 1, 100.0, 0.99, 1e-9, 0.0), ("ssqc", 2, 100.0, 0.99, 1e-12, 0.0),
+    ("ssqc", 3, 100.0, 0.6, 1e-12, 1e-9),
+])
+def test_negative_discriminants_of_near_pure_states_are_not_refused(kind, n, variance, t,
+                                                                    d_km, eps):
+    # near-pure states near 0 km, where big**2 - 4*det**2 cancels to a
+    # small negative number; the factored discriminant gives their spectra
+    scheme = None if kind is None else getattr(CatalysisConfig, kind)(n, t)
+    cov = source_state(scheme, SourceParams.from_variance(variance))[1]
+    ch = ChannelParams.from_distance(d_km, eps)
+    yb, zz = ch.tc * (cov.y + ch.xi), ch.tc * cov.z**2
+    assert (cov.x**2 + yb**2 - 2.0 * zz)**2 - 4.0 * (cov.x * yb - zz)**2 < 0.0
+    assert min(symplectic_eigenvalues(cov, ch)) >= 1.0
+    # what is left is the cancellation in big and det themselves (ROADMAP item 2)
+    assert _relative_error(cov, ch) <= 1e-12

@@ -152,27 +152,29 @@ def test_all_zero_flag_past_the_cutoff():
 
 
 def test_largest_true_finds_the_edge():
-    edge, = _largest_true(lambda lanes, xs: [x <= 7.3 for x in xs], [0.0], [20.0], 1e-6)
+    edge, = _largest_true(lambda lanes, xs: [x <= 7.3 for x in xs], 1, 20.0, 1e-6)
     assert edge == pytest.approx(7.3, abs=1e-5)
 
 
 def test_largest_true_bisects_in_lockstep():
-    # lane 0 needs ceil(log2(20 / 1e-3)) = 15 steps, lane 1 ceil(log2(5 / 1e-3)) = 13
-    edges, lo, hi, resolution = [7.3, 2.2], [0.0, 0.0], [20.0, 5.0], 1e-3
-    steps = [math.ceil(math.log2((b - a) / resolution)) for a, b in zip(lo, hi)]
+    # lanes 0 and 3 fail at 0, lane 2 holds at 20; lanes 1, 4 and 5 bisect [0, 20]
+    # in ceil(log2(20 / 1e-3)) = 15 steps each
+    edges, hi, resolution = [-1.0, 7.3, 25.0, -0.5, 2.2, 0.0], 20.0, 1e-3
     asked = []
 
     def pred(lanes, xs):
         asked.append(lanes)
         return [x <= edges[i] for i, x in zip(lanes, xs)]
 
-    got = _largest_true(pred, lo, hi, resolution)
-    assert got == [pytest.approx(e, abs=resolution) for e in edges]
-    # both ends, then one call per step over every lane whose interval is still open
-    open_lanes = [[i for i in (0, 1) if steps[i] >= k] for k in range(1, max(steps) + 1)]
-    assert asked == [[0, 1], [0, 1], *open_lanes]
-    for i in (0, 1):
-        assert sum(i in lanes for lanes in asked) <= 2 + steps[i]
+    got = _largest_true(pred, len(edges), hi, resolution)
+    assert got[0] == got[3] == 0.0 and got[2] == hi
+    assert [got[i] for i in (1, 4, 5)] == [pytest.approx(edges[i], abs=resolution)
+                                           for i in (1, 4, 5)]
+    # every lane at 0, the lanes that hold there at hi, then one call per step
+    # over the lanes still bisecting
+    assert asked == [[0, 1, 2, 3, 4, 5], [1, 2, 4, 5], *[[1, 4, 5]] * 15]
+    # with no lanes pred is never called
+    assert _largest_true(pred, 0, hi, resolution) == [] and len(asked) == 17
 
 
 def test_max_noise_matches_direct_bisection():
@@ -357,15 +359,14 @@ def test_max_distance_equals_the_optimised_rate_bisection(family):
     def reaches(lanes, distances):
         return [_best_rate(p, ChannelParams.from_distance(distances[0], 0.01)) >= 1e-6]
 
-    assert max_distance(p) == _largest_true(reaches, [0.0], [1500.0], 0.1)[0]
+    assert max_distance(p) == _largest_true(reaches, 1, 1500.0, 0.1)[0]
 
 
 def test_max_distance_boundaries():
     # a floor above the zero-distance rate is unreachable anywhere
     assert max_distance(ProtocolParams(V20), epsilon=0.01, floor=10.0) == 0.0
-    # a lane that holds at its upper end returns it; one that fails at its lower end returns that
-    assert _largest_true(lambda lanes, xs: [i == 0 for i in lanes], [0.0, 3.0], [50.0, 60.0],
-                         0.1) == [50.0, 3.0]
+    # a lane that holds at the upper end returns it; one that fails at 0 returns 0
+    assert _largest_true(lambda lanes, xs: [i == 0 for i in lanes], 2, 50.0, 0.1) == [50.0, 0.0]
     for floor in (0.0, -1e-6, math.nan, math.inf):
         with pytest.raises(ValueError, match="floor"):
             max_distance(ProtocolParams(V20), floor=floor)
