@@ -28,12 +28,17 @@ not the reference seconds of ``bench/``.  BLAS threads are pinned to 1.
   with every cache warm after the first repeat;
 - ``max_tolerable_excess_noise`` for subtraction over 601 distances (0 to
   300 km in 0.5 km steps), timed as above, with the peak RSS of a fresh
-  interpreter that imports ``catqkd`` and runs the sweep once.
+  interpreter that imports ``catqkd`` and runs the sweep once;
+- ``catqkd verify`` (``cli.main(["verify"])``, its table discarded), with
+  the oracle's ladder memo and the moment memo cleared before each
+  repeat, and the peak RSS of a fresh interpreter that runs it once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -49,7 +54,7 @@ os.environ.update(BLAS_THREADS)
 sys.path.insert(0, str(SRC))
 
 from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams  # noqa: E402
-from catqkd import catalysis, optimize  # noqa: E402
+from catqkd import catalysis, cli, optimize, oracle  # noqa: E402
 from catqkd.catalysis import CatalysisConfig  # noqa: E402
 from catqkd.keyrate import grid_best, secret_key_rate  # noqa: E402
 from catqkd.subtraction import SubtractionConfig  # noqa: E402
@@ -69,6 +74,13 @@ import resource
 from catqkd import ProtocolParams, SchemeFamily, SourceParams, max_tolerable_excess_noise
 p = ProtocolParams(SourceParams.from_variance(20.0), SchemeFamily("subtraction"))
 max_tolerable_excess_noise(p, [0.5 * k for k in range(601)])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+_VERIFY = """
+import contextlib, io, resource
+from catqkd.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify"])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -97,10 +109,10 @@ def startup() -> str:
             f"bytecode cache {'present' if cached else 'absent'}")
 
 
-def sweep_peak_rss() -> str:
-    """Peak RSS of a fresh interpreter that runs the 601-distance noise sweep once."""
+def fresh_peak_rss(script: str) -> str:
+    """Peak RSS of a fresh interpreter that runs ``script``, which prints its ru_maxrss."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", _NOISE_SWEEP], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     return f"peak RSS {int(out) / 1024.0:.2f} MB"
 
@@ -147,7 +159,20 @@ def main() -> int:
     sub = ProtocolParams(source=src, scheme=SchemeFamily("subtraction"))
     label, repeats = f"max_tolerable_excess_noise subtraction, {len(SWEEP_KM)} distances", 5
     seconds = best(lambda: optimize.max_tolerable_excess_noise(sub, SWEEP_KM), repeats)
-    print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s  {sweep_peak_rss()}", flush=True)
+    print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s  {fresh_peak_rss(_NOISE_SWEEP)}",
+          flush=True)
+
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify"])
+
+    def clear_memos():
+        oracle._ladder.cache_clear()
+        catalysis._exact_moments.cache_clear()
+
+    label, repeats = "catqkd verify, ladder and moment memos cleared", 11
+    seconds = best(verify, repeats, clear_memos)
+    print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s  {fresh_peak_rss(_VERIFY)}", flush=True)
     return 0
 
 

@@ -6,7 +6,7 @@
 Run it from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
-4242 (``verify`` is one of them), twenty-one edge commands (subtraction's
+4242 (``verify`` is one of them), twenty-two edge commands (subtraction's
 success probability down to a vacuum source, its vacuum refusal, a noise
 sweep whose far rows are round-off (ROADMAP item 2), an
 optimal-transmittance sweep of the default schemes over 61 distances,
@@ -27,7 +27,8 @@ boundaries of the 32-distance blocks that the search bisects, and an
 optimal-transmittance sweep and a noise sweep of the default schemes at
 0 and 1e-9 km, whose near-pure grid cells the scalar rate formula
 decides, and the rate of bsqc0 at t = 0.99 and 1e-9 km, whose
-discriminant cancels below 0), and
+discriminant cancels below 0, and ``verify`` at a Fock cutoff of 600,
+which every oracle simulation takes), and
 ``scripts/reproduce_figures.py`` with and without ``--quick``.  A CLI command's digest covers its exit code,
 standard output, standard error and the category and message of each
 warning it raises (recorded, as their printed form names the file and line
@@ -79,6 +80,7 @@ EDGE_COMMANDS = [
     ["excess-noise", "--d-min", "0", "--d-max", "1e-9", "--d-step", "1e-9"],
     ["keyrate", "--scheme", "bsqc", "--n", "0", "--t", "0.99", "--epsilon", "0", "--d-min", "1e-9",
      "--d-max", "1e-9"],
+    ["verify", "--cutoff", "600"],
 ]
 
 

@@ -221,9 +221,15 @@ def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams,
     )
 
 
-def two_mode_symplectic_numeric(matrix: np.ndarray) -> tuple[float, float]:
-    """Symplectic eigenvalues of a 4x4 covariance matrix via |eig(i Omega V)|.
+def two_mode_symplectic_numeric(
+    matrix: np.ndarray,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Symplectic eigenvalues of 4x4 covariance matrices via |eig(i Omega V)|.
 
+    ``matrix`` is one matrix or a stack of shape ``(..., 4, 4)``, whose
+    spectra come from one ``np.linalg.eigvals`` call; each matrix gets
+    the bits it gets alone.  One matrix gives the larger and the smaller
+    eigenvalue as two floats, a stack two arrays of shape ``(...)``.
     Independent of the closed-form route used by the key-rate module.
     """
     omega = np.array([
@@ -232,5 +238,9 @@ def two_mode_symplectic_numeric(matrix: np.ndarray) -> tuple[float, float]:
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, -1.0, 0.0],
     ])
-    nus = np.sort(np.abs(np.linalg.eigvals(1j * omega @ matrix)))[::-1]
-    return float(0.5 * (nus[0] + nus[1])), float(0.5 * (nus[2] + nus[3]))
+    nus = np.sort(np.abs(np.linalg.eigvals(1j * omega @ matrix)), axis=-1)[..., ::-1]
+    big = 0.5 * (nus[..., 0] + nus[..., 1])
+    small = 0.5 * (nus[..., 2] + nus[..., 3])
+    if big.ndim == 0:
+        return float(big), float(small)
+    return big, small

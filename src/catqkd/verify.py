@@ -45,13 +45,13 @@ def _catalysis(rows, sign, cutoff):
     rows.append(("schmidt-normalisation", devs["schmidt_norm"], 1e-8))
 
 
-def _subtraction(rows, sign):
+def _subtraction(rows, sign, cutoff):
     dev = 0.0
     for alpha in (0.5, 1.0, 3.0):
         for t in (0.5, 0.8, 0.95):
             cfg = SubtractionConfig(t=t)
             src = SourceParams(alpha=alpha)
-            sim = oracle.simulate_subtraction(cfg, src, sign=sign)
+            sim = oracle.simulate_subtraction(cfg, src, cutoff=cutoff, sign=sign)
             p1, cov = subtraction.p1_and_covariance(cfg, src)
             dev = max(dev, abs(p1 - sim.p_success), abs(cov.x - sim.cov.x),
                       abs(cov.y - sim.cov.y), abs(cov.z - sim.cov.z))
@@ -59,18 +59,24 @@ def _subtraction(rows, sign):
 
 
 def _orthogonality(rows, sign):
+    # One amplitude call per transmittance covers the blocks of 0 to 6
+    # photons: block n sits in amps[n, :n + 1, :n + 1], and the photon
+    # numbers past n are clamped to n, so every padding element is an
+    # amplitude of the block too.
+    total = np.arange(7)[:, None, None]
+    j = np.minimum(np.arange(7)[:, None], total)
+    p = np.minimum(np.arange(7), total)
     dev = 0.0
     for t in (0.3, 0.7, 0.95):
-        for total in range(0, 7):
-            j = np.arange(total + 1)[:, None]
-            p = np.arange(total + 1)
-            block = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
-            dev = max(dev, float(np.abs(block.T @ block - np.eye(total + 1)).max()))
+        amps = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
+        for n in range(7):
+            block = amps[n, :n + 1, :n + 1]
+            dev = max(dev, float(np.abs(block.T @ block - np.eye(n + 1)).max()))
     rows.append(("beamsplitter-orthogonality", dev, 1e-10))
 
 
 def _symplectic(rows, rng: random.Random):
-    dev = 0.0
+    closed, matrices = [], []
     for _ in range(20):
         src = SourceParams(alpha=rng.uniform(0.2, 3.0))
         kind = rng.randrange(3)
@@ -82,17 +88,19 @@ def _symplectic(rows, rng: random.Random):
         else:
             cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
         ch = ChannelParams(tc=rng.uniform(1e-3, 1.0), epsilon=rng.uniform(0.0, 0.1))
-        l1, l2, l3 = symplectic_eigenvalues(cov, ch)
-        matrix = propagate_covariance(cov, ch).as_matrix()
-        n1, n2 = oracle.two_mode_symplectic_numeric(matrix)
-        # conditional state after a homodyne of Bob's x quadrature
-        a = matrix[:2, :2]
-        b = matrix[2:, 2:]
-        c = matrix[:2, 2:]
-        proj = np.diag([1.0, 0.0])
-        cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
-        n3 = math.sqrt(max(np.linalg.det(cond), 0.0))
-        dev = max(dev, abs(l1 - n1), abs(l2 - n2), abs(l3 - n3))
+        closed.append(symplectic_eigenvalues(cov, ch))
+        matrices.append(propagate_covariance(cov, ch).as_matrix())
+    matrix = np.stack(matrices)
+    n1, n2 = oracle.two_mode_symplectic_numeric(matrix)
+    # Conditional state after a homodyne of Bob's x quadrature: the
+    # pseudo-inverse of Bob's x-projected block is diag(1 / b_xx, 0).
+    a = matrix[:, :2, :2]
+    c_x = matrix[:, :2, 2]
+    u = c_x * (1.0 / matrix[:, 2, 2])[:, None]
+    dets = np.linalg.det(a - u[:, :, None] * c_x[:, None, :])
+    dev = 0.0
+    for (l1, l2, l3), v1, v2, det in zip(closed, n1.tolist(), n2.tolist(), dets.tolist()):
+        dev = max(dev, abs(l1 - v1), abs(l2 - v2), abs(l3 - math.sqrt(max(det, 0.0))))
     rows.append(("symplectic-eigenvalues", dev, 1e-9))
 
 
@@ -118,7 +126,7 @@ def checks(seed: int, cutoff: int | None, sign: float) -> list[tuple[str, float,
     rows: list[tuple[str, float, float]] = []
     _orthogonality(rows, sign)
     _catalysis(rows, sign, cutoff)
-    _subtraction(rows, sign)
+    _subtraction(rows, sign, cutoff)
     _symplectic(rows, random.Random(seed))
     _flip(rows, cutoff)
     return rows

@@ -11,11 +11,13 @@ from catqkd import oracle, subtraction
 
 from catqkd import (
     CatalysisConfig,
+    ChannelParams,
     CutoffError,
     SourceParams,
     SubtractionConfig,
     log_negativity_tmsv,
     pd_and_covariance,
+    propagate_covariance,
     tmsv_covariance,
 )
 from catqkd.oracle import (
@@ -143,6 +145,18 @@ def test_numeric_symplectic_route_on_known_state():
     # a product of thermal states has eigenvalues equal to the variances
     nu = two_mode_symplectic_numeric(np.diag([3.0, 3.0, 1.5, 1.5]))
     assert nu == pytest.approx((3.0, 1.5), abs=1e-12)
+
+
+def test_numeric_symplectic_route_on_a_stack_equals_single_calls():
+    matrices = [propagate_covariance(tmsv_covariance(SourceParams(alpha)),
+                                     ChannelParams(tc=tc, epsilon=eps)).as_matrix()
+                for alpha in (0.3, 1.0, 2.5) for tc in (1e-3, 0.4, 1.0) for eps in (0.0, 0.05)]
+    stack = np.stack(matrices).reshape(3, 6, 4, 4)
+    big, small = two_mode_symplectic_numeric(stack)
+    assert big.shape == small.shape == (3, 6)
+    singles = [two_mode_symplectic_numeric(m) for m in matrices]
+    assert all(type(v) is float for pair in singles for v in pair)
+    assert list(zip(big.ravel().tolist(), small.ravel().tolist())) == singles
 
 
 LADDER = np.arange(601)

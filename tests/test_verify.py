@@ -1,0 +1,117 @@
+"""The checks of ``catqkd verify``: stacked oracle calls, cutoff pass-through."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from catqkd import catalysis, oracle, subtraction, verify
+from catqkd.catalysis import CatalysisConfig, SourceParams
+from catqkd.keyrate import ChannelParams, propagate_covariance, symplectic_eigenvalues
+from catqkd.subtraction import SubtractionConfig
+
+
+def _orthogonality_per_block(rows, sign):
+    # one amplitude call per photon-number block, as the checks once ran
+    dev = 0.0
+    for t in (0.3, 0.7, 0.95):
+        for total in range(0, 7):
+            j = np.arange(total + 1)[:, None]
+            p = np.arange(total + 1)
+            block = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
+            dev = max(dev, float(np.abs(block.T @ block - np.eye(total + 1)).max()))
+    rows.append(("beamsplitter-orthogonality", dev, 1e-10))
+
+
+def _symplectic_per_case(rows, rng):
+    # one eigensolve per case and the homodyne conditioning through np.linalg.pinv
+    dev = 0.0
+    for _ in range(20):
+        src = SourceParams(alpha=rng.uniform(0.2, 3.0))
+        kind = rng.randrange(3)
+        if kind == 0:
+            cov = catalysis.tmsv_covariance(src)
+        elif kind == 1:
+            cfg = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
+            cov = catalysis.output_covariance(cfg, src)
+        else:
+            cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
+        ch = ChannelParams(tc=rng.uniform(1e-3, 1.0), epsilon=rng.uniform(0.0, 0.1))
+        l1, l2, l3 = symplectic_eigenvalues(cov, ch)
+        matrix = propagate_covariance(cov, ch).as_matrix()
+        n1, n2 = oracle.two_mode_symplectic_numeric(matrix)
+        a = matrix[:2, :2]
+        b = matrix[2:, 2:]
+        c = matrix[:2, 2:]
+        proj = np.diag([1.0, 0.0])
+        cond = a - c @ np.linalg.pinv(proj @ b @ proj) @ c.T
+        n3 = math.sqrt(max(np.linalg.det(cond), 0.0))
+        dev = max(dev, abs(l1 - n1), abs(l2 - n2), abs(l3 - n3))
+    rows.append(("symplectic-eigenvalues", dev, 1e-9))
+
+
+def _bits(rows):
+    return [(name, dev.hex(), tol) for name, dev, tol in rows]
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("seed", [0, 7, 4242])
+def test_stacked_checks_equal_the_per_case_checks_bit_for_bit(seed, sign):
+    rows = []
+    _orthogonality_per_block(rows, sign)
+    verify._catalysis(rows, sign, None)
+    verify._subtraction(rows, sign, None)
+    _symplectic_per_case(rows, random.Random(seed))
+    verify._flip(rows, None)
+    assert _bits(verify.checks(seed, None, sign)) == _bits(rows)
+
+
+def test_verify_runs_no_svd_and_one_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify must not run an SVD")
+
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    eigvals = np.linalg.eigvals
+    solves = []
+
+    def counted(a):
+        solves.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rows = verify.checks(0, None, -1.0)
+    assert all(dev <= tol for _, dev, tol in rows)
+    assert solves == [(20, 4, 4)]
+
+
+def test_orthogonality_makes_one_amplitude_call_per_transmittance(monkeypatch):
+    amplitude = oracle.bs_fock_amplitude
+    calls = []
+
+    def counted(t, *numbers):
+        calls.append(t)
+        return amplitude(t, *numbers)
+
+    monkeypatch.setattr(oracle, "bs_fock_amplitude", counted)
+    rows = []
+    verify._orthogonality(rows, -1.0)
+    assert calls == [0.3, 0.7, 0.95]
+    assert rows[0][1] <= rows[0][2]
+
+
+def test_cutoff_reaches_every_oracle_simulation(monkeypatch):
+    seen = {}
+    for name in ("simulate_catalysis", "simulate_subtraction"):
+        real = getattr(oracle, name)
+
+        def spy(cfg, src, cutoff=None, sign=-1.0, name=name, real=real):
+            seen.setdefault(name, []).append(cutoff)
+            return real(cfg, src, cutoff=cutoff, sign=sign)
+
+        monkeypatch.setattr(oracle, name, spy)
+    rows = verify.checks(0, 600, -1.0)
+    assert all(dev <= tol for _, dev, tol in rows)
+    assert set(seen) == {"simulate_catalysis", "simulate_subtraction"}
+    assert all(cutoffs and set(cutoffs) == {600} for cutoffs in seen.values())
