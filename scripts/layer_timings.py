@@ -6,8 +6,10 @@
 Run from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src``.  The inputs are fixed: V = 20, 200 km and
 epsilon = 0.01 (the noise search at 300 km).  Times are raw seconds of
-the machine it runs on, the best over N repeats (N is printed); they are
-not the reference seconds of ``bench/``.  BLAS threads are pinned to 1.
+the machine it runs on, the best over N repeats (N is printed), each
+repeat one call timed by ``timeit``, which pauses garbage collection
+during it; they are not the reference seconds of ``bench/``.  BLAS
+threads are pinned to 1.
 
 - start-up: a fresh interpreter imports numpy, then ``import catqkd.cli``
   and ``build_parser()`` are timed.  It runs with
@@ -42,7 +44,7 @@ import io
 import os
 import subprocess
 import sys
-import time
+import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,18 +87,6 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def best(func, repeats: int, before=None) -> float:
-    """The shortest of ``repeats`` timed calls of ``func``; ``before`` runs untimed ahead of each."""
-    times = []
-    for _ in range(repeats):
-        if before is not None:
-            before()
-        start = time.perf_counter()
-        func()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def startup() -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     runs = []
@@ -132,13 +122,13 @@ def main() -> int:
                           ("bsqc1", CatalysisConfig.bsqc(1, 0.95))):
         p = ProtocolParams(source=src, scheme=scheme)
         entries.append((f"secret_key_rate {label}", 201, lambda p=p: secret_key_rate(p, ch), None))
-    t, *state = optimize._grid_states(bsqc1, src)
+    t, states = optimize._grid_states(bsqc1, src)
     for channels in ([ch], [ChannelParams.from_distance(50.0 + 5.0 * k, 0.01) for k in range(51)]):
         entries.append((f"keyrate.grid_best bsqc1, {len(channels)} channel(s)", 51,
-                        lambda channels=channels: grid_best(t, *state, channels, 0.95), None))
+                        lambda channels=channels: grid_best(t, *states, channels, 0.95), None))
     edge = [ChannelParams.from_distance(1e-9)]
     entries.append(("keyrate.grid_best bsqc1, 1e-9 km, epsilon 0", 51,
-                    lambda: grid_best(t, *state, edge, 0.95), None))
+                    lambda: grid_best(t, *states, edge, 0.95), None))
     p = ProtocolParams(source=src, scheme=bsqc1)
 
     def clear_caches():
@@ -155,10 +145,12 @@ def main() -> int:
          lambda: optimize.max_tolerable_excess_noise(p, 300.0), None),
     ]
     for label, repeats, func, before in entries:
-        print(f"{label:58s} N={repeats:<4d} {best(func, repeats, before):.6f} s", flush=True)
+        seconds = min(timeit.repeat(func, setup=before or "pass", number=1, repeat=repeats))
+        print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s", flush=True)
     sub = ProtocolParams(source=src, scheme=SchemeFamily("subtraction"))
     label, repeats = f"max_tolerable_excess_noise subtraction, {len(SWEEP_KM)} distances", 5
-    seconds = best(lambda: optimize.max_tolerable_excess_noise(sub, SWEEP_KM), repeats)
+    seconds = min(timeit.repeat(lambda: optimize.max_tolerable_excess_noise(sub, SWEEP_KM),
+                                number=1, repeat=repeats))
     print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s  {fresh_peak_rss(_NOISE_SWEEP)}",
           flush=True)
 
@@ -171,7 +163,7 @@ def main() -> int:
         catalysis._exact_moments.cache_clear()
 
     label, repeats = "catqkd verify, ladder and moment memos cleared", 11
-    seconds = best(verify, repeats, clear_memos)
+    seconds = min(timeit.repeat(verify, setup=clear_memos, number=1, repeat=repeats))
     print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s  {fresh_peak_rss(_VERIFY)}", flush=True)
     return 0
 

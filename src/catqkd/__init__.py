@@ -11,7 +11,6 @@ from .catalysis import (
     log_negativity,
     log_negativity_tmsv,
     log_negativity_tmsv_closed_form,
-    output_covariance,
     pd_and_covariance,
     schmidt_spectrum,
     success_probability,
@@ -79,7 +78,6 @@ __all__ = [
     "max_tolerable_excess_noise",
     "mutual_information",
     "optimal_transmittances",
-    "output_covariance",
     "pd_and_covariance",
     "plob_bound",
     "propagate_covariance",

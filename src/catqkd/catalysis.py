@@ -251,11 +251,6 @@ def pd_and_covariance(cfg: CatalysisConfig, src: SourceParams) -> tuple[float, T
     return pd, TwoModeCovariance(x=x, y=x, z=z)
 
 
-def output_covariance(cfg: CatalysisConfig, src: SourceParams) -> TwoModeCovariance:
-    """Covariance matrix of the heralded state (x = y by symmetry)."""
-    return pd_and_covariance(cfg, src)[1]
-
-
 _SECANT_STEPS = 8  # calls of the tail bound after which _cutoff only halves its bracket
 
 

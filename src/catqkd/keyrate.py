@@ -323,7 +323,7 @@ def _raw_rates(p_success: np.ndarray, beta: float, ratio: np.ndarray, v: np.ndar
 _SIGN_BOUND = 2.0**-36
 
 
-def grid_best(t: np.ndarray | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
+def grid_best(t: Sequence[float] | None, p_success: np.ndarray, x: np.ndarray, y: np.ndarray,
               z: np.ndarray, channels: Sequence[ChannelParams], beta: float
               ) -> list[tuple[int, float]]:
     """Per channel, the best key rate of the states ``(p_success, x, y, z)`` prepared at ``t``.

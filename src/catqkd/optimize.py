@@ -87,18 +87,20 @@ def refine_grid_max(f, grid: Sequence[float], best: int, value: float,
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_states(family: SchemeFamily, source: SourceParams) -> np.ndarray:
-    """Read-only rows ``t, p, x, y, z`` of the states the family prepares on the grid.
+def _grid_states(family: SchemeFamily | None, source: SourceParams
+                 ) -> tuple[tuple[float, ...] | None, np.ndarray]:
+    """The grid points ``t`` and read-only rows ``p, x, y, z`` of the states prepared there.
 
-    Each is :func:`~catqkd.keyrate.source_state` of the family's scheme at one
-    grid point; points where the family heralds nothing are left out.
+    Each state is :func:`~catqkd.keyrate.source_state` of the family's scheme
+    at one grid point; points where the family heralds nothing are left out.
+    ``None`` is the bare source: ``t`` is ``None`` and the rows hold its one state.
     """
-    t = [u for u in _GRID if family.heralds(u)]
-    rows = [(pd, cov.x, cov.y, cov.z)
-            for pd, cov in (source_state(family.at(u), source) for u in t)]
-    states = np.array([t, *zip(*rows)])
+    t = None if family is None else tuple(u for u in _GRID if family.heralds(u))
+    schemes = [None] if t is None else [family.at(u) for u in t]
+    rows = [(pd, cov.x, cov.y, cov.z) for pd, cov in (source_state(s, source) for s in schemes)]
+    states = np.array(list(zip(*rows)))
     states.setflags(write=False)
-    return states
+    return t, states
 
 
 def _probe_rate(family: SchemeFamily, source: SourceParams, ch: ChannelParams, beta: float,
@@ -119,8 +121,8 @@ def _family(p: ProtocolParams) -> SchemeFamily:
 
 def _grid_best(p: ProtocolParams, channels: Sequence[ChannelParams]) -> list[tuple[int, float]]:
     """Per channel, the best grid cell and its rate, from one pass over the cached grid states."""
-    t, *state = _grid_states(_family(p), p.source)
-    return grid_best(t, *state, channels, p.beta)
+    t, states = _grid_states(_family(p), p.source)
+    return grid_best(t, *states, channels, p.beta)
 
 
 def _refine(p: ProtocolParams, ch: ChannelParams, best: int, rate: float) -> TransmittanceOptimum:
@@ -207,15 +209,11 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     scalar = np.ndim(distance_km) == 0
     distances = [distance_km] if scalar else list(distance_km)
     tcs = [ChannelParams.from_distance(d, atten_db_per_km=atten_db_per_km).tc for d in distances]
-    if p.scheme is None:  # the bare source, as a one-point grid
-        pd, cov = source_state(None, p.source)
-        t, state = None, np.array([[pd], [cov.x], [cov.y], [cov.z]])
-    else:
-        t, *state = _grid_states(_family(p), p.source)
+    t, states = _grid_states(None if p.scheme is None else _family(p), p.source)
 
     def positive(block: list[float], lanes: list[int], eps: list[float]) -> list[bool]:
         channels = [ChannelParams(tc=block[i], epsilon=e) for i, e in zip(lanes, eps)]
-        return [rate > 0.0 for _, rate in grid_best(t, *state, channels, p.beta)]
+        return [rate > 0.0 for _, rate in grid_best(t, *states, channels, p.beta)]
 
     limits = []
     for k in range(0, len(tcs), _BLOCK):

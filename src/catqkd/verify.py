@@ -13,25 +13,23 @@ import random
 
 import numpy as np
 
-from . import catalysis, oracle, subtraction
+from . import catalysis, oracle
 from .catalysis import CatalysisConfig, SourceParams
-from .keyrate import ChannelParams, SchemeFamily, propagate_covariance, symplectic_eigenvalues
-from .subtraction import SubtractionConfig
-
-# the six catalysis families of the CLI's sweeps
-_FAMILIES = [SchemeFamily(kind, k) for kind in ("bsqc", "ssqc") for k in (0, 1, 2)]
+from .cli import _FULL_SET
+from .keyrate import (ChannelParams, SchemeFamily, propagate_covariance, source_state,
+                      symplectic_eigenvalues)
 
 
 def _catalysis(rows, sign, cutoff):
     devs = {"p_success": 0.0, "cov_x": 0.0, "cov_z": 0.0, "log_negativity": 0.0,
             "schmidt_norm": 0.0}
-    for family in _FAMILIES:
+    for family in _FULL_SET:
         for t in (0.7, 0.9, 0.95):
             for alpha in (0.5, 1.0, 3.0):
                 cfg = family.at(t)
                 src = SourceParams(alpha=alpha)
                 sim = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=sign)
-                pd, cov = catalysis.pd_and_covariance(cfg, src)
+                pd, cov = source_state(cfg, src)
                 spec = catalysis.schmidt_spectrum(cfg, src)
                 devs["p_success"] = max(devs["p_success"], abs(pd - sim.p_success))
                 devs["cov_x"] = max(devs["cov_x"], abs(cov.x - sim.cov.x))
@@ -49,10 +47,10 @@ def _subtraction(rows, sign, cutoff):
     dev = 0.0
     for alpha in (0.5, 1.0, 3.0):
         for t in (0.5, 0.8, 0.95):
-            cfg = SubtractionConfig(t=t)
+            cfg = SchemeFamily("subtraction").at(t)
             src = SourceParams(alpha=alpha)
             sim = oracle.simulate_subtraction(cfg, src, cutoff=cutoff, sign=sign)
-            p1, cov = subtraction.p1_and_covariance(cfg, src)
+            p1, cov = source_state(cfg, src)
             dev = max(dev, abs(p1 - sim.p_success), abs(cov.x - sim.cov.x),
                       abs(cov.y - sim.cov.y), abs(cov.z - sim.cov.z))
     rows.append(("subtraction-closed-forms", dev, 1e-6))
@@ -81,12 +79,12 @@ def _symplectic(rows, rng: random.Random):
         src = SourceParams(alpha=rng.uniform(0.2, 3.0))
         kind = rng.randrange(3)
         if kind == 0:
-            cov = catalysis.tmsv_covariance(src)
+            scheme = None
         elif kind == 1:
-            cfg = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
-            cov = catalysis.output_covariance(cfg, src)
+            scheme = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
         else:
-            cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
+            scheme = SchemeFamily("subtraction").at(rng.uniform(0.5, 0.99))
+        cov = source_state(scheme, src)[1]
         ch = ChannelParams(tc=rng.uniform(1e-3, 1.0), epsilon=rng.uniform(0.0, 0.1))
         closed.append(symplectic_eigenvalues(cov, ch))
         matrices.append(propagate_covariance(cov, ch).as_matrix())

@@ -20,7 +20,6 @@ from catqkd import (
     log_negativity,
     log_negativity_tmsv,
     log_negativity_tmsv_closed_form,
-    output_covariance,
     pd_and_covariance,
     schmidt_spectrum,
     success_probability,
@@ -138,7 +137,7 @@ def test_zero_photon_state_is_a_rescaled_source(alpha, t):
     for cfg in (CatalysisConfig.bsqc(0, t), CatalysisConfig.ssqc(0, t)):
         lam_eff = src.lam * math.sqrt(cfg.t1 * cfg.t2)
         ref = tmsv_covariance(SourceParams(lam_eff / math.sqrt(1.0 - lam_eff**2)))
-        got = output_covariance(cfg, src)
+        got = pd_and_covariance(cfg, src)[1]
         assert got.x == pytest.approx(ref.x, abs=1e-11)
         assert got.y == pytest.approx(ref.y, abs=1e-11)
         assert got.z == pytest.approx(ref.z, abs=1e-11)

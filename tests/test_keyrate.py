@@ -215,6 +215,16 @@ def test_plob_bound_keeps_the_digits_of_a_small_transmittance(d_km):
     assert plob_bound(tc) == pytest.approx(float(exact), rel=4e-16, abs=0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="the spectrum cancels near a pure state (ROADMAP item 3)")
+def test_a_pure_state_on_a_lossless_channel_leaks_nothing():
+    # the state stays pure, so holevo is 0 and nu3 is 1 exactly; the code gives
+    # holevo -3.89e-5 and nu3 = 1.0000038, which overstates the key by 4.1e-6 relative
+    res = secret_key_rate(ProtocolParams(SourceParams.from_variance(1e6)),
+                          ChannelParams.from_distance(0.0))
+    assert res.holevo == pytest.approx(0.0, abs=1e-12)
+    assert res.symplectic[2] == pytest.approx(1.0, abs=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(0.3, 3.0),

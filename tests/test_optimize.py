@@ -372,17 +372,13 @@ def test_max_distance_boundaries():
             max_distance(ProtocolParams(V20), floor=floor)
 
 
-_FAMILIES = [None, SchemeFamily("subtraction"),
-             *(SchemeFamily(kind, m) for kind in ("bsqc", "ssqc") for m in range(3))]
+_SEARCH_FAMILIES = [None, SchemeFamily("subtraction"),
+                    *(SchemeFamily(kind, m) for kind in ("bsqc", "ssqc") for m in range(3))]
 
 
 def _noise_profiles(p, d_km, eps):
     """The noise predicate: per distance, whether the best grid rate is positive at each eps."""
-    if p.scheme is None:
-        pd, cov = source_state(None, p.source)
-        t, state = None, [np.array([v]) for v in (pd, cov.x, cov.y, cov.z)]
-    else:
-        t, *state = _grid_states(p.scheme, p.source)
+    t, state = _grid_states(p.scheme, p.source)
     tcs = [channel_transmittance(d) for d in d_km]
     channels = [ChannelParams(tc=tc, epsilon=e) for tc in tcs for e in eps]
     best = grid_best(t, *state, channels, p.beta)
@@ -394,7 +390,7 @@ def _falls_once(profile):
 
 
 @pytest.mark.parametrize("variance", [1.5, 20.0, 1e3])
-@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("family", _SEARCH_FAMILIES)
 def test_search_predicates_are_monotone(family, variance):
     # the limit searches bisect without probing past the edge, so each
     # predicate must turn false once along its axis and stay false
@@ -411,7 +407,7 @@ def test_search_predicates_are_monotone(family, variance):
 
 
 @pytest.mark.xfail(strict=True,
-                   reason="round-off rates revive past the noise edge (ROADMAP item 2)")
+                   reason="round-off rates revive past the noise edge (ROADMAP item 3)")
 def test_noise_predicate_at_round_off_rates_is_monotone():
     # bsqc1 at V = 1.5 and 700 km: rates of about 1e-15 are zero at eps = 0.0395
     # and positive again from 0.055; a spectrum without cancellation must mend it
@@ -497,7 +493,7 @@ def test_grid_pass_takes_the_scalar_rate_of_a_cell_it_defers(monkeypatch):
         return 0.0, 0.0, (1.0, 1.0, 1.0), 1e3
 
     monkeypatch.setattr(keyrate, "_rate_terms", sentinel)
-    t, *state = _grid_states(SchemeFamily("bsqc", 0), SourceParams.from_variance(1e6))
+    t, state = _grid_states(SchemeFamily("bsqc", 0), SourceParams.from_variance(1e6))
     ch = ChannelParams.from_distance(1e-9)
     (k, rate), = grid_best(t, *state, [ch], 0.95)
     assert deferred and rate == 1e3
@@ -505,7 +501,7 @@ def test_grid_pass_takes_the_scalar_rate_of_a_cell_it_defers(monkeypatch):
 
 
 def test_grid_pass_over_channels_is_one_pass_per_channel():
-    t, *state = _grid_states(BSQC1, V20)
+    t, state = _grid_states(BSQC1, V20)
     channels = [ChannelParams.from_distance(d, eps) for d in (0.0, 100.0, 300.0)
                 for eps in (0.0, 0.02, 0.05)]  # no key at 300 km with noise 0.05
     best = grid_best(t, *state, channels, 0.95)
@@ -514,21 +510,33 @@ def test_grid_pass_over_channels_is_one_pass_per_channel():
         assert cell == grid_best(t, *state, [ch], 0.95)[0]
 
 
-_FAMILIES = [*(SchemeFamily(kind, n) for kind in ("bsqc", "ssqc") for n in range(6)),
-             SchemeFamily("subtraction")]
+_GRID_FAMILIES = [*(SchemeFamily(kind, n) for kind in ("bsqc", "ssqc") for n in range(6)),
+                  SchemeFamily("subtraction")]
 
 
 @pytest.mark.parametrize("variance", [1.5, 20.0, 1e3, 1e6])
-@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("family", _GRID_FAMILIES)
 def test_grid_states_are_the_source_states(family, variance):
     # the grid takes each state from source_state: the same Python floats, field by field
     source = SourceParams.from_variance(variance)
-    t, *columns = _grid_states(family, source)
-    assert t.tolist() == [u for u in _GRID if family.heralds(u)]
-    for k, u in enumerate(t.tolist()):
+    t, columns = _grid_states(family, source)
+    assert t == tuple(u for u in _GRID if family.heralds(u))
+    for k, u in enumerate(t):
         pd, cov = source_state(family.at(u), source)
         assert {type(v) for v in (pd, cov.x, cov.y, cov.z)} == {float}
         assert [column[k] for column in columns] == [pd, cov.x, cov.y, cov.z]
+
+
+@pytest.mark.parametrize("variance", [1.5, 20.0, 1e6])
+def test_bare_source_is_a_one_point_grid(variance):
+    source = SourceParams.from_variance(variance)
+    t, states = _grid_states(None, source)
+    pd, cov = source_state(None, source)
+    assert t is None
+    assert states.tolist() == [[pd], [cov.x], [cov.y], [cov.z]]
+    assert _grid_states(None, source)[1] is states  # served from the cache
+    with pytest.raises(ValueError):
+        states[0, 0] = 0.0
 
 
 def test_grid_and_source_state_refuse_a_vacuum_alike():
@@ -610,7 +618,7 @@ def test_optimal_transmittances_refuse_alike():
     # a refused channel is named, as in the grid pass over a sequence of channels
     p = ProtocolParams(SourceParams.from_variance(1e6), SchemeFamily("bsqc", 0))
     channels = [ChannelParams.from_distance(d) for d in (300.0, 1e-9)]
-    t, *state = _grid_states(p.scheme, p.source)
+    t, state = _grid_states(p.scheme, p.source)
     with pytest.raises(ConsistencyError) as grid:
         grid_best(t, *state, channels, p.beta)
     with pytest.raises(ConsistencyError) as sweep:
@@ -673,25 +681,18 @@ def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
     assert len(moments) <= len(grid) + 13 * len(refined)
 
     calls = len(moments)
-    states = _grid_states(BSQC1, V20)
+    _, states = _grid_states(BSQC1, V20)
     assert len(moments) == calls  # served from the cache
     with pytest.raises(ValueError):
-        states[1, 0] = 0.0
-
-
-def _states(family, source):
-    """The grid ``t, p, x, y, z`` of the noise search; the bare source as one point."""
-    if family is None:
-        pd, cov = source_state(None, source)
-        return None, *np.array([[pd], [cov.x], [cov.y], [cov.z]])
-    return _grid_states(family, source)
+        states[0, 0] = 0.0
 
 
 _LANES = st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 0.2)), min_size=1, max_size=5)
 
 
 @settings(max_examples=80, deadline=None)
-@given(family=st.sampled_from([None, *_FAMILIES]), variance=st.floats(1.0, 1e6), lanes=_LANES)
+@given(family=st.sampled_from([None, *_GRID_FAMILIES]), variance=st.floats(1.0, 1e6),
+       lanes=_LANES)
 # rates of round-off size, which the bound leaves to the exact logarithms
 @example(family=None, variance=1.5, lanes=[(657.5, 0.01)])
 @example(family=None, variance=1.5, lanes=[(750.0, 0.2)])
@@ -703,7 +704,7 @@ _LANES = st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 0.2)), min_size=
 @example(family=BSQC1, variance=20.0, lanes=[(100.0, 1e150)])
 def test_sign_test_equals_the_exact_grid_rates(family, variance, lanes):
     try:
-        t, *state = _states(family, SourceParams.from_variance(variance))
+        t, state = _grid_states(family, SourceParams.from_variance(variance))
     except (ValueError, ConsistencyError):  # no state: a vacuum, or a refused source
         return
     channels = [ChannelParams.from_distance(d, eps) for d, eps in lanes]

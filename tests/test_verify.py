@@ -34,7 +34,7 @@ def _symplectic_per_case(rows, rng):
             cov = catalysis.tmsv_covariance(src)
         elif kind == 1:
             cfg = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
-            cov = catalysis.output_covariance(cfg, src)
+            cov = catalysis.pd_and_covariance(cfg, src)[1]
         else:
             cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
         ch = ChannelParams(tc=rng.uniform(1e-3, 1.0), epsilon=rng.uniform(0.0, 0.1))
