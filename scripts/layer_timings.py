@@ -57,7 +57,6 @@ sys.path.insert(0, str(SRC))
 
 from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams  # noqa: E402
 from catqkd import catalysis, cli, optimize, oracle  # noqa: E402
-from catqkd.catalysis import CatalysisConfig  # noqa: E402
 from catqkd.keyrate import grid_best, secret_key_rate  # noqa: E402
 from catqkd.subtraction import SubtractionConfig  # noqa: E402
 
@@ -114,12 +113,12 @@ def main() -> int:
     bsqc1 = SchemeFamily("bsqc", 1)
     entries = []
     for m in (0, 1, 2, 5):
-        cfg = CatalysisConfig.bsqc(m, 0.95)
+        cfg = SchemeFamily("bsqc", m).at(0.95)
         entries.append((f"catalysis._moments bsqc{m}, memo cleared", 51,
                         lambda cfg=cfg: catalysis._moments(cfg, src),
                         catalysis._exact_moments.cache_clear))
     for label, scheme in (("original", None), ("subtraction", SubtractionConfig(t=0.95)),
-                          ("bsqc1", CatalysisConfig.bsqc(1, 0.95))):
+                          ("bsqc1", bsqc1.at(0.95))):
         p = ProtocolParams(source=src, scheme=scheme)
         entries.append((f"secret_key_rate {label}", 201, lambda p=p: secret_key_rate(p, ch), None))
     t, states = optimize._grid_states(bsqc1, src)

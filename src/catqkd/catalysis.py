@@ -81,16 +81,6 @@ class CatalysisConfig:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"transmittance {label}={value} outside (0, 1]")
 
-    @classmethod
-    def bsqc(cls, n: int, t: float) -> "CatalysisConfig":
-        """Symmetric catalysis: n photons at transmittance t on both arms."""
-        return cls(m=n, n=n, t1=t, t2=t)
-
-    @classmethod
-    def ssqc(cls, n: int, t: float) -> "CatalysisConfig":
-        """Single-arm catalysis on the idler; the signal arm is untouched."""
-        return cls(m=0, n=n, t1=1.0, t2=t)
-
 
 @dataclass(frozen=True)
 class TwoModeCovariance:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 
@@ -208,6 +207,8 @@ def _emit(args, columns: list[str], rows: list[dict]) -> None:
             for row in rows:
                 writer.writerow([_cell(row.get(c)) for c in columns])
     else:
+        import json  # only JSON output needs it; CSV sweeps skip its import
+
         meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
         meta["version"] = __version__
         payload = {
@@ -243,6 +244,7 @@ def cmd_success_prob(args) -> int:
     for alpha in alphas:
         src = SourceParams(alpha=alpha)
         for family in entries:
+            # p alone, not source_state: p is defined where the covariance refuses
             pd = 1.0 if family is None else (
                 subtraction if family.kind == "subtraction" else catalysis
             ).success_probability(family.at(t), src)

@@ -62,12 +62,11 @@ class SchemeFamily:
             raise ValueError("photon subtraction has no catalysed photon number")
 
     def at(self, t: float) -> CatalysisConfig | SubtractionConfig:
-        """The scheme of this family at transmittance ``t``."""
-        if self.kind == "bsqc":
-            return CatalysisConfig.bsqc(self.photons, t)
-        if self.kind == "ssqc":
-            return CatalysisConfig.ssqc(self.photons, t)
-        return SubtractionConfig(t=t)
+        """The scheme of this family at transmittance ``t``; an untouched arm has t = 1."""
+        if self.kind == "subtraction":
+            return SubtractionConfig(t=t)
+        m, n = self.photon_columns
+        return CatalysisConfig(m, n, t if self.kind == "bsqc" else 1.0, t)
 
     def heralds(self, t: float) -> bool:
         """False where the family heralds nothing (subtraction at t >= 1): its rate there is 0."""

@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from . import catalysis, oracle
-from .catalysis import CatalysisConfig, SourceParams
+from .catalysis import SourceParams
 from .cli import _FULL_SET
 from .keyrate import (ChannelParams, SchemeFamily, propagate_covariance, source_state,
                       symplectic_eigenvalues)
@@ -81,7 +81,7 @@ def _symplectic(rows, rng: random.Random):
         if kind == 0:
             scheme = None
         elif kind == 1:
-            scheme = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
+            scheme = SchemeFamily("bsqc", rng.randrange(3)).at(rng.uniform(0.6, 0.99))
         else:
             scheme = SchemeFamily("subtraction").at(rng.uniform(0.5, 0.99))
         cov = source_state(scheme, src)[1]
@@ -104,7 +104,7 @@ def _symplectic(rows, rng: random.Random):
 
 def _flip(rows, cutoff):
     dev = 0.0
-    for cfg in (CatalysisConfig.bsqc(1, 0.9), CatalysisConfig.ssqc(2, 0.9)):
+    for cfg in (SchemeFamily("bsqc", 1).at(0.9), SchemeFamily("ssqc", 2).at(0.9)):
         src = SourceParams(alpha=1.0)
         plus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=1.0)
         minus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=-1.0)

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from catqkd import (
-    CatalysisConfig,
     ChannelParams,
     ProtocolParams,
     SchemeFamily,
@@ -49,8 +48,8 @@ def test_criterion_1_success_probability_closed_forms(criterion):
 
     closed_two_arm = 1.0 / (1.0 - (t**2 - 1.0) * src.alpha**2)
     closed_one_arm = 1.0 / (1.0 - (t - 1.0) * src.alpha**2)
-    pd_two = success_probability(CatalysisConfig.bsqc(0, t), src)
-    pd_one = success_probability(CatalysisConfig.ssqc(0, t), src)
+    pd_two = success_probability(SchemeFamily("bsqc", 0).at(t), src)
+    pd_one = success_probability(SchemeFamily("ssqc", 0).at(t), src)
 
     check(failures, abs(closed_two_arm - 0.532623) < 5e-7, f"two-arm anchor {closed_two_arm}")
     check(failures, abs(closed_one_arm - 0.689655) < 5e-7, f"one-arm anchor {closed_one_arm}")
@@ -87,7 +86,7 @@ def test_criterion_3_generating_function_matches_fock_oracle(criterion):
     for photons in (0, 1, 2):
         for template in ("bsqc", "ssqc"):
             for t in (0.7, 0.9, 0.95):
-                cfg = (CatalysisConfig.bsqc if template == "bsqc" else CatalysisConfig.ssqc)(photons, t)
+                cfg = SchemeFamily(template, photons).at(t)
                 for alpha in (0.5, 1.0, 3.0):
                     src = SourceParams(alpha)
                     pd, cov = pd_and_covariance(cfg, src)
@@ -120,7 +119,7 @@ def test_criterion_4_zero_photon_reduction_identity(criterion):
     for lam in np.linspace(0.05, 0.95, 10):
         src = SourceParams(lam / math.sqrt(1.0 - lam**2))
         for t in np.linspace(0.5, 1.0, 10):
-            _, cov = pd_and_covariance(CatalysisConfig.bsqc(0, float(t)), src)
+            _, cov = pd_and_covariance(SchemeFamily("bsqc", 0).at(float(t)), src)
             lam_eff = lam * t
             ref = tmsv_covariance(SourceParams(lam_eff / math.sqrt(1.0 - lam_eff**2)))
             diff = max(abs(cov.x - ref.x), abs(cov.y - ref.y), abs(cov.z - ref.z))
@@ -186,12 +185,12 @@ def test_criterion_7_curve_ordering_and_plob(criterion):
 
     schemes = {
         "original": None,
-        "bsqc0": CatalysisConfig.bsqc(0, t),
-        "ssqc0": CatalysisConfig.ssqc(0, t),
-        "bsqc1": CatalysisConfig.bsqc(1, t),
-        "ssqc1": CatalysisConfig.ssqc(1, t),
-        "bsqc2": CatalysisConfig.bsqc(2, t),
-        "ssqc2": CatalysisConfig.ssqc(2, t),
+        "bsqc0": SchemeFamily("bsqc", 0).at(t),
+        "ssqc0": SchemeFamily("ssqc", 0).at(t),
+        "bsqc1": SchemeFamily("bsqc", 1).at(t),
+        "ssqc1": SchemeFamily("ssqc", 1).at(t),
+        "bsqc2": SchemeFamily("bsqc", 2).at(t),
+        "ssqc2": SchemeFamily("ssqc", 2).at(t),
         "subtraction": SubtractionConfig(t),
     }
 
@@ -308,7 +307,7 @@ def test_criterion_8_numerical_kernel_properties(criterion):
         if pick == 0:
             cov = tmsv_covariance(src)
         elif pick == 1:
-            cfg = CatalysisConfig.bsqc(int(rng.integers(0, 3)), rng.uniform(0.6, 0.99))
+            cfg = SchemeFamily("bsqc", int(rng.integers(0, 3))).at(rng.uniform(0.6, 0.99))
             cov = pd_and_covariance(cfg, src)[1]
         else:
             cov = sub.output_covariance(SubtractionConfig(rng.uniform(0.5, 0.99)), src)
@@ -319,7 +318,7 @@ def test_criterion_8_numerical_kernel_properties(criterion):
         check(failures, dev < 1e-9, f"symplectic trial {trial}: {dev:.1e}")
 
     # Schmidt spectra stay normalised
-    for cfg in (CatalysisConfig.bsqc(1, 0.9), CatalysisConfig.ssqc(2, 0.7)):
+    for cfg in (SchemeFamily("bsqc", 1).at(0.9), SchemeFamily("ssqc", 2).at(0.7)):
         for alpha in (0.5, 1.0, 3.0):
             spec = schmidt_spectrum(cfg, SourceParams(alpha))
             check(

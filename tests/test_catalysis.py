@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from catqkd import (
     CatalysisConfig,
     ConsistencyError,
+    SchemeFamily,
     SchmidtSpectrum,
     SourceParams,
     TwoModeCovariance,
@@ -32,10 +33,10 @@ from catqkd.series import generating_function_moments
 
 ALPHAS = [1.0, 3.0]
 CONFIGS = [
-    CatalysisConfig.bsqc(1, 0.9),
-    CatalysisConfig.bsqc(2, 0.7),
-    CatalysisConfig.ssqc(1, 0.8),
-    CatalysisConfig.ssqc(2, 0.95),
+    SchemeFamily("bsqc", 1).at(0.9),
+    SchemeFamily("bsqc", 2).at(0.7),
+    SchemeFamily("ssqc", 1).at(0.8),
+    SchemeFamily("ssqc", 2).at(0.95),
     CatalysisConfig(m=1, n=2, t1=0.85, t2=0.6),
 ]
 
@@ -50,8 +51,8 @@ GRID_REL = {1.5: 1e-10, 20.0: 1e-10, 1e3: 1e-8, 1e6: 1e-6}
 
 
 def _grid_configs(t):
-    configs = [CatalysisConfig.bsqc(k, t) for k in range(6)]
-    configs += [CatalysisConfig.ssqc(k, t) for k in range(6)]
+    configs = [SchemeFamily("bsqc", k).at(t) for k in range(6)]
+    configs += [SchemeFamily("ssqc", k).at(t) for k in range(6)]
     configs += [CatalysisConfig(m, n, t, 0.5 + t / 2) for m, n in [(1, 2), (3, 1), (2, 5), (5, 4)]]
     return configs
 
@@ -84,7 +85,7 @@ def test_source_overflows_are_refused_with_the_quantity():
 def test_overflowing_covariance_is_refused_with_z():
     # at t = 1 the catalyser returns the source, whose z = 2e200 squares past the float range
     with pytest.raises(ConsistencyError) as exc:
-        pd_and_covariance(CatalysisConfig.bsqc(1, 1.0), SourceParams(1e100))
+        pd_and_covariance(SchemeFamily("bsqc", 1).at(1.0), SourceParams(1e100))
     assert str(exc.value) == ("the covariance overflows a float: z**2 is out of range "
                               "at z=2e+200 (x=2e+200, y=2e+200)")
 
@@ -97,8 +98,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="transmittance"):
         CatalysisConfig(m=1, n=1, t1=0.0, t2=0.9)
     with pytest.raises(ValueError, match="transmittance"):
-        CatalysisConfig.bsqc(1, 1.2)
-    ssqc = CatalysisConfig.ssqc(2, 0.8)
+        SchemeFamily("bsqc", 1).at(1.2)
+    ssqc = SchemeFamily("ssqc", 2).at(0.8)
     assert (ssqc.m, ssqc.n, ssqc.t1, ssqc.t2) == (0, 2, 1.0, 0.8)
 
 
@@ -134,7 +135,7 @@ def test_zero_photon_state_is_a_rescaled_source(alpha, t):
     # zero-photon catalysis only filters the Schmidt ladder: the output is
     # again a two-mode squeezed state with lam -> lam * sqrt(t1 t2)
     src = SourceParams(alpha)
-    for cfg in (CatalysisConfig.bsqc(0, t), CatalysisConfig.ssqc(0, t)):
+    for cfg in (SchemeFamily("bsqc", 0).at(t), SchemeFamily("ssqc", 0).at(t)):
         lam_eff = src.lam * math.sqrt(cfg.t1 * cfg.t2)
         ref = tmsv_covariance(SourceParams(lam_eff / math.sqrt(1.0 - lam_eff**2)))
         got = pd_and_covariance(cfg, src)[1]
@@ -146,7 +147,7 @@ def test_zero_photon_state_is_a_rescaled_source(alpha, t):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_transparent_catalysers_are_neutral(n):
     src = SourceParams(1.0)
-    pd, cov = pd_and_covariance(CatalysisConfig.bsqc(n, 1.0), src)
+    pd, cov = pd_and_covariance(SchemeFamily("bsqc", n).at(1.0), src)
     ref = tmsv_covariance(src)
     assert pd == pytest.approx(1.0, abs=1e-12)
     assert cov.x == pytest.approx(ref.x, abs=1e-12)
@@ -194,9 +195,9 @@ def test_transparent_catalysers_return_the_source_exactly(variance):
 
 
 @pytest.mark.parametrize("cfg,variance,ref", [
-    (CatalysisConfig.bsqc(5, 0.95), 1e3,
+    (SchemeFamily("bsqc", 5).at(0.95), 1e3,
      (0.0031380191516190354645, 146.1763665996212947, 145.86740690692568428)),
-    (CatalysisConfig.bsqc(5, 0.999), 1e6,
+    (SchemeFamily("bsqc", 5).at(0.999), 1e6,
      (0.00018405166006994014462, 10776.560588416882224, 10776.555048992155122)),
 ], ids=str)
 def test_closed_form_matches_high_precision_reference(cfg, variance, ref):
@@ -229,8 +230,8 @@ def test_schmidt_spectrum_is_normalised(cfg, alpha):
 
 
 @pytest.mark.parametrize("cfg,variance", [
-    (CatalysisConfig.bsqc(1, 0.95), 1000.0),
-    (CatalysisConfig.bsqc(5, 0.7), 20.0),
+    (SchemeFamily("bsqc", 1).at(0.95), 1000.0),
+    (SchemeFamily("bsqc", 5).at(0.7), 20.0),
     (CatalysisConfig(m=2, n=3, t1=0.9, t2=0.6), 200.0),
 ], ids=str)
 def test_schmidt_spectrum_reproduces_the_moments(cfg, variance):
@@ -250,7 +251,7 @@ def test_schmidt_size_cap_raises_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ConsistencyError, match=r"lam=.*t1=1\.0, t2=1\.0"):
-            schmidt_spectrum(CatalysisConfig.bsqc(1, 1.0), SourceParams.from_variance(1e12))
+            schmidt_spectrum(SchemeFamily("bsqc", 1).at(1.0), SourceParams.from_variance(1e12))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,7 +314,7 @@ def test_cutoff_search_takes_its_start_from_the_bound(x, photons, first, start, 
 
 def test_schmidt_spectrum_of_transparent_catalyser_is_geometric():
     src = SourceParams(1.0)
-    spec = schmidt_spectrum(CatalysisConfig.bsqc(1, 1.0), src)
+    spec = schmidt_spectrum(SchemeFamily("bsqc", 1).at(1.0), src)
     ls = np.arange(spec.cutoff + 1)
     ref = math.sqrt(1.0 - src.lam**2) * src.lam**ls
     assert np.allclose(np.abs(spec.weights), ref, atol=1e-12)
@@ -395,8 +396,8 @@ def test_heralded_state_is_physical(m, n, t1, t2, alpha):
 @given(n=st.integers(0, 3), t=st.floats(0.5, 0.99), alpha=st.floats(0.2, 3.0))
 def test_single_arm_heralds_at_least_as_often_as_two(n, t, alpha):
     src = SourceParams(alpha)
-    two = success_probability(CatalysisConfig.bsqc(n, t), src)
-    one = success_probability(CatalysisConfig.ssqc(n, t), src)
+    two = success_probability(SchemeFamily("bsqc", n).at(t), src)
+    one = success_probability(SchemeFamily("ssqc", n).at(t), src)
     assert one >= two - 1e-12
 
 
@@ -405,6 +406,6 @@ def test_single_arm_heralds_at_least_as_often_as_two(n, t, alpha):
 def test_zero_photon_probability_increases_with_transmittance(alpha, lo):
     src = SourceParams(alpha)
     hi = lo + 0.05
-    p_lo = success_probability(CatalysisConfig.bsqc(0, lo), src)
-    p_hi = success_probability(CatalysisConfig.bsqc(0, hi), src)
+    p_lo = success_probability(SchemeFamily("bsqc", 0).at(lo), src)
+    p_hi = success_probability(SchemeFamily("bsqc", 0).at(hi), src)
     assert p_hi >= p_lo

@@ -8,8 +8,8 @@ import warnings
 
 import pytest
 
-from catqkd import (CatalysisConfig, ChannelParams, ConsistencyError, ProtocolParams,
-                    SchemeFamily, SourceParams, catalysis)
+from catqkd import (ChannelParams, ConsistencyError, ProtocolParams, SchemeFamily,
+                    SourceParams, catalysis)
 from catqkd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -116,6 +116,20 @@ def test_success_prob_covers_all_schemes_by_default(tmp_path):
     assert seen == {(s, str(n)) for s in ("bsqc", "ssqc") for n in (0, 1, 2)}
 
 
+@pytest.mark.parametrize("argv, row", [
+    # a vacuum source never heralds a subtracted photon
+    (["--scheme", "subtraction", "--alpha-min", "0", "--alpha-max", "0"],
+     "0,subtraction,,,0.95,0"),
+    # V = 1e6: p is defined where the heralded covariance is refused
+    (["--scheme", "bsqc", "--n", "0", "--t", "0.99975", "--alpha-min", repr(math.sqrt(499999.5)),
+      "--alpha-max", repr(math.sqrt(499999.5))],
+     "707.106428,bsqc,0,0,0.99975,0.0039845638"),
+])
+def test_success_prob_needs_no_covariance(capsys, argv, row):
+    assert main(["success-prob", *argv]) == EXIT_OK
+    assert capsys.readouterr() == ("alpha,scheme,m,n,t,p_success\n" + row + "\n", "")
+
+
 def test_entanglement_rejects_non_catalysis_schemes(capsys):
     assert main(["entanglement", "--scheme", "subtraction", *SINGLE_ALPHA]) == EXIT_USAGE
     assert "catalysis" in capsys.readouterr().err
@@ -138,7 +152,7 @@ def test_entanglement_at_the_optimal_transmittance(tmp_path):
     src = SourceParams(alpha=1.5)
 
     def value(t):
-        return catalysis.log_negativity(catalysis.schmidt_spectrum(CatalysisConfig.bsqc(1, t),
+        return catalysis.log_negativity(catalysis.schmidt_spectrum(SchemeFamily("bsqc", 1).at(t),
                                                                    src))
 
     assert float(row["log_negativity"]) == pytest.approx(value(float(row["t"])), rel=1e-8)
@@ -154,7 +168,7 @@ def test_optimal_entanglement_beats_the_bare_source_at_low_squeezing(capsys):
     assert main(["entanglement", "--t", "optimal", "--scheme", "bsqc", "--n", "1",
                  "--alpha-min", "0.1", "--alpha-max", "0.1"]) == EXIT_OK
     rows = {r["scheme"]: r for r in csv.DictReader(io.StringIO(capsys.readouterr().out))}
-    scan = catalysis.log_negativity(catalysis.schmidt_spectrum(CatalysisConfig.bsqc(1, 0.074),
+    scan = catalysis.log_negativity(catalysis.schmidt_spectrum(SchemeFamily("bsqc", 1).at(0.074),
                                                                SourceParams(0.1)))
     assert float(rows["bsqc"]["log_negativity"]) >= scan - 1e-8
     assert float(rows["bsqc"]["t"]) < 0.5

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catqkd import (
-    CatalysisConfig,
     ChannelParams,
     ProtocolParams,
+    SchemeFamily,
     SourceParams,
     SubtractionConfig,
     TwoModeCovariance,
@@ -131,7 +131,7 @@ def test_worked_symplectic_example():
     "cov",
     [
         tmsv_covariance(V20),
-        pd_and_covariance(CatalysisConfig.bsqc(1, 0.9), V20)[1],
+        pd_and_covariance(SchemeFamily("bsqc", 1).at(0.9), V20)[1],
         p1_and_covariance(SubtractionConfig(0.85), V20)[1],
     ],
 )
@@ -146,7 +146,7 @@ def test_shared_spectrum_matches_numeric_route(cov, d_km, eps):
 def test_conditional_spectrum_matches_schur_complement():
     # oracle: project Bob's mode on a homodyne outcome via the Schur
     # complement Gamma_A - C (Pi B Pi)^+ C^T and take |eig| of i Omega V
-    cov = pd_and_covariance(CatalysisConfig.bsqc(1, 0.9), V20)[1]
+    cov = pd_and_covariance(SchemeFamily("bsqc", 1).at(0.9), V20)[1]
     ch = ChannelParams.from_distance(60.0, 0.01)
     after = propagate_covariance(cov, ch).as_matrix()
     a, b, c = after[:2, :2], after[2:, 2:], after[:2, 2:]
@@ -158,7 +158,7 @@ def test_conditional_spectrum_matches_schur_complement():
 
 
 def test_result_assembles_its_parts():
-    scheme = CatalysisConfig.bsqc(1, 0.9)
+    scheme = SchemeFamily("bsqc", 1).at(0.9)
     p = ProtocolParams(V20, scheme, beta=0.9)
     ch = ChannelParams.from_distance(40.0, 0.01)
     res = secret_key_rate(p, ch)
@@ -278,7 +278,7 @@ def _relative_error(cov, ch):
 def test_near_pure_catalysed_spectrum_is_exact(n, t):
     # big**2 - 4*det**2 cancels just below 0 here, and the factored discriminant
     # gives the spectrum to round-off (a discriminant of 0 is 6e-11 and 4e-10 off)
-    cov = pd_and_covariance(CatalysisConfig.bsqc(n, t), V20)[1]
+    cov = pd_and_covariance(SchemeFamily("bsqc", n).at(t), V20)[1]
     assert _relative_error(cov, ChannelParams.from_distance(1e-9, 0.0)) <= 1e-13
 
 
@@ -296,7 +296,7 @@ def test_negative_discriminants_of_near_pure_states_are_not_refused(kind, n, var
                                                                     d_km, eps):
     # near-pure states near 0 km, where big**2 - 4*det**2 cancels to a
     # small negative number; the factored discriminant gives their spectra
-    scheme = None if kind is None else getattr(CatalysisConfig, kind)(n, t)
+    scheme = None if kind is None else SchemeFamily(kind, n).at(t)
     cov = source_state(scheme, SourceParams.from_variance(variance))[1]
     ch = ChannelParams.from_distance(d_km, eps)
     yb, zz = ch.tc * (cov.y + ch.xi), ch.tc * cov.z**2

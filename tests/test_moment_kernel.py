@@ -102,7 +102,7 @@ def test_product_table_is_the_binomial_identity():
 
 
 def test_memo_keeps_the_sign_of_a_negative_zero_alpha():
-    cfg = CatalysisConfig.bsqc(1, 0.9)
+    cfg = SchemeFamily("bsqc", 1).at(0.9)
     catalysis._exact_moments.cache_clear()
     assert math.copysign(1.0, catalysis._moments(cfg, SourceParams(0.0))[2]) == 1.0
     pd, x, z = catalysis._moments(cfg, SourceParams(-0.0))

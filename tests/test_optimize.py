@@ -71,7 +71,7 @@ def test_refinement_never_loses_to_the_grid():
     opt = optimize_transmittance(p, ch)
     coarse = max(
         secret_key_rate(
-            ProtocolParams(V20, CatalysisConfig.bsqc(1, t)), ch
+            ProtocolParams(V20, SchemeFamily("bsqc", 1).at(t)), ch
         ).key_rate
         for t in [0.5 + 0.005 * k for k in range(101)]
     )
@@ -84,7 +84,7 @@ def test_single_arm_template_keeps_signal_open():
     p = ProtocolParams(V20, SchemeFamily("ssqc", 1))
     opt = optimize_transmittance(p, ChannelParams.from_distance(100.0, 0.01))
     best = secret_key_rate(
-        ProtocolParams(V20, CatalysisConfig.ssqc(1, opt.t)),
+        ProtocolParams(V20, SchemeFamily("ssqc", 1).at(opt.t)),
         ChannelParams.from_distance(100.0, 0.01),
     )
     assert best.key_rate == pytest.approx(opt.key_rate, rel=1e-12)
@@ -99,7 +99,7 @@ def test_symmetric_template_at_unit_transmittance_stays_symmetric():
 
 
 def test_zero_photon_families_stay_apart():
-    # bsqc(0, 1.0) == ssqc(0, 1.0), so no concrete config can tell these two apart
+    # both zero-photon families give one config at t = 1, so no concrete config tells them apart
     ch = ChannelParams.from_distance(100.0, 0.01)
     bsqc0 = optimize_transmittance(ProtocolParams(V20, SchemeFamily("bsqc", 0)), ch)
     ssqc0 = optimize_transmittance(ProtocolParams(V20, SchemeFamily("ssqc", 0)), ch)
@@ -109,7 +109,7 @@ def test_zero_photon_families_stay_apart():
 
 def test_optimisers_refuse_a_concrete_scheme():
     ch = ChannelParams.from_distance(100.0, 0.01)
-    p = ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9))
+    p = ProtocolParams(V20, SchemeFamily("bsqc", 1).at(0.9))
     for search in (lambda: optimize_transmittance(p, ch),
                    lambda: max_tolerable_excess_noise(p, 100.0), lambda: max_distance(p)):
         with pytest.raises(TypeError, match="SchemeFamily"):
@@ -121,10 +121,16 @@ def test_key_rate_refuses_a_family():
         secret_key_rate(ProtocolParams(V20, BSQC1), ChannelParams.from_distance(100.0, 0.01))
 
 
+@pytest.mark.parametrize("t", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", range(6))
+def test_scheme_family_puts_the_transmittance_on_its_arms(n, t):
+    # bsqc catalyses both arms at t; ssqc the idler only, leaving the signal arm at 1
+    assert SchemeFamily("bsqc", n).at(t) == CatalysisConfig(m=n, n=n, t1=t, t2=t)
+    assert SchemeFamily("ssqc", n).at(t) == CatalysisConfig(m=0, n=n, t1=1.0, t2=t)
+    assert SchemeFamily("subtraction").at(t) == SubtractionConfig(t)
+
+
 def test_scheme_family_instantiates_the_presets():
-    assert SchemeFamily("bsqc", 2).at(0.9) == CatalysisConfig.bsqc(2, 0.9)
-    assert SchemeFamily("ssqc", 2).at(0.9) == CatalysisConfig.ssqc(2, 0.9)
-    assert SchemeFamily("subtraction").at(0.9) == SubtractionConfig(0.9)
     assert [SchemeFamily(k, 2).photon_columns for k in ("bsqc", "ssqc")] == [(2, 2), (0, 2)]
     assert SchemeFamily("subtraction").photon_columns == (None, None)
     assert SchemeFamily("ssqc", 1).heralds(1.0) and not SchemeFamily("subtraction").heralds(1.0)
@@ -614,7 +620,7 @@ def test_optimal_transmittances_refuse_alike():
     with pytest.raises(ValueError, match="no transmittance"):
         optimize.optimal_transmittances(ProtocolParams(V20), [])
     with pytest.raises(TypeError, match="SchemeFamily"):
-        optimize.optimal_transmittances(ProtocolParams(V20, CatalysisConfig.bsqc(1, 0.9)), [])
+        optimize.optimal_transmittances(ProtocolParams(V20, SchemeFamily("bsqc", 1).at(0.9)), [])
     # a refused channel is named, as in the grid pass over a sequence of channels
     p = ProtocolParams(SourceParams.from_variance(1e6), SchemeFamily("bsqc", 0))
     channels = [ChannelParams.from_distance(d) for d in (300.0, 1e-9)]

@@ -13,6 +13,7 @@ from catqkd import (
     CatalysisConfig,
     ChannelParams,
     CutoffError,
+    SchemeFamily,
     SourceParams,
     SubtractionConfig,
     log_negativity_tmsv,
@@ -95,11 +96,11 @@ def test_adaptive_cutoff_controls_tail():
 
 def test_cutoff_too_small_raises():
     with pytest.raises(CutoffError, match="cutoff too small"):
-        simulate_catalysis(CatalysisConfig.bsqc(1, 0.9), SourceParams(3.0), cutoff=20)
+        simulate_catalysis(SchemeFamily("bsqc", 1).at(0.9), SourceParams(3.0), cutoff=20)
 
 
 def test_results_stable_under_cutoff_doubling():
-    cfg, src = CatalysisConfig.bsqc(1, 0.9), SourceParams(1.0)
+    cfg, src = SchemeFamily("bsqc", 1).at(0.9), SourceParams(1.0)
     base = adaptive_cutoff(src.lam)
     lo = simulate_catalysis(cfg, src, cutoff=base)
     hi = simulate_catalysis(cfg, src, cutoff=2 * base)
@@ -111,8 +112,8 @@ def test_results_stable_under_cutoff_doubling():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: (simulate_catalysis, CatalysisConfig.bsqc(1, 0.9)),
-        lambda: (simulate_catalysis, CatalysisConfig.ssqc(2, 0.8)),
+        lambda: (simulate_catalysis, SchemeFamily("bsqc", 1).at(0.9)),
+        lambda: (simulate_catalysis, SchemeFamily("ssqc", 2).at(0.8)),
         lambda: (simulate_subtraction, SubtractionConfig(0.85)),
     ],
 )
@@ -275,9 +276,9 @@ def test_one_amplitude_call_per_arm(cutoff, monkeypatch):
     monkeypatch.setattr(oracle, "bs_fock_amplitude", counted)
     oracle._ladder.cache_clear()
     # bsqc's two arms are one ladder, computed once and then served by the memo
-    simulate_catalysis(CatalysisConfig.bsqc(2, 0.9), SourceParams(1.0), cutoff=cutoff)
+    simulate_catalysis(SchemeFamily("bsqc", 2).at(0.9), SourceParams(1.0), cutoff=cutoff)
     assert len(calls) == 1
-    simulate_catalysis(CatalysisConfig.bsqc(2, 0.9), SourceParams(1.0), cutoff=cutoff)
+    simulate_catalysis(SchemeFamily("bsqc", 2).at(0.9), SourceParams(1.0), cutoff=cutoff)
     assert len(calls) == 1
     simulate_subtraction(SubtractionConfig(0.9), SourceParams(1.0), cutoff=cutoff)
     assert len(calls) == 2
@@ -296,7 +297,7 @@ def test_memoised_ladders_are_read_only_and_keyed_on_the_sign():
 
 
 @pytest.mark.parametrize("simulate, cfg", [
-    (simulate_catalysis, CatalysisConfig.bsqc(1, 0.9)),
+    (simulate_catalysis, SchemeFamily("bsqc", 1).at(0.9)),
     (simulate_subtraction, SubtractionConfig(1.0 - 1e-6)),
 ])
 def test_cutoff_cap_raises_before_allocating(simulate, cfg):
@@ -315,7 +316,7 @@ def test_cutoff_cap_raises_before_allocating(simulate, cfg):
 
 def test_cutoff_below_the_cap_is_simulated():
     assert adaptive_cutoff(SourceParams.from_variance(1e6).lam) == 34_885_350
-    cfg, src = CatalysisConfig.bsqc(1, 0.9), SourceParams.from_variance(1e4)
+    cfg, src = SchemeFamily("bsqc", 1).at(0.9), SourceParams.from_variance(1e4)
     assert adaptive_cutoff(src.lam) == 325_828
     sim = simulate_catalysis(cfg, src)
     pd, cov = pd_and_covariance(cfg, src)
@@ -324,7 +325,7 @@ def test_cutoff_below_the_cap_is_simulated():
 
 
 @pytest.mark.parametrize("simulate, cfg", [
-    (simulate_catalysis, CatalysisConfig.bsqc(1, 0.9)),
+    (simulate_catalysis, SchemeFamily("bsqc", 1).at(0.9)),
     (simulate_subtraction, SubtractionConfig(0.9)),
 ])
 def test_negative_cutoff_is_refused(simulate, cfg):

@@ -19,13 +19,17 @@ print("\\n".join(ran))
 """
 
 
-def _modules_run(statement: str) -> set[str]:
-    """The ``catqkd`` modules whose code runs when a fresh interpreter executes ``statement``."""
+def _run(code: str) -> str:
+    """The standard output of a fresh interpreter that runs ``code`` with this ``catqkd``."""
     path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", _PROBE.format(statement=statement)], env=env,
-                          capture_output=True, text=True, check=True, timeout=60)
-    files = [Path(line) for line in proc.stdout.splitlines()]
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def _modules_run(statement: str) -> set[str]:
+    """The ``catqkd`` modules whose code runs when a fresh interpreter executes ``statement``."""
+    files = [Path(line) for line in _run(_PROBE.format(statement=statement)).splitlines()]
     return {f"catqkd.{f.stem}" for f in files if f.parent == PACKAGE}
 
 
@@ -33,6 +37,12 @@ def test_cli_import_runs_no_verification_module():
     ran = _modules_run("import catqkd.cli")
     assert "catqkd.cli" in ran
     assert ran & {"catqkd.oracle", "catqkd.series", "catqkd.verify"} == set()
+
+
+def test_cli_and_parser_import_no_json():
+    # only --format json output needs the json package
+    code = "import sys, catqkd.cli\ncatqkd.cli.build_parser()\nprint('json' in sys.modules)"
+    assert _run(code) == "False\n"
 
 
 def test_oracle_import_runs_no_jets():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from catqkd import catalysis, oracle, subtraction, verify
-from catqkd.catalysis import CatalysisConfig, SourceParams
-from catqkd.keyrate import ChannelParams, propagate_covariance, symplectic_eigenvalues
+from catqkd.catalysis import SourceParams
+from catqkd.keyrate import ChannelParams, SchemeFamily, propagate_covariance, symplectic_eigenvalues
 from catqkd.subtraction import SubtractionConfig
 
 
@@ -33,7 +33,7 @@ def _symplectic_per_case(rows, rng):
         if kind == 0:
             cov = catalysis.tmsv_covariance(src)
         elif kind == 1:
-            cfg = CatalysisConfig.bsqc(rng.randrange(3), rng.uniform(0.6, 0.99))
+            cfg = SchemeFamily("bsqc", rng.randrange(3)).at(rng.uniform(0.6, 0.99))
             cov = catalysis.pd_and_covariance(cfg, src)[1]
         else:
             cov = subtraction.output_covariance(SubtractionConfig(t=rng.uniform(0.5, 0.99)), src)
