@@ -6,30 +6,9 @@
 Run it from the root of a checkout; it imports ``catqkd`` from that
 checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
-4242 (``verify`` is one of them), twenty-two edge commands (subtraction's
-success probability down to a vacuum source, its vacuum refusal, a noise
-sweep whose far rows are round-off (ROADMAP item 2), an
-optimal-transmittance sweep of the default schemes over 61 distances,
-with rows where no transmittance gives a key, one
-at V = 1e6 where four schemes give none, a noise search and an
-optimal-transmittance sweep that the grid pass refuses at V = 1e6, ``verify``
-with the mirrored beam-splitter sign, and the optimal-transmittance
-entanglement of ssqc2 on a vacuum source, whose Schmidt spectra have
-``x = 0``, an optimal-transmittance sweep at V = 1.5 and 640-670 km whose
-best grid rates are of round-off size, so exact logarithms decide every
-grid cell, one with an excess noise of 1e150 whose squares overflow
-and which the grid pass refuses, subtraction's optimal transmittance at
-V = 1e20, where lam**2 rounds to 1, the refusals of a source whose
-covariance or variance overflows, the entanglement of a source whose lam
-rounds to 1, a catalysed covariance whose z**2 overflows, and a noise
-sweep of the default schemes over 70 distances, which crosses two
-boundaries of the 32-distance blocks that the search bisects, and an
-optimal-transmittance sweep and a noise sweep of the default schemes at
-0 and 1e-9 km, whose near-pure grid cells the scalar rate formula
-decides, and the rate of bsqc0 at t = 0.99 and 1e-9 km, whose
-discriminant cancels below 0, and ``verify`` at a Fock cutoff of 600,
-which every oracle simulation takes), and
-``scripts/reproduce_figures.py`` with and without ``--quick``.  A CLI command's digest covers its exit code,
+4242 (``verify`` is one of them), the edge commands of ``EDGE_COMMANDS``
+(each with the reason it is there), and ``scripts/reproduce_figures.py``
+with and without ``--quick``.  A CLI command's digest covers its exit code,
 standard output, standard error and the category and message of each
 warning it raises (recorded, as their printed form names the file and line
 of the call site); a figure's covers the CSV file it writes.  To compare two
@@ -50,37 +29,60 @@ from pathlib import Path
 ROOT = Path.cwd()
 SEEDS = (0, 7, 4242)
 EDGE_COMMANDS = [
+    # subtraction's success probability down to a vacuum source
     ["success-prob", "--scheme", "subtraction"],
+    # subtraction's vacuum refusal
     ["keyrate", "--scheme", "subtraction", "--alpha", "0"],
+    # a noise sweep whose far rows are round-off (ROADMAP item 2)
     ["excess-noise", "--variance", "1.5", "--d-min", "550", "--d-max", "750", "--d-step", "5"],
+    # the default schemes over 61 distances, with rows where no transmittance gives a key
     ["keyrate", "--t", "optimal", "--d-min", "0", "--d-max", "600", "--d-step", "10"],
+    # V = 1e6, where four schemes give no key
     ["keyrate", "--t", "optimal", "--variance", "1e6", "--d-min", "100", "--d-max", "100"],
+    # a noise search that the grid pass refuses at V = 1e6
     ["excess-noise", "--scheme", "bsqc", "--n", "0", "--variance", "1e6", "--d-min", "1e-9",
      "--d-max", "1e-9"],
+    # an optimal-transmittance sweep that the grid pass refuses at V = 1e6
     ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "0", "--variance", "1e6",
      "--epsilon", "0", "--d-min", "0", "--d-max", "1e-9", "--d-step", "1e-9"],
+    # the mirrored beam-splitter sign
     ["verify", "--flip-bs-sign"],
+    # ssqc2 on a vacuum source, whose Schmidt spectra have x = 0
     ["entanglement", "--t", "optimal", "--scheme", "ssqc", "--n", "2", "--alpha-min", "0",
      "--alpha-max", "0.1", "--alpha-step", "0.1"],
+    # best grid rates of round-off size at V = 1.5, so exact logarithms decide every grid cell
     ["keyrate", "--t", "optimal", "--variance", "1.5", "--d-min", "640", "--d-max", "670",
      "--d-step", "5"],
+    # an excess noise whose squares overflow, which the grid pass refuses
     ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--epsilon", "1e150",
      "--d-min", "100", "--d-max", "100"],
+    # subtraction's optimal transmittance at V = 1e20, where lam**2 rounds to 1
     ["keyrate", "--t", "optimal", "--scheme", "subtraction", "--variance", "1e20",
      "--d-min", "100", "--d-max", "100"],
+    # the refusal of a source whose covariance overflows
     ["keyrate", "--scheme", "original", "--variance", "1e155", "--d-min", "100", "--d-max", "100"],
+    # the refusal of a source whose variance overflows
     ["keyrate", "--scheme", "original", "--alpha", "1e200", "--d-min", "100", "--d-max", "100"],
+    # the entanglement of a source whose lam rounds to 1
     ["entanglement", "--alpha-min", "1e200", "--alpha-max", "1e200"],
     ["entanglement", "--alpha-min", "1e9", "--alpha-max", "1e9"],
+    # a catalysed covariance whose z**2 overflows
     ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--alpha", "1e100",
      "--d-min", "100", "--d-max", "100"],
+    # 70 distances, which cross two boundaries of the 32-distance blocks the search bisects
     ["excess-noise", "--d-min", "0", "--d-max", "345", "--d-step", "5"],
+    # near-pure grid cells at 0 and 1e-9 km, which the scalar rate formula decides
     ["keyrate", "--t", "optimal", "--epsilon", "0", "--d-min", "0", "--d-max", "1e-9",
      "--d-step", "1e-9"],
     ["excess-noise", "--d-min", "0", "--d-max", "1e-9", "--d-step", "1e-9"],
+    # bsqc0 at t = 0.99 and 1e-9 km, whose discriminant cancels below 0
     ["keyrate", "--scheme", "bsqc", "--n", "0", "--t", "0.99", "--epsilon", "0", "--d-min", "1e-9",
      "--d-max", "1e-9"],
+    # a Fock cutoff of 600, which every oracle simulation takes
     ["verify", "--cutoff", "600"],
+    # the JSON writer; plob is inf at 0 km, so a cell is written as null
+    ["keyrate", "--format", "json", "--scheme", "original", "--d-min", "0", "--d-max", "10",
+     "--d-step", "10"],
 ]
 
 

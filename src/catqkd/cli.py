@@ -199,13 +199,15 @@ def _json_safe(value):
     return value
 
 
-def _emit(args, columns: list[str], rows: list[dict]) -> None:
+def _emit(args, rows: list[dict]) -> int:
+    """Write the rows, whose columns are the first row's keys, and return ``EXIT_OK``."""
+    columns = list(rows[0])
     if args.format == "csv":
         def write(stream):
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_cell(row.get(c)) for c in columns])
+                writer.writerow([_cell(row[c]) for c in columns])
     else:
         import json  # only JSON output needs it; CSV sweeps skip its import
 
@@ -213,7 +215,7 @@ def _emit(args, columns: list[str], rows: list[dict]) -> None:
         meta["version"] = __version__
         payload = {
             "metadata": meta,
-            "columns": {c: [_json_safe(row.get(c)) for row in rows] for c in columns},
+            "columns": {c: [_json_safe(row[c]) for row in rows] for c in columns},
         }
 
         def write(stream):
@@ -225,6 +227,7 @@ def _emit(args, columns: list[str], rows: list[dict]) -> None:
     else:
         with open(args.out, "w", newline="") as stream:
             write(stream)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +252,7 @@ def cmd_success_prob(args) -> int:
                 subtraction if family.kind == "subtraction" else catalysis
             ).success_probability(family.at(t), src)
             rows.append({"alpha": alpha, **_labels(family), "t": t, "p_success": pd})
-    _emit(args, ["alpha", "scheme", "m", "n", "t", "p_success"], rows)
-    return EXIT_OK
+    return _emit(args, rows)
 
 
 def _best_log_negativity(cfg_at, src) -> tuple[float, float]:
@@ -285,8 +287,7 @@ def cmd_entanglement(args) -> int:
         rows.append({"alpha": alpha, "scheme": "tmsv-closed-form", "m": None, "n": None,
                      "t": None,
                      "log_negativity": catalysis.log_negativity_tmsv_closed_form(src)})
-    _emit(args, ["alpha", "scheme", "m", "n", "t", "log_negativity"], rows)
-    return EXIT_OK
+    return _emit(args, rows)
 
 
 def _channels(distances: list[float], **kwargs) -> tuple[list[ChannelParams], ValueError | None]:
@@ -333,9 +334,7 @@ def cmd_keyrate(args) -> int:
             })
     if refused is not None:
         raise refused
-    _emit(args, ["distance_km", "scheme", "m", "n", "t", "p_success", "i_ab", "holevo",
-                 "key_rate", "plob"], rows)
-    return EXIT_OK
+    return _emit(args, rows)
 
 
 def cmd_excess_noise(args) -> int:
@@ -356,8 +355,7 @@ def cmd_excess_noise(args) -> int:
         raise refused
     rows = [{"distance_km": d, **_labels(family), "eps_max": eps[k]}
             for k, d in enumerate(distances) for family, eps in zip(entries, limits)]
-    _emit(args, ["distance_km", "scheme", "m", "n", "eps_max"], rows)
-    return EXIT_OK
+    return _emit(args, rows)
 
 
 def cmd_max_distance(args) -> int:
@@ -370,8 +368,7 @@ def cmd_max_distance(args) -> int:
                          atten_db_per_km=args.atten_db_km)
         rows.append({**_labels(family), "epsilon": args.epsilon, "floor": args.floor,
                      "max_distance_km": d})
-    _emit(args, ["scheme", "m", "n", "epsilon", "floor", "max_distance_km"], rows)
-    return EXIT_OK
+    return _emit(args, rows)
 
 
 def cmd_verify(args) -> int:
@@ -383,7 +380,7 @@ def cmd_verify(args) -> int:
     rows = [{"check": name, "max_abs_deviation": dev, "tolerance": tol,
              "status": "PASS" if dev <= tol else "FAIL"}
             for name, dev, tol in verify.checks(args.seed, args.cutoff, sign)]
-    _emit(args, ["check", "max_abs_deviation", "tolerance", "status"], rows)
+    _emit(args, rows)
     failed = [r for r in rows if r["status"] == "FAIL"]
     if failed:
         for r in failed:

@@ -111,18 +111,16 @@ def _probe_rate(family: SchemeFamily, source: SourceParams, ch: ChannelParams, b
     return max(0.0, _rate_terms(*source_state(family.at(t), source), ch, beta)[-1])
 
 
-def _family(p: ProtocolParams) -> SchemeFamily:
-    if p.scheme is None:
-        raise ValueError("the bare protocol has no transmittance to optimise")
-    if not isinstance(p.scheme, SchemeFamily):
+def _grid(p: ProtocolParams) -> tuple[tuple[float, ...] | None, np.ndarray]:
+    """The cached grid of ``p``'s family and source; ``p.scheme`` must be a family or ``None``."""
+    if p.scheme is not None and not isinstance(p.scheme, SchemeFamily):
         raise TypeError(f"the optimisers take a SchemeFamily, not {p.scheme!r}")
-    return p.scheme
+    return _grid_states(p.scheme, p.source)
 
 
-def _grid_best(p: ProtocolParams, channels: Sequence[ChannelParams]) -> list[tuple[int, float]]:
-    """Per channel, the best grid cell and its rate, from one pass over the cached grid states."""
-    t, states = _grid_states(_family(p), p.source)
-    return grid_best(t, *states, channels, p.beta)
+def _blocks(items: list) -> list[list]:
+    """``items`` in sweep order, in blocks of up to ``_BLOCK``."""
+    return [items[k:k + _BLOCK] for k in range(0, len(items), _BLOCK)]
 
 
 def _refine(p: ProtocolParams, ch: ChannelParams, best: int, rate: float) -> TransmittanceOptimum:
@@ -143,13 +141,11 @@ def optimal_transmittances(p: ProtocolParams, channels: Sequence[ChannelParams]
     own.  A state that the grid pass refuses raises
     :class:`~catqkd.errors.ConsistencyError` naming ``t`` and the channel.
     """
-    channels = list(channels)
-    _family(p)  # refused with no channel too
-    optima = []
-    for k in range(0, len(channels), _BLOCK):
-        block = channels[k:k + _BLOCK]
-        optima += [_refine(p, ch, *best) for ch, best in zip(block, _grid_best(p, block))]
-    return optima
+    if p.scheme is None:
+        raise ValueError("the bare protocol has no transmittance to optimise")
+    t, states = _grid(p)  # refused with no channel too
+    return [_refine(p, ch, *best) for block in _blocks(list(channels))
+            for ch, best in zip(block, grid_best(t, *states, block, p.beta))]
 
 
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams) -> TransmittanceOptimum:
@@ -209,15 +205,14 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     scalar = np.ndim(distance_km) == 0
     distances = [distance_km] if scalar else list(distance_km)
     tcs = [ChannelParams.from_distance(d, atten_db_per_km=atten_db_per_km).tc for d in distances]
-    t, states = _grid_states(None if p.scheme is None else _family(p), p.source)
+    t, states = _grid(p)
 
     def positive(block: list[float], lanes: list[int], eps: list[float]) -> list[bool]:
         channels = [ChannelParams(tc=block[i], epsilon=e) for i, e in zip(lanes, eps)]
         return [rate > 0.0 for _, rate in grid_best(t, *states, channels, p.beta)]
 
     limits = []
-    for k in range(0, len(tcs), _BLOCK):
-        block = tcs[k:k + _BLOCK]
+    for block in _blocks(tcs):
         limits += _largest_true(functools.partial(positive, block), len(block), _EPS_MAX, _EPS_TOL)
     return limits[0] if scalar else limits
 
@@ -236,7 +231,8 @@ def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,
                                          atten_db_per_km=atten_db_per_km)
         if p.scheme is None:
             return [secret_key_rate(p, ch).key_rate >= floor]
-        (best, rate), = _grid_best(p, [ch])
+        t, states = _grid(p)
+        (best, rate), = grid_best(t, *states, [ch], p.beta)
         return [rate >= floor or _refine(p, ch, best, rate).key_rate >= floor]
 
     return _largest_true(reaches, 1, _D_MAX, _D_RES)[0]

@@ -174,6 +174,29 @@ def test_optimal_entanglement_beats_the_bare_source_at_low_squeezing(capsys):
     assert float(rows["bsqc"]["t"]) < 0.5
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["success-prob", "--scheme", "original", *SINGLE_ALPHA], "alpha,scheme,m,n,t,p_success"),
+    (["entanglement", "--scheme", "bsqc", "--n", "1", *SINGLE_ALPHA],
+     "alpha,scheme,m,n,t,log_negativity"),
+    (["keyrate", "--scheme", "original", "--d-min", "100", "--d-max", "100"],
+     "distance_km,scheme,m,n,t,p_success,i_ab,holevo,key_rate,plob"),
+    (["excess-noise", "--scheme", "original", "--d-min", "100", "--d-max", "100"],
+     "distance_km,scheme,m,n,eps_max"),
+    (["max-distance", "--scheme", "original"], "scheme,m,n,epsilon,floor,max_distance_km"),
+    (["verify"], "check,max_abs_deviation,tolerance,status"),
+])
+def test_csv_headers(capsys, argv, header):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.split("\n", 1)[0] == header
+
+
+def test_json_columns_keep_the_csv_order(capsys):
+    argv = ["max-distance", "--scheme", "original", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    columns = json.loads(capsys.readouterr().out)["columns"]
+    assert list(columns) == ["scheme", "m", "n", "epsilon", "floor", "max_distance_km"]
+
+
 def test_keyrate_json_structure(tmp_path):
     out = tmp_path / "rates.json"
     args = ["keyrate", "--scheme", "original", "--d-min", "0", "--d-max", "0",

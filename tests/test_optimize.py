@@ -554,6 +554,15 @@ def test_grid_and_source_state_refuse_a_vacuum_alike():
     assert str(grid.value) == str(scalar.value)
 
 
+def test_empty_sweeps_refuse_a_source_the_family_cannot_herald_from():
+    p = ProtocolParams(SourceParams.from_variance(1.0), SchemeFamily("subtraction"))
+    with pytest.raises(ValueError, match="vacuum") as optima:
+        optimize.optimal_transmittances(p, [])
+    with pytest.raises(ValueError, match="vacuum") as limits:
+        max_tolerable_excess_noise(p, [])
+    assert str(optima.value) == str(limits.value)
+
+
 @pytest.mark.parametrize("variance,family,d_km,eps,all_zero", [
     (20.0, BSQC1, 100.0, 0.01, False),
     (20.0, SchemeFamily("ssqc", 2), 50.0, 0.01, False),
