@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams, secret_key_rate
+from catqkd.cli import _grid
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -30,8 +31,12 @@ def main(argv: list[str] | None = None) -> int:
 
     family = SchemeFamily(args.scheme, 0 if args.scheme == "subtraction" else args.photons)
     src = SourceParams.from_variance(args.variance)
-    steps = int(round((1.0 - args.t_min) / args.t_step))
-    grid = [args.t_min + k * args.t_step for k in range(steps + 1)]
+    if not 0.0 < args.t_min <= 1.0:
+        parser.error(f"--t-min {args.t_min} outside (0, 1]")
+    try:
+        grid = _grid(args.t_min, 1.0, args.t_step, "t")
+    except ValueError as exc:
+        parser.error(str(exc))
 
     with args.out.open("w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")

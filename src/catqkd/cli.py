@@ -426,22 +426,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-def _expand_config(argv: list[str], registry: dict[str, argparse.ArgumentParser]) -> list[str]:
-    """Splice config-file entries right after the subcommand, before user flags."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                return argv  # let argparse report the missing value
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
-    if path is None or not argv or argv[0] not in registry:
-        return argv
+def _config_tokens(path: str, sp: argparse.ArgumentParser) -> list[str]:
+    """The flags a config file's entries stand for, in the file's order."""
     actions = {}
-    for action in registry[argv[0]]._actions:
+    for action in sp._actions:
         for opt in action.option_strings:
             actions[opt.lstrip("-")] = action
     tokens: list[str] = []
@@ -466,14 +454,17 @@ def _expand_config(argv: list[str], registry: dict[str, argparse.ArgumentParser]
                     raise ValueError(f"{path}:{lineno}: boolean flag {key!r} got {value!r}")
             else:
                 tokens.extend([flag, value])
-    return [argv[0], *tokens, *argv[1:]]
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:  # parse_args reports its own errors through SystemExit
-        args = parser.parse_args(_expand_config(argv, registry))
+        args = parser.parse_args(argv)
+        if args.config is not None:  # the file's flags come first, so the given ones win
+            args = parser.parse_args([argv[0], *_config_tokens(args.config, registry[args.command]),
+                                      *argv[1:]])
         return args.func(args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"catqkd: error: {exc}", file=sys.stderr)

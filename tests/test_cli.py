@@ -471,6 +471,48 @@ def test_config_equals_form_and_missing_value(tmp_path, capsys):
     assert "--config: expected one argument" in capsys.readouterr().err
 
 
+def test_config_abbreviated_like_any_flag(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("alpha = 2\nd-min = 10\nd-max = 10\n")
+    base = ["keyrate", "--scheme", "original"]
+    assert main([*base, "--config", str(config)]) == EXIT_OK
+    spelled_out = capsys.readouterr()
+    assert len(spelled_out.out.splitlines()) == 2  # the header and the file's one distance
+    for flag in (["--conf", str(config)], [f"--co={config}"]):
+        assert main([*base, *flag]) == EXIT_OK
+        assert capsys.readouterr() == spelled_out
+
+
+def test_repeated_config_reads_the_last_file(tmp_path, capsys):
+    first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+    first.write_text("alpha = 2\nd-min = 10\nd-max = 10\n")
+    last.write_text("variance = 5\nd-min = 10\nd-max = 10\n")
+    base = ["keyrate", "--scheme", "original"]
+    assert main([*base, "--config", str(first)]) == EXIT_OK
+    first_only = capsys.readouterr()
+    assert main([*base, "--config", str(last)]) == EXIT_OK
+    last_only = capsys.readouterr()
+    assert last_only != first_only
+    assert main([*base, "--config", str(first), "--config", str(last)]) == EXIT_OK
+    assert capsys.readouterr() == last_only
+
+
+@pytest.mark.parametrize("entry,flag,message", [
+    ("variance = 5", ["--alpha", "2"], "argument --alpha: not allowed with argument --variance"),
+    ("alpha = 2", ["--variance", "5"], "argument --variance: not allowed with argument --alpha"),
+])
+def test_config_source_conflicts_with_the_other_source_flag(tmp_path, capsys, entry, flag,
+                                                            message):
+    # --alpha and --variance are one mutually exclusive group: a flag does not override the other
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{entry}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["keyrate", "--config", str(config), *flag])
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"\ncatqkd keyrate: error: {message}\n")
+
+
 def test_config_boolean_flags(tmp_path, capsys):
     # the JSON metadata echoes the flag: the CSV rows of both signs are equal
     assert main(["verify", "--format", "json", "--flip-bs-sign"]) == EXIT_OK

@@ -50,3 +50,25 @@ def test_landscape_without_a_positive_rate_prints_no_optimum(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert re.match(r"d = +50\.0 km: best t = ", lines[0])
     assert lines[1] == "d =  150.0 km: no grid point has a positive rate"
+
+
+def test_landscape_grid_ends_on_one(tmp_path):
+    out = tmp_path / "landscape.csv"
+    assert landscape.main(["--distances", "50", "--t-step", "0.3", "--out", str(out)]) == 0
+    with out.open(newline="") as stream:
+        assert [row["t"] for row in csv.DictReader(stream)] == ["0.5", "0.8", "1"]
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--t-min", "0"], "--t-min 0.0 outside (0, 1]"),
+    (["--t-min", "1.5"], "--t-min 1.5 outside (0, 1]"),
+    (["--t-step", "0"], "bad t grid: [0.5, 1.0] step 0.0"),
+    (["--t-step", "nan"], "bad t grid: [0.5, 1.0] step nan"),
+])
+def test_landscape_refuses_a_bad_grid(tmp_path, capsys, flags, error):
+    out = tmp_path / "landscape.csv"
+    with pytest.raises(SystemExit) as exc:
+        landscape.main(["--distances", "50", "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {error}\n")
+    assert not out.exists()

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import catqkd
 
 PACKAGE = Path(catqkd.__file__).parent
@@ -19,12 +21,19 @@ print("\\n".join(ran))
 """
 
 
-def _run(code: str) -> str:
-    """The standard output of a fresh interpreter that runs ``code`` with this ``catqkd``."""
+def _interpreter(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args`` and this ``catqkd``, its output captured."""
     path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True, timeout=60).stdout
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _run(code: str) -> str:
+    """The standard output of a fresh interpreter that runs ``code`` with this ``catqkd``."""
+    done = _interpreter("-c", code)
+    done.check_returncode()
+    return done.stdout
 
 
 def _modules_run(statement: str) -> set[str]:
@@ -58,3 +67,22 @@ def test_lazy_modules_resolve_after_the_cli_import():
                        "sys.modules['catqkd.series'].jet_mul\n"
                        "sys.modules['catqkd.oracle'].bs_fock_amplitude")
     assert {"catqkd.oracle", "catqkd.series"} <= ran
+
+
+def test_module_entry_point_prints_the_version():
+    done = _interpreter("-m", "catqkd", "--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"catqkd {catqkd.__version__}\n", "")
+
+
+@pytest.mark.parametrize("command", ["success-prob", "entanglement", "keyrate", "excess-noise",
+                                     "max-distance", "verify"])
+def test_module_entry_point_prints_each_subcommand_help(command):
+    done = _interpreter("-m", "catqkd", command, "--help")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(f"usage: catqkd {command} [-h]")
+
+
+def test_module_entry_point_maps_a_usage_error_to_exit_one():
+    done = _interpreter("-m", "catqkd", "success-prob", "--t", "optimal")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "catqkd: error: success-prob needs a fixed --t, not 'optimal'\n")
