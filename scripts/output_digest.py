@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print one sha256 per command output, to check that a change keeps every byte.
 
-    cd <checkout> && python3 scripts/output_digest.py > digests.txt
+    python3 scripts/output_digest.py > digests.txt   # print the digests
+    python3 scripts/output_digest.py --write         # record them in tests/golden_digests.txt
 
-Run it from the root of a checkout; it imports ``catqkd`` from that
-checkout's ``src`` and reads its ``bench/workloads.py``.  It runs, in this
+It imports ``catqkd`` from the ``src`` of the checkout that holds it and
+reads that checkout's ``bench/workloads.py``.  It runs, in this
 process, every command of the four benchmark workloads at seeds 0, 7 and
 4242 (``verify`` is one of them), the edge commands of ``EDGE_COMMANDS``
 (each with the reason it is there), and ``scripts/reproduce_figures.py``
@@ -13,20 +14,30 @@ standard output, standard error and the category and message of each
 warning it raises (recorded, as their printed form names the file and line
 of the call site); a figure's covers the CSV file it writes.  To compare two
 versions, run it in both checkouts and diff the outputs.
+
+``--write`` records the digests in ``tests/golden_digests.txt``, after two
+comment lines with the Python and numpy versions that made them.
+``tests/test_golden_outputs.py`` runs the same commands through
+:func:`digest_lines` and compares them with that file line by line.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
 import io
+import platform
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
-ROOT = Path.cwd()
+import numpy
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden_digests.txt"
 SEEDS = (0, 7, 4242)
 EDGE_COMMANDS = [
     # subtraction's success probability down to a vacuum source
@@ -116,22 +127,40 @@ def run_cli(argv: list[str]) -> str:
                   warned.encode())
 
 
-def main() -> int:
-    sys.path.insert(0, str(ROOT / "src"))
+def digest_lines():
+    """Every digest line, ``<sha256> <label>``, in the order the script prints them."""
     workloads = load(ROOT / "bench" / "workloads.py")
     figures = load(ROOT / "scripts" / "reproduce_figures.py")
     for seed in SEEDS:
         for name in workloads.WORKLOADS:
             for argv in workloads.commands(name, seed):
-                print(run_cli(argv), f"seed={seed}", name, *argv, flush=True)
+                yield " ".join([run_cli(argv), f"seed={seed}", name, *argv])
     for argv in EDGE_COMMANDS:
-        print(run_cli(argv), "edge", *argv, flush=True)
+        yield " ".join([run_cli(argv), "edge", *argv])
     for mode in (["--quick"], []):
         with tempfile.TemporaryDirectory() as tmp:
             with contextlib.redirect_stdout(io.StringIO()):
                 figures.main([*mode, "--outdir", tmp])
             for path in sorted(Path(tmp).iterdir()):
-                print(digest(path.read_bytes()), "figures", *mode, path.name, flush=True)
+                yield " ".join([digest(path.read_bytes()), "figures", *mode, path.name])
+
+
+def versions() -> list[str]:
+    """The comment lines that name the Python and numpy versions running this process."""
+    return [f"# python {platform.python_version()}", f"# numpy {numpy.__version__}"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true",
+                        help=f"record the digests in {GOLDEN.relative_to(ROOT)} instead")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    if args.write:
+        GOLDEN.write_text("\n".join([*versions(), *digest_lines()]) + "\n")
+        return 0
+    for line in digest_lines():
+        print(line, flush=True)
     return 0
 
 

@@ -34,6 +34,7 @@ from .optimize import (
     TransmittanceOptimum,
     max_distance,
     max_tolerable_excess_noise,
+    optimal_log_negativity,
     optimal_transmittances,
 )
 from .subtraction import SubtractionConfig
@@ -77,6 +78,7 @@ __all__ = [
     "max_distance",
     "max_tolerable_excess_noise",
     "mutual_information",
+    "optimal_log_negativity",
     "optimal_transmittances",
     "pd_and_covariance",
     "plob_bound",

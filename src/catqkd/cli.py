@@ -23,18 +23,14 @@ import csv
 import functools
 import math
 import sys
+from collections.abc import Sequence
 
 from . import __version__, catalysis, subtraction
 from .catalysis import SourceParams
-from .keyrate import (
-    DEFAULT_ATTENUATION_DB_PER_KM,
-    ChannelParams,
-    ProtocolParams,
-    SchemeFamily,
-    plob_bound,
-    secret_key_rate,
-)
-from .optimize import max_distance, max_tolerable_excess_noise, optimal_transmittances, refine_grid_max
+from .keyrate import (CATALYSIS_FAMILIES, DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams,
+                      ProtocolParams, SchemeFamily, plob_bound, secret_key_rate)
+from .optimize import (max_distance, max_tolerable_excess_noise, optimal_log_negativity,
+                       optimal_transmittances)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,7 +156,7 @@ def _photon_number(args) -> int:
     return 0
 
 
-def _scheme_entries(args, default: list[SchemeFamily | None]) -> list[SchemeFamily | None]:
+def _scheme_entries(args, default: Sequence[SchemeFamily | None]) -> Sequence[SchemeFamily | None]:
     """Scheme families for the sweep; None is the original, unheralded protocol."""
     if args.scheme is None:
         if args.m is not None or args.n is not None:
@@ -234,14 +230,13 @@ def _emit(args, rows: list[dict]) -> int:
 # commands
 
 
-_FULL_SET = [SchemeFamily(kind, k) for kind in ("bsqc", "ssqc") for k in (0, 1, 2)]
 _NOISE_SET = [None, SchemeFamily("bsqc", 0), SchemeFamily("bsqc", 1), SchemeFamily("ssqc", 0),
               SchemeFamily("ssqc", 1), SchemeFamily("subtraction")]
 
 
 def cmd_success_prob(args) -> int:
     t = _fixed_t(args)
-    entries = _scheme_entries(args, _FULL_SET)
+    entries = _scheme_entries(args, CATALYSIS_FAMILIES)
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_step, "alpha")
     rows = []
     for alpha in alphas:
@@ -255,20 +250,8 @@ def cmd_success_prob(args) -> int:
     return _emit(args, rows)
 
 
-def _best_log_negativity(cfg_at, src) -> tuple[float, float]:
-    """Maximise the heralded log negativity over the transmittance."""
-
-    def value(t: float) -> float:
-        return catalysis.log_negativity(catalysis.schmidt_spectrum(cfg_at(t), src))
-
-    grid = _grid(0.5, 1.0, 0.01, "t")
-    values = [value(t) for t in grid]
-    best = max(range(len(grid)), key=values.__getitem__)
-    return refine_grid_max(value, grid, best, values[best], 1e-3)
-
-
 def cmd_entanglement(args) -> int:
-    entries = _scheme_entries(args, _FULL_SET)
+    entries = _scheme_entries(args, CATALYSIS_FAMILIES)
     if any(family is None or family.kind == "subtraction" for family in entries):
         raise ValueError("entanglement sweeps cover catalysis schemes only")
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_step, "alpha")
@@ -277,7 +260,7 @@ def cmd_entanglement(args) -> int:
         src = SourceParams(alpha=alpha)
         for family in entries:
             if args.t == "optimal":
-                t_used, e_n = _best_log_negativity(family.at, src)
+                t_used, e_n = optimal_log_negativity(family, src)
             else:
                 t_used = args.t
                 e_n = catalysis.log_negativity(catalysis.schmidt_spectrum(family.at(t_used), src))
@@ -302,7 +285,7 @@ def _channels(distances: list[float], **kwargs) -> tuple[list[ChannelParams], Va
 
 
 def cmd_keyrate(args) -> int:
-    entries = _scheme_entries(args, [None, *_FULL_SET])
+    entries = _scheme_entries(args, [None, *CATALYSIS_FAMILIES])
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
     src = _source(args)
     # A refused channel fails the sweep only after every nearer distance has
@@ -453,7 +436,7 @@ def _config_tokens(path: str, sp: argparse.ArgumentParser) -> list[str]:
                 elif value.lower() not in ("0", "false", "no", "off"):
                     raise ValueError(f"{path}:{lineno}: boolean flag {key!r} got {value!r}")
             else:
-                tokens.extend([flag, value])
+                tokens.append(f"{flag}={value}")  # one token: a value may start with '-'
     return tokens
 
 

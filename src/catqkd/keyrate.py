@@ -80,6 +80,10 @@ class SchemeFamily:
         return (self.photons if self.kind == "bsqc" else 0), self.photons
 
 
+# the catalysis families that the CLI sweeps by default and `catqkd verify` checks
+CATALYSIS_FAMILIES = tuple(SchemeFamily(kind, k) for kind in ("bsqc", "ssqc") for k in (0, 1, 2))
+
+
 def channel_transmittance(distance_km: float, atten_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM) -> float:
     """Fibre transmittance 10**(-atten*d/10)."""
     if distance_km < 0.0:

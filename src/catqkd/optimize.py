@@ -21,7 +21,10 @@ optimiser refines that cell; a distance probe whose best grid rate
 reaches the floor is decided without refinement; the noise limit needs
 only whether that rate is positive, so it bisects the distances of a
 sweep in lockstep, a block of them at a time, one grid pass over the block
-per step.  Every search follows one recipe, the module constants below.
+per step.  :func:`optimal_log_negativity` walks its own grid, ``_EN_GRID``
+(t in [0.5, 1] in steps of 0.01), with the heralded log negativity of a
+catalysis family instead of a key rate, and refines its best cell to
+``_EN_TOL``.  Every search follows one recipe, the module constants below.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import catalysis
 from .catalysis import SourceParams
 from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolParams, SchemeFamily,
                       _rate_terms, grid_best, secret_key_rate, source_state)
@@ -40,6 +44,8 @@ from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolPara
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
 _REFINE_TOL = 1e-4  # golden-section bracket width
+_EN_GRID = tuple(0.5 + k * 0.01 for k in range(51))  # the log-negativity search's grid
+_EN_TOL = 1e-3  # its golden-section bracket width
 _EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
 _D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
 _BLOCK = 32  # channels per grid pass of every sweep: it bounds the working set of each pass
@@ -146,6 +152,19 @@ def optimal_transmittances(p: ProtocolParams, channels: Sequence[ChannelParams]
     t, states = _grid(p)  # refused with no channel too
     return [_refine(p, ch, *best) for block in _blocks(list(channels))
             for ch, best in zip(block, grid_best(t, *states, block, p.beta))]
+
+
+def optimal_log_negativity(family: SchemeFamily, source: SourceParams) -> tuple[float, float]:
+    """The t in [0.5, 1] where ``family``'s heralded log negativity peaks, and that peak."""
+    if family.kind == "subtraction":
+        raise ValueError("the log-negativity search takes a catalysis family")
+
+    def value(t: float) -> float:
+        return catalysis.log_negativity(catalysis.schmidt_spectrum(family.at(t), source))
+
+    values = [value(t) for t in _EN_GRID]
+    best = max(range(len(_EN_GRID)), key=values.__getitem__)
+    return refine_grid_max(value, _EN_GRID, best, values[best], _EN_TOL)
 
 
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams) -> TransmittanceOptimum:

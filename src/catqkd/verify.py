@@ -15,15 +15,14 @@ import numpy as np
 
 from . import catalysis, oracle
 from .catalysis import SourceParams
-from .cli import _FULL_SET
-from .keyrate import (ChannelParams, SchemeFamily, propagate_covariance, source_state,
-                      symplectic_eigenvalues)
+from .keyrate import (CATALYSIS_FAMILIES, ChannelParams, SchemeFamily, propagate_covariance,
+                      source_state, symplectic_eigenvalues)
 
 
 def _catalysis(rows, sign, cutoff):
     devs = {"p_success": 0.0, "cov_x": 0.0, "cov_z": 0.0, "log_negativity": 0.0,
             "schmidt_norm": 0.0}
-    for family in _FULL_SET:
+    for family in CATALYSIS_FAMILIES:
         for t in (0.7, 0.9, 0.95):
             for alpha in (0.5, 1.0, 3.0):
                 cfg = family.at(t)

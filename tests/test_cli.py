@@ -513,6 +513,18 @@ def test_config_source_conflicts_with_the_other_source_flag(tmp_path, capsys, en
     assert out == "" and err.endswith(f"\ncatqkd keyrate: error: {message}\n")
 
 
+def test_config_value_may_start_with_a_minus(tmp_path, capsys):
+    # the file's line reaches argparse as the one token --d-min=-1e3, not as a flag of its own
+    config = tmp_path / "run.cfg"
+    config.write_text("d-min = -1e3\n")
+    base = ["keyrate", "--scheme", "original", "--d-max", "10"]
+    assert main([*base, "--d-min=-1e3"]) == EXIT_USAGE
+    given = capsys.readouterr()
+    assert given == ("", "catqkd: error: distance must be non-negative, got -1000.0\n")
+    assert main([*base, "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr() == given
+
+
 def test_config_boolean_flags(tmp_path, capsys):
     # the JSON metadata echoes the flag: the CSV rows of both signs are equal
     assert main(["verify", "--format", "json", "--flip-bs-sign"]) == EXIT_OK

@@ -27,9 +27,10 @@ from catqkd import (
     optimize,
     secret_key_rate,
 )
+from catqkd.cli import _grid
 from catqkd.keyrate import grid_best, source_state
-from catqkd.optimize import (_GRID, _grid_states, _largest_true, golden_section_max,
-                             optimize_transmittance)
+from catqkd.optimize import (_EN_GRID, _GRID, _grid_states, _largest_true, golden_section_max,
+                             optimal_log_negativity, optimize_transmittance)
 
 V20 = SourceParams.from_variance(20.0)
 BSQC1 = SchemeFamily("bsqc", 1)
@@ -799,3 +800,34 @@ def test_optimal_transmittance_sweep_takes_few_exact_logarithms(monkeypatch):
     channels = [ChannelParams.from_distance(2.0 * k, 0.01) for k in range(151)]
     assert not optimize.optimal_transmittances(p, channels)[0].all_zero
     assert sum(logs) <= 7 * 3 * len(channels)  # seven logarithms a cell, three cells a channel
+
+
+# (t, E_N) of the `catqkd entanglement --t optimal` rows, as float.hex, recorded while the
+# search still lived in the CLI; every one sits at t = 1, the bracket's top (ROADMAP item 1)
+_LOG_NEGATIVITY_OPTIMA = [
+    ("bsqc", 1, 0.5, "0x1.0000000000000p+0", "0x1.6373ad151c7bep+0"),
+    ("bsqc", 1, 1.5, "0x1.0000000000000p+0", "0x1.b943065f02e9fp+1"),
+    ("bsqc", 1, 3.0, "0x1.0000000000000p+0", "0x1.4fcda87cf0bdbp+2"),
+    ("ssqc", 1, 0.5, "0x1.0000000000000p+0", "0x1.6373ad151c7bep+0"),
+    ("ssqc", 1, 1.5, "0x1.0000000000000p+0", "0x1.b943065f02e9fp+1"),
+    ("ssqc", 1, 3.0, "0x1.0000000000000p+0", "0x1.4fcda87cf0bdbp+2"),
+    ("bsqc", 2, 0.5, "0x1.0000000000000p+0", "0x1.6373ad151c7bep+0"),
+    ("bsqc", 2, 1.5, "0x1.0000000000000p+0", "0x1.b943065f02e9fp+1"),
+    ("bsqc", 2, 3.0, "0x1.0000000000000p+0", "0x1.4fcda87cf0be0p+2"),
+]
+
+
+@pytest.mark.parametrize("kind,photons,alpha,t_hex,e_n_hex", _LOG_NEGATIVITY_OPTIMA)
+def test_log_negativity_search_keeps_the_entanglement_rows(kind, photons, alpha, t_hex, e_n_hex):
+    t, e_n = optimal_log_negativity(SchemeFamily(kind, photons), SourceParams(alpha=alpha))
+    assert (t.hex(), e_n.hex()) == (t_hex, e_n_hex)
+
+
+def test_log_negativity_grid_is_the_sweep_grid_of_its_bracket():
+    grid = _grid(0.5, 1.0, 0.01, "t")
+    assert [t.hex() for t in _EN_GRID] == [t.hex() for t in grid]
+
+
+def test_log_negativity_search_refuses_subtraction():
+    with pytest.raises(ValueError, match="catalysis family"):
+        optimal_log_negativity(SchemeFamily("subtraction"), V20)

@@ -54,6 +54,11 @@ def test_cli_and_parser_import_no_json():
     assert _run(code) == "False\n"
 
 
+def test_verify_import_does_not_load_the_cli():
+    # the library takes the catalysis families from keyrate, not from its own front end
+    assert _run("import sys, catqkd.verify\nprint('catqkd.cli' in sys.modules)") == "False\n"
+
+
 def test_oracle_import_runs_no_jets():
     # catqkd binds the oracle lazily, so a name taken from it makes its code run
     ran = _modules_run("from catqkd.oracle import simulate_catalysis")
