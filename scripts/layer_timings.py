@@ -24,8 +24,9 @@ threads are pinned to 1.
   (200 km) and for 51 (50 to 300 km in 5 km steps), and one at 1e-9 km
   and epsilon = 0, where the scalar rate formula decides 8 of the 101
   near-pure cells;
-- ``optimize_transmittance`` for bsqc1, with the grid states cached, and
-  with the grid cache and the moment memo cleared before each call;
+- ``optimal_transmittances`` for bsqc1 on the one 200 km channel, with
+  the grid states cached, and with the grid cache and the moment memo
+  cleared before each call;
 - ``max_distance`` and ``max_tolerable_excess_noise`` (300 km) for bsqc1,
   with every cache warm after the first repeat;
 - ``max_tolerable_excess_noise`` for subtraction over 601 distances (0 to
@@ -135,10 +136,10 @@ def main() -> int:
         catalysis._exact_moments.cache_clear()
 
     entries += [
-        ("optimize_transmittance bsqc1, grid cached", 21,
-         lambda: optimize.optimize_transmittance(p, ch), None),
-        ("optimize_transmittance bsqc1, grid and memo cleared", 21,
-         lambda: optimize.optimize_transmittance(p, ch), clear_caches),
+        ("optimal_transmittances bsqc1, grid cached", 21,
+         lambda: optimize.optimal_transmittances(p, [ch]), None),
+        ("optimal_transmittances bsqc1, grid and memo cleared", 21,
+         lambda: optimize.optimal_transmittances(p, [ch]), clear_caches),
         ("max_distance bsqc1", 5, lambda: optimize.max_distance(p, epsilon=0.01), None),
         ("max_tolerable_excess_noise bsqc1, 300 km", 5,
          lambda: optimize.max_tolerable_excess_noise(p, 300.0), None),

@@ -3,7 +3,9 @@
 
 Shows why the rate optimum drifts toward transparency on short links and
 into the interior on long ones.  Writes one CSV row per (distance, t)
-pair and prints the per-distance optimum found on the same grid.
+pair and prints the per-distance optimum found on the same grid.  Every
+input is checked before the CSV is opened: a refused one exits 2 with a
+one-line message and writes no file.
 """
 
 import argparse
@@ -18,7 +20,8 @@ from catqkd.cli import _grid
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scheme", choices=("bsqc", "ssqc", "subtraction"), default="bsqc")
-    parser.add_argument("--photons", type=int, default=1, help="catalysed photon number")
+    parser.add_argument("--photons", type=int, default=None,
+                        help="catalysed photon number of bsqc or ssqc (default 1)")
     parser.add_argument("--variance", type=float, default=20.0, help="source quadrature variance")
     parser.add_argument("--beta", type=float, default=0.95)
     parser.add_argument("--epsilon", type=float, default=0.01)
@@ -29,33 +32,40 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=Path("optimal_t_landscape.csv"))
     args = parser.parse_args(argv)
 
-    family = SchemeFamily(args.scheme, 0 if args.scheme == "subtraction" else args.photons)
-    src = SourceParams.from_variance(args.variance)
+    if args.photons is None:
+        args.photons = 0 if args.scheme == "subtraction" else 1
+    elif args.scheme == "subtraction":
+        parser.error("--photons applies to --scheme bsqc or ssqc only")
     if not 0.0 < args.t_min <= 1.0:
         parser.error(f"--t-min {args.t_min} outside (0, 1]")
     try:
+        family = SchemeFamily(args.scheme, args.photons)
         grid = _grid(args.t_min, 1.0, args.t_step, "t")
+        src = SourceParams.from_variance(args.variance)
+        # subtraction heralds nothing at t = 1, so its rate there is 0
+        params = [ProtocolParams(src, family.at(t), beta=args.beta) if family.heralds(t) else None
+                  for t in grid]
+        channels = [ChannelParams.from_distance(d, epsilon=args.epsilon) for d in args.distances]
     except ValueError as exc:
         parser.error(str(exc))
+
+    rows, optima = [], []
+    for d, ch in zip(args.distances, channels):
+        best = (0.0, 0.0)
+        for t, p in zip(grid, params):
+            rate = 0.0 if p is None else secret_key_rate(p, ch).key_rate
+            rows.append([f"{d:.9g}", f"{t:.9g}", f"{rate:.9g}"])
+            if rate > best[1]:
+                best = (t, rate)
+        optima.append(f"d = {d:6.1f} km: " + (
+            f"best t = {best[0]:.4f}, rate = {best[1]:.3e} bits/pulse" if best[1] > 0.0
+            else "no grid point has a positive rate"))
 
     with args.out.open("w", newline="") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["distance_km", "t", "key_rate"])
-        for d in args.distances:
-            ch = ChannelParams.from_distance(d, epsilon=args.epsilon)
-            best = (0.0, 0.0)
-            for t in grid:
-                rate = 0.0
-                if family.heralds(t):
-                    rate = secret_key_rate(
-                        ProtocolParams(src, family.at(t), beta=args.beta), ch).key_rate
-                writer.writerow([f"{d:.9g}", f"{t:.9g}", f"{rate:.9g}"])
-                if rate > best[1]:
-                    best = (t, rate)
-            if best[1] > 0.0:
-                print(f"d = {d:6.1f} km: best t = {best[0]:.4f}, rate = {best[1]:.3e} bits/pulse")
-            else:
-                print(f"d = {d:6.1f} km: no grid point has a positive rate")
+        writer.writerows(rows)
+    print(*optima, sep="\n")
     print(f"wrote {args.out}")
     return 0
 

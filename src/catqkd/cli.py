@@ -67,8 +67,8 @@ def _add_output(sp: argparse.ArgumentParser) -> None:
 def _add_scheme(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--scheme", choices=_SCHEME_CHOICES, default=None,
                     help="single scheme instead of the command's default set")
-    sp.add_argument("--m", type=int, default=None, help="catalysed photons, signal arm")
-    sp.add_argument("--n", type=int, default=None, help="catalysed photons, idler arm")
+    sp.add_argument("--n", type=int, default=None,
+                    help="catalysed photon number of bsqc or ssqc (default 0)")
 
 
 def _add_t(sp: argparse.ArgumentParser) -> None:
@@ -145,28 +145,15 @@ def _fixed_t(args) -> float:
     return args.t
 
 
-def _photon_number(args) -> int:
-    if args.scheme == "bsqc" and args.m is not None and args.n is not None and args.m != args.n:
-        raise ValueError("bsqc is symmetric: give one photon number via --m or --n")
-    if args.scheme == "ssqc" and args.m not in (None, 0):
-        raise ValueError("ssqc catalyses the idler arm only; --m does not apply")
-    for value in (args.n, args.m):
-        if value is not None:
-            return value
-    return 0
-
-
 def _scheme_entries(args, default: Sequence[SchemeFamily | None]) -> Sequence[SchemeFamily | None]:
     """Scheme families for the sweep; None is the original, unheralded protocol."""
+    if args.n is not None and args.scheme not in ("bsqc", "ssqc"):
+        raise ValueError("--n applies to --scheme bsqc or ssqc only")
     if args.scheme is None:
-        if args.m is not None or args.n is not None:
-            raise ValueError("--m/--n need an explicit --scheme")
         return default
-    if args.scheme in ("subtraction", "original"):
-        if args.m is not None or args.n is not None:
-            raise ValueError("--m/--n only apply to catalysis schemes")
-        return [SchemeFamily("subtraction") if args.scheme == "subtraction" else None]
-    return [SchemeFamily(args.scheme, _photon_number(args))]
+    if args.scheme == "original":
+        return [None]
+    return [SchemeFamily(args.scheme, args.n or 0)]
 
 
 def _labels(family: SchemeFamily | None) -> dict:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalysis, subtraction
-from .catalysis import CatalysisConfig, SourceParams, TwoModeCovariance
+from .catalysis import MAX_PHOTONS, CatalysisConfig, SourceParams, TwoModeCovariance
 from .errors import ConsistencyError
 from .subtraction import SubtractionConfig
 
@@ -60,6 +60,8 @@ class SchemeFamily:
             raise ValueError(f"unknown scheme family {self.kind!r}")
         if self.kind == "subtraction" and self.photons != 0:
             raise ValueError("photon subtraction has no catalysed photon number")
+        if not isinstance(self.photons, int) or not 0 <= self.photons <= MAX_PHOTONS:
+            raise ValueError(f"photon number {self.photons!r} outside 0..{MAX_PHOTONS}")
 
     def at(self, t: float) -> CatalysisConfig | SubtractionConfig:
         """The scheme of this family at transmittance ``t``; an untouched arm has t = 1."""

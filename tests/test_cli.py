@@ -19,8 +19,7 @@ from catqkd.cli import (
     build_parser,
     main,
 )
-from catqkd.optimize import (max_tolerable_excess_noise, optimal_transmittances,
-                             optimize_transmittance)
+from catqkd.optimize import max_tolerable_excess_noise, optimal_transmittances
 
 SINGLE_ALPHA = ["--alpha-min", "1", "--alpha-max", "1", "--alpha-step", "1"]
 
@@ -43,7 +42,7 @@ def test_usage_errors_exit_code_one():
 
 
 _OUTPUT = {"out", "format", "config"}
-_SCHEME = {"scheme", "m", "n"}
+_SCHEME = {"scheme", "n"}
 _LINK = {"alpha", "variance", "beta", "atten_db_km"}
 _ALPHA_GRID = {"alpha_min", "alpha_max", "alpha_step"}
 _DISTANCE_GRID = {"d_min", "d_max", "d_step"}
@@ -62,7 +61,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     dests = {name: {a.dest for a in sp._actions if a.dest != "help"}
              for name, sp in registry.items()}
     assert dests == FLAGS
-    assert sum(map(len, dests.values())) == 66
+    assert sum(map(len, dests.values())) == 61
 
 
 @pytest.mark.parametrize("argv", [
@@ -71,6 +70,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     ["max-distance", "--t", "0.9"],
     ["keyrate", "--floor", "1e-6"],
     ["success-prob", "--beta", "0.9"],
+    # bsqc puts --n photons on both arms and ssqc none on the signal arm: no command takes --m
+    *([command, "--scheme", "bsqc", "--m", "1"]
+      for command in ("success-prob", "entanglement", "keyrate", "excess-noise", "max-distance")),
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -249,7 +251,7 @@ def test_keyrate_optimal_rows_follow_the_distance_grid(tmp_path):
             continue
         family = SchemeFamily(row["scheme"], int(row["n"]))
         ch = ChannelParams.from_distance(float(row["distance_km"]), 0.01)
-        opt = optimize_transmittance(ProtocolParams(source, family), ch)
+        opt = optimal_transmittances(ProtocolParams(source, family), [ch])[0]
         assert row["t"] == format(opt.t, ".9g")
     assert [r["distance_km"] for r in rows[::7]] == ["0", "100", "200", "300", "400", "500"]
 
@@ -338,13 +340,26 @@ def test_fixed_t_commands_reject_optimal(capsys):
 
 
 def test_scheme_flag_validation(capsys):
-    assert main(["success-prob", "--scheme", "bsqc", "--m", "1", "--n", "2",
-                 *SINGLE_ALPHA]) == EXIT_USAGE
-    assert "symmetric" in capsys.readouterr().err
-    assert main(["success-prob", "--scheme", "ssqc", "--m", "1",
-                 *SINGLE_ALPHA]) == EXIT_USAGE
-    assert main(["success-prob", "--m", "1", *SINGLE_ALPHA]) == EXIT_USAGE
+    refusal = ("", "catqkd: error: --n applies to --scheme bsqc or ssqc only\n")
+    for scheme in ([], ["--scheme", "original"], ["--scheme", "subtraction"]):
+        assert main(["success-prob", *scheme, "--n", "1", *SINGLE_ALPHA]) == EXIT_USAGE
+        assert capsys.readouterr() == refusal
     assert main(["keyrate", "--scheme", "subtraction", "--n", "1"]) == EXIT_USAGE
+    assert capsys.readouterr() == refusal
+
+
+@pytest.mark.parametrize("n", ["9", "-1"])
+@pytest.mark.parametrize("scheme", ["bsqc", "ssqc"])
+def test_photon_number_out_of_range_is_named(capsys, scheme, n):
+    assert main(["success-prob", "--scheme", scheme, "--n", n, *SINGLE_ALPHA]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"catqkd: error: photon number {n} outside 0..5\n")
+
+
+def test_config_file_has_no_signal_arm_photon_number(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("scheme = bsqc\nm = 1\n")
+    assert main(["success-prob", *SINGLE_ALPHA, "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"catqkd: error: {config}:2: unknown option 'm'\n")
 
 
 def test_excess_noise_matches_library(tmp_path):

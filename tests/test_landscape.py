@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from catqkd import ChannelParams, ProtocolParams, SchemeFamily, SourceParams
-from catqkd.optimize import optimize_transmittance
+from catqkd.optimize import optimal_transmittances
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "optimal_t_landscape.py"
 _spec = importlib.util.spec_from_file_location("optimal_t_landscape", _SCRIPT)
@@ -37,8 +37,8 @@ def test_landscape_rows_and_printed_optima(family, tmp_path, capsys):
     printed = [float(t) for t in re.findall(r"best t = ([0-9.]+)", capsys.readouterr().out)]
     assert len(printed) == len(DISTANCES)
     for d, t in zip(DISTANCES, printed):
-        opt = optimize_transmittance(ProtocolParams(SourceParams.from_variance(20.0), family),
-                                     ChannelParams.from_distance(d, 0.01))
+        (opt,) = optimal_transmittances(ProtocolParams(SourceParams.from_variance(20.0), family),
+                                        [ChannelParams.from_distance(d, 0.01)])
         assert abs(t - opt.t) <= STEP
 
 
@@ -64,11 +64,31 @@ def test_landscape_grid_ends_on_one(tmp_path):
     (["--t-min", "1.5"], "--t-min 1.5 outside (0, 1]"),
     (["--t-step", "0"], "bad t grid: [0.5, 1.0] step 0.0"),
     (["--t-step", "nan"], "bad t grid: [0.5, 1.0] step nan"),
+    (["--photons", "9"], "photon number 9 outside 0..5"),
+    (["--photons", "-1"], "photon number -1 outside 0..5"),
+    (["--scheme", "subtraction", "--photons", "3"],
+     "--photons applies to --scheme bsqc or ssqc only"),
+    (["--scheme", "subtraction", "--photons", "0"],
+     "--photons applies to --scheme bsqc or ssqc only"),
+    (["--variance", "0.5"], "quadrature variance must be >= 1, got 0.5"),
+    (["--beta", "2"], "reconciliation efficiency 2.0 outside (0, 1]"),
+    (["--epsilon", "nan"], "excess noise must be finite and non-negative, got nan"),
+    (["--distances", "-5"], "distance must be non-negative, got -5.0"),
+    (["--distances", "50", "-5"], "distance must be non-negative, got -5.0"),
 ])
-def test_landscape_refuses_a_bad_grid(tmp_path, capsys, flags, error):
+def test_landscape_refuses_a_bad_input(tmp_path, capsys, flags, error):
     out = tmp_path / "landscape.csv"
     with pytest.raises(SystemExit) as exc:
         landscape.main(["--distances", "50", "--out", str(out), *flags])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f": error: {error}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["bsqc", "ssqc"])
+def test_landscape_photons_default_to_one(tmp_path, scheme):
+    argv = ["--scheme", scheme, "--distances", "100", "--t-step", "0.1"]
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert landscape.main([*argv, "--out", str(default)]) == 0
+    assert landscape.main([*argv, "--photons", "1", "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()

@@ -1,6 +1,7 @@
 """Transmittance optimisation and noise/distance limit searches."""
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -30,7 +31,8 @@ from catqkd import (
 from catqkd.cli import _grid
 from catqkd.keyrate import grid_best, source_state
 from catqkd.optimize import (_EN_GRID, _GRID, _grid_states, _largest_true, golden_section_max,
-                             optimal_log_negativity, optimize_transmittance)
+                             optimal_log_negativity, optimal_transmittances,
+                             optimize_transmittance)
 
 V20 = SourceParams.from_variance(20.0)
 BSQC1 = SchemeFamily("bsqc", 1)
@@ -40,7 +42,7 @@ def _best_rate(p, ch):
     """The key rate with the transmittance optimised; the bare protocol's rate for ``None``."""
     if p.scheme is None:
         return secret_key_rate(p, ch).key_rate
-    return optimize_transmittance(p, ch).key_rate
+    return optimal_transmittances(p, [ch])[0].key_rate
 
 
 def test_golden_section_on_parabola():
@@ -51,7 +53,7 @@ def test_golden_section_on_parabola():
 
 def test_bare_protocol_has_nothing_to_optimise():
     with pytest.raises(ValueError, match="no transmittance"):
-        optimize_transmittance(ProtocolParams(V20), ChannelParams(0.5))
+        optimal_transmittances(ProtocolParams(V20), [ChannelParams(0.5)])[0]
 
 
 def test_transparent_limit_at_zero_distance():
@@ -59,7 +61,7 @@ def test_transparent_limit_at_zero_distance():
     # sits at the transparent point and recovers the bare-protocol rate
     p = ProtocolParams(V20, BSQC1)
     ch = ChannelParams(tc=1.0)
-    opt = optimize_transmittance(p, ch)
+    opt = optimal_transmittances(p, [ch])[0]
     bare = secret_key_rate(ProtocolParams(V20), ch).key_rate
     assert opt.t == pytest.approx(1.0, abs=2e-3)
     assert opt.key_rate == pytest.approx(bare, rel=1e-3)
@@ -69,7 +71,7 @@ def test_transparent_limit_at_zero_distance():
 def test_refinement_never_loses_to_the_grid():
     p = ProtocolParams(V20, BSQC1)
     ch = ChannelParams.from_distance(120.0, 0.01)
-    opt = optimize_transmittance(p, ch)
+    opt = optimal_transmittances(p, [ch])[0]
     coarse = max(
         secret_key_rate(
             ProtocolParams(V20, SchemeFamily("bsqc", 1).at(t)), ch
@@ -83,7 +85,7 @@ def test_refinement_never_loses_to_the_grid():
 
 def test_single_arm_template_keeps_signal_open():
     p = ProtocolParams(V20, SchemeFamily("ssqc", 1))
-    opt = optimize_transmittance(p, ChannelParams.from_distance(100.0, 0.01))
+    opt = optimal_transmittances(p, [ChannelParams.from_distance(100.0, 0.01)])[0]
     best = secret_key_rate(
         ProtocolParams(V20, SchemeFamily("ssqc", 1).at(opt.t)),
         ChannelParams.from_distance(100.0, 0.01),
@@ -94,7 +96,7 @@ def test_single_arm_template_keeps_signal_open():
 def test_symmetric_template_at_unit_transmittance_stays_symmetric():
     # bsqc1 varies both arms; its optimum is not ssqc1's (t = 0.97804)
     ch = ChannelParams.from_distance(100.0, 0.01)
-    opt = optimize_transmittance(ProtocolParams(V20, BSQC1), ch)
+    opt = optimal_transmittances(ProtocolParams(V20, BSQC1), [ch])[0]
     assert opt.t == pytest.approx(0.98468, abs=1e-5)
     assert opt.key_rate == pytest.approx(0.0012551, rel=1e-4)
 
@@ -102,8 +104,8 @@ def test_symmetric_template_at_unit_transmittance_stays_symmetric():
 def test_zero_photon_families_stay_apart():
     # both zero-photon families give one config at t = 1, so no concrete config tells them apart
     ch = ChannelParams.from_distance(100.0, 0.01)
-    bsqc0 = optimize_transmittance(ProtocolParams(V20, SchemeFamily("bsqc", 0)), ch)
-    ssqc0 = optimize_transmittance(ProtocolParams(V20, SchemeFamily("ssqc", 0)), ch)
+    bsqc0 = optimal_transmittances(ProtocolParams(V20, SchemeFamily("bsqc", 0)), [ch])[0]
+    ssqc0 = optimal_transmittances(ProtocolParams(V20, SchemeFamily("ssqc", 0)), [ch])[0]
     assert bsqc0.t == pytest.approx(0.94712, abs=1e-5)
     assert ssqc0.t == pytest.approx(0.89707, abs=1e-5)
 
@@ -111,7 +113,7 @@ def test_zero_photon_families_stay_apart():
 def test_optimisers_refuse_a_concrete_scheme():
     ch = ChannelParams.from_distance(100.0, 0.01)
     p = ProtocolParams(V20, SchemeFamily("bsqc", 1).at(0.9))
-    for search in (lambda: optimize_transmittance(p, ch),
+    for search in (lambda: optimal_transmittances(p, [ch])[0],
                    lambda: max_tolerable_excess_noise(p, 100.0), lambda: max_distance(p)):
         with pytest.raises(TypeError, match="SchemeFamily"):
             search()
@@ -143,17 +145,26 @@ def test_scheme_family_instantiates_the_presets():
         SchemeFamily("subtraction", 1)
 
 
+@pytest.mark.parametrize("photons", [-1, 6, 9, 1.0])
+@pytest.mark.parametrize("kind", ["bsqc", "ssqc"])
+def test_scheme_family_refuses_a_photon_number_outside_the_range(kind, photons):
+    # refused when the family is named, not when it is first instantiated at a t
+    message = f"photon number {photons!r} outside 0..5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SchemeFamily(kind, photons)
+
+
 def test_subtraction_transparent_limit_is_rateless():
     p = ProtocolParams(V20, SchemeFamily("subtraction"))
     ch = ChannelParams.from_distance(150.0, 0.01)
-    opt = optimize_transmittance(p, ch)
+    opt = optimal_transmittances(p, [ch])[0]
     assert 0.5 <= opt.t < 1.0
     assert opt.key_rate > 0.0
 
 
 def test_all_zero_flag_past_the_cutoff():
     p = ProtocolParams(V20, SchemeFamily("bsqc", 2))
-    opt = optimize_transmittance(p, ChannelParams.from_distance(400.0, 0.05))
+    opt = optimal_transmittances(p, [ChannelParams.from_distance(400.0, 0.05)])[0]
     assert opt.all_zero
     assert opt.key_rate == 0.0
 
@@ -296,7 +307,7 @@ def test_noise_limit_needs_no_golden_section_probes(monkeypatch):
     assert rates == []
     assert sorted(moments) == sorted(_GRID)
     # the patch sees the probes of an optimisation: at most 13, as _REFINE_TOL allows
-    optimize_transmittance(ProtocolParams(V20, BSQC1), ChannelParams.from_distance(150.0, 0.01))
+    optimal_transmittances(ProtocolParams(V20, BSQC1), [ChannelParams.from_distance(150.0, 0.01)])
     assert 0 < len(rates) <= 13
 
 
@@ -578,7 +589,16 @@ def test_optimum_equals_the_scalar_grid_and_golden_search(variance, family, d_km
     ch = ChannelParams.from_distance(d_km, eps)
     expected = _scalar_optimum(p, ch)
     assert expected.all_zero == all_zero
-    assert optimize_transmittance(p, ch) == expected
+    assert optimal_transmittances(p, [ch])[0] == expected
+
+
+def test_the_one_channel_search_is_the_sweep_on_one_channel():
+    # nothing in src/ calls optimize_transmittance; it stays while bench/tracing.py spans it
+    for family in (BSQC1, SchemeFamily("ssqc", 2), SchemeFamily("subtraction")):
+        p = ProtocolParams(V20, family)
+        for d_km in (0.0, 150.0, 400.0):
+            ch = ChannelParams.from_distance(d_km, 0.01)
+            assert optimize_transmittance(p, ch) == optimal_transmittances(p, [ch])[0]
 
 
 def _scalar_optimum(p, ch):
