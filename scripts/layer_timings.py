@@ -29,6 +29,9 @@ threads are pinned to 1.
   cleared before each call;
 - ``max_distance`` and ``max_tolerable_excess_noise`` (300 km) for bsqc1,
   with every cache warm after the first repeat;
+- ``optimal_log_negativity`` for bsqc1 at alpha 0.1, whose peak is inside
+  (0, 1), and at alpha 1.5, where it is t = 1, with the moment memo cleared
+  before each call;
 - ``max_tolerable_excess_noise`` for subtraction over 601 distances (0 to
   300 km in 0.5 km steps), timed as above, with the peak RSS of a fresh
   interpreter that imports ``catqkd`` and runs the sweep once;
@@ -144,6 +147,11 @@ def main() -> int:
         ("max_tolerable_excess_noise bsqc1, 300 km", 5,
          lambda: optimize.max_tolerable_excess_noise(p, 300.0), None),
     ]
+    for alpha in (0.1, 1.5):
+        entries.append((f"optimal_log_negativity bsqc1, alpha {alpha}, memo cleared", 11,
+                        lambda alpha=alpha: optimize.optimal_log_negativity(bsqc1,
+                                                                            SourceParams(alpha)),
+                        catalysis._exact_moments.cache_clear))
     for label, repeats, func, before in entries:
         seconds = min(timeit.repeat(func, setup=before or "pass", number=1, repeat=repeats))
         print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s", flush=True)

@@ -4,8 +4,9 @@
 Shows why the rate optimum drifts toward transparency on short links and
 into the interior on long ones.  Writes one CSV row per (distance, t)
 pair and prints the per-distance optimum found on the same grid.  Every
-input is checked before the CSV is opened: a refused one exits 2 with a
-one-line message and writes no file.
+input is checked, and every rate computed, before the CSV is opened: a
+refused input or a numerical error exits 2 with a one-line message and
+writes no file.
 """
 
 import argparse
@@ -53,7 +54,10 @@ def main(argv: list[str] | None = None) -> int:
     for d, ch in zip(args.distances, channels):
         best = (0.0, 0.0)
         for t, p in zip(grid, params):
-            rate = 0.0 if p is None else secret_key_rate(p, ch).key_rate
+            try:
+                rate = 0.0 if p is None else secret_key_rate(p, ch).key_rate
+            except ArithmeticError as exc:
+                parser.exit(2, f"{parser.prog}: numerical error: {exc}\n")
             rows.append([f"{d:.9g}", f"{t:.9g}", f"{rate:.9g}"])
             if rate > best[1]:
                 best = (t, rate)

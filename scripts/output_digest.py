@@ -43,7 +43,7 @@ EDGE_COMMANDS = [
     # subtraction's success probability down to a vacuum source
     ["success-prob", "--scheme", "subtraction"],
     # subtraction's vacuum refusal
-    ["keyrate", "--scheme", "subtraction", "--alpha", "0"],
+    ["keyrate", "--scheme", "subtraction", "--variance", "1"],
     # a noise sweep whose far rows are round-off (ROADMAP item 2)
     ["excess-noise", "--variance", "1.5", "--d-min", "550", "--d-max", "750", "--d-step", "5"],
     # the default schemes over 61 distances, with rows where no transmittance gives a key
@@ -72,13 +72,13 @@ EDGE_COMMANDS = [
      "--d-min", "100", "--d-max", "100"],
     # the refusal of a source whose covariance overflows
     ["keyrate", "--scheme", "original", "--variance", "1e155", "--d-min", "100", "--d-max", "100"],
-    # the refusal of a source whose variance overflows
-    ["keyrate", "--scheme", "original", "--alpha", "1e200", "--d-min", "100", "--d-max", "100"],
+    # the refusal of a source variance that is not finite
+    ["keyrate", "--scheme", "original", "--variance", "inf", "--d-min", "100", "--d-max", "100"],
     # the entanglement of a source whose lam rounds to 1
     ["entanglement", "--alpha-min", "1e200", "--alpha-max", "1e200"],
     ["entanglement", "--alpha-min", "1e9", "--alpha-max", "1e9"],
     # a catalysed covariance whose z**2 overflows
-    ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--alpha", "1e100",
+    ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--variance", "2e200",
      "--d-min", "100", "--d-max", "100"],
     # 70 distances, which cross two boundaries of the 32-distance blocks the search bisects
     ["excess-noise", "--d-min", "0", "--d-max", "345", "--d-step", "5"],

@@ -55,8 +55,8 @@ class SourceParams:
 
     @classmethod
     def from_variance(cls, variance: float) -> "SourceParams":
-        if variance < 1.0:
-            raise ValueError(f"quadrature variance must be >= 1, got {variance}")
+        if not 1.0 <= variance < math.inf:
+            raise ValueError(f"quadrature variance must be finite and >= 1, got {variance}")
         return cls(alpha=math.sqrt((variance - 1.0) / 2.0))
 
 

@@ -78,11 +78,8 @@ def _add_t(sp: argparse.ArgumentParser) -> None:
 
 def _add_link(sp: argparse.ArgumentParser) -> None:
     """The source, the reconciliation efficiency and the fibre attenuation."""
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--alpha", type=float, default=None,
-                       help="source squeezing amplitude (default: variance 20)")
-    group.add_argument("--variance", type=float, default=None,
-                       help="source quadrature variance in shot-noise units")
+    sp.add_argument("--variance", type=float, default=20.0,
+                    help="source quadrature variance in shot-noise units")
     sp.add_argument("--beta", type=float, default=0.95, help="reconciliation efficiency")
     sp.add_argument("--atten-db-km", type=float, default=DEFAULT_ATTENUATION_DB_PER_KM,
                     dest="atten_db_km", help="fibre attenuation in dB/km")
@@ -131,12 +128,6 @@ def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     if points[-1] < hi - 1e-12:
         points.append(hi)
     return points
-
-
-def _source(args) -> SourceParams:
-    if args.alpha is not None:
-        return SourceParams(alpha=args.alpha)
-    return SourceParams.from_variance(args.variance if args.variance is not None else 20.0)
 
 
 def _fixed_t(args) -> float:
@@ -274,7 +265,7 @@ def _channels(distances: list[float], **kwargs) -> tuple[list[ChannelParams], Va
 def cmd_keyrate(args) -> int:
     entries = _scheme_entries(args, [None, *CATALYSIS_FAMILIES])
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
-    src = _source(args)
+    src = SourceParams.from_variance(args.variance)
     # A refused channel fails the sweep only after every nearer distance has
     # been swept, so the exit code is the one of a distance-by-distance sweep.
     # The optimal transmittances are searched scheme by scheme over all those
@@ -310,7 +301,7 @@ def cmd_keyrate(args) -> int:
 def cmd_excess_noise(args) -> int:
     entries = _scheme_entries(args, _NOISE_SET)
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
-    src = _source(args)
+    src = SourceParams.from_variance(args.variance)
     # A refused channel fails the sweep only after every nearer distance has
     # been searched, so the exit code is the one of a distance-by-distance
     # sweep.  The search runs scheme by scheme with the distances in
@@ -330,7 +321,7 @@ def cmd_excess_noise(args) -> int:
 
 def cmd_max_distance(args) -> int:
     entries = _scheme_entries(args, _NOISE_SET)
-    src = _source(args)
+    src = SourceParams.from_variance(args.variance)
     rows = []
     for family in entries:
         p = ProtocolParams(source=src, beta=args.beta, scheme=family)

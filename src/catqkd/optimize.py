@@ -22,7 +22,8 @@ reaches the floor is decided without refinement; the noise limit needs
 only whether that rate is positive, so it bisects the distances of a
 sweep in lockstep, a block of them at a time, one grid pass over the block
 per step.  :func:`optimal_log_negativity` walks its own grid, ``_EN_GRID``
-(t in [0.5, 1] in steps of 0.01), with the heralded log negativity of a
+(61 geometric points from t = 1e-3 to 1, 20 a decade, as the peaks of weakly
+squeezed sources lie near t = 0.01), with the heralded log negativity of a
 catalysis family instead of a key rate, and refines its best cell to
 ``_EN_TOL``.  Every search follows one recipe, the module constants below.
 """
@@ -44,8 +45,8 @@ from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolPara
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
 _REFINE_TOL = 1e-4  # golden-section bracket width
-_EN_GRID = tuple(0.5 + k * 0.01 for k in range(51))  # the log-negativity search's grid
-_EN_TOL = 1e-3  # its golden-section bracket width
+_EN_GRID = tuple(10.0 ** (-3 + 3 * k / 60) for k in range(61))  # the log-negativity grid
+_EN_TOL = 1e-4  # its golden-section bracket width
 _EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
 _D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
 _BLOCK = 32  # channels per grid pass of every sweep: it bounds the working set of each pass
@@ -155,7 +156,7 @@ def optimal_transmittances(p: ProtocolParams, channels: Sequence[ChannelParams]
 
 
 def optimal_log_negativity(family: SchemeFamily, source: SourceParams) -> tuple[float, float]:
-    """The t in [0.5, 1] where ``family``'s heralded log negativity peaks, and that peak."""
+    """The t in [1e-3, 1] where ``family``'s heralded log negativity peaks, and that peak."""
     if family.kind == "subtraction":
         raise ValueError("the log-negativity search takes a catalysis family")
 

@@ -64,8 +64,9 @@ def test_source_parametrisations_agree():
     assert SourceParams(0.0).lam == 0.0
     with pytest.raises(ValueError):
         SourceParams(-0.1)
-    with pytest.raises(ValueError):
-        SourceParams.from_variance(0.5)
+    for variance in (0.5, math.inf, math.nan):  # the message names the variance, not alpha
+        with pytest.raises(ValueError, match=r"^quadrature variance must be finite and >= 1"):
+            SourceParams.from_variance(variance)
 
 
 def test_source_overflows_are_refused_with_the_quantity():

@@ -19,7 +19,7 @@ from catqkd.cli import (
     build_parser,
     main,
 )
-from catqkd.optimize import max_tolerable_excess_noise, optimal_transmittances
+from catqkd.optimize import _EN_GRID, max_tolerable_excess_noise, optimal_transmittances
 
 SINGLE_ALPHA = ["--alpha-min", "1", "--alpha-max", "1", "--alpha-step", "1"]
 
@@ -43,7 +43,7 @@ def test_usage_errors_exit_code_one():
 
 _OUTPUT = {"out", "format", "config"}
 _SCHEME = {"scheme", "n"}
-_LINK = {"alpha", "variance", "beta", "atten_db_km"}
+_LINK = {"variance", "beta", "atten_db_km"}
 _ALPHA_GRID = {"alpha_min", "alpha_max", "alpha_step"}
 _DISTANCE_GRID = {"d_min", "d_max", "d_step"}
 FLAGS = {  # every subcommand takes exactly the flags it reads
@@ -61,7 +61,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     dests = {name: {a.dest for a in sp._actions if a.dest != "help"}
              for name, sp in registry.items()}
     assert dests == FLAGS
-    assert sum(map(len, dests.values())) == 61
+    assert sum(map(len, dests.values())) == 58
 
 
 @pytest.mark.parametrize("argv", [
@@ -73,6 +73,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     # bsqc puts --n photons on both arms and ssqc none on the signal arm: no command takes --m
     *([command, "--scheme", "bsqc", "--m", "1"]
       for command in ("success-prob", "entanglement", "keyrate", "excess-noise", "max-distance")),
+    # the link commands take their source as --variance alone
+    *([command, "--alpha", "2"] for command in ("keyrate", "excess-noise", "max-distance")),
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -158,22 +160,23 @@ def test_entanglement_at_the_optimal_transmittance(tmp_path):
                                                                    src))
 
     assert float(row["log_negativity"]) == pytest.approx(value(float(row["t"])), rel=1e-8)
-    # the refinement never does worse than the command's 51-point grid on [0.5, 1]
-    best = max(value(0.5 + k * 0.01) for k in range(51))
+    # the refinement never does worse than the command's 61-point grid on [1e-3, 1]
+    best = max(value(t) for t in _EN_GRID)
     assert float(row["log_negativity"]) >= float(format(best, ".9g"))
 
 
-@pytest.mark.xfail(strict=True, reason="the search covers t in [0.5, 1] only (ROADMAP item 1)")
-def test_optimal_entanglement_beats_the_bare_source_at_low_squeezing(capsys):
-    # on (0, 1] bsqc1 at alpha 0.1 reaches E_N 1.045 at t = 0.074; the search
-    # prints t = 1 and the bare source's 0.288
-    assert main(["entanglement", "--t", "optimal", "--scheme", "bsqc", "--n", "1",
+@pytest.mark.parametrize("scheme,t_peak", [("bsqc", 0.074), ("ssqc", 0.0099)])
+def test_optimal_entanglement_beats_the_bare_source_at_low_squeezing(capsys, scheme, t_peak):
+    # at alpha 0.1 bsqc1 reaches E_N 1.045 at t = 0.074 and ssqc1 1.028 at t = 0.0099,
+    # against the bare source's 0.288; neither peak lies in the grid's lowest cell
+    assert main(["entanglement", "--t", "optimal", "--scheme", scheme, "--n", "1",
                  "--alpha-min", "0.1", "--alpha-max", "0.1"]) == EXIT_OK
     rows = {r["scheme"]: r for r in csv.DictReader(io.StringIO(capsys.readouterr().out))}
-    scan = catalysis.log_negativity(catalysis.schmidt_spectrum(SchemeFamily("bsqc", 1).at(0.074),
-                                                               SourceParams(0.1)))
-    assert float(rows["bsqc"]["log_negativity"]) >= scan - 1e-8
-    assert float(rows["bsqc"]["t"]) < 0.5
+    scan = catalysis.log_negativity(catalysis.schmidt_spectrum(
+        SchemeFamily(scheme, 1).at(t_peak), SourceParams(0.1)))
+    assert float(rows[scheme]["log_negativity"]) >= scan - 1e-8
+    assert float(rows[scheme]["log_negativity"]) > float(rows["tmsv"]["log_negativity"])
+    assert _EN_GRID[1] < float(rows[scheme]["t"]) < 0.5
 
 
 @pytest.mark.parametrize("argv, header", [
@@ -282,13 +285,16 @@ def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
     (["keyrate", "--scheme", "original", "--variance", "1e155", "--d-min", "100", "--d-max", "100"],
      "catqkd: numerical error: the covariance of the two-mode squeezed vacuum "
      "overflows a float: V**2 is inf at V=9.999999999999999e+154\n"),
-    # a source whose variance 2 alpha**2 + 1 overflows is refused as input
-    (["keyrate", "--scheme", "original", "--alpha", "1e200", "--d-min", "100", "--d-max", "100"],
-     "catqkd: error: alpha=1e+200 overflows the variance 2*alpha**2 + 1\n"),
+    # a source variance that is not finite is refused as input, and so is an alpha whose
+    # variance 2 alpha**2 + 1 overflows
+    (["keyrate", "--scheme", "original", "--variance", "inf", "--d-min", "100", "--d-max", "100"],
+     "catqkd: error: quadrature variance must be finite and >= 1, got inf\n"),
+    (["max-distance", "--scheme", "original", "--variance", "nan"],
+     "catqkd: error: quadrature variance must be finite and >= 1, got nan\n"),
     (["entanglement", "--alpha-min", "1e200", "--alpha-max", "1e200"],
      "catqkd: error: alpha=1e+200 overflows the variance 2*alpha**2 + 1\n"),
     # at the grid's t = 1 the catalyser returns the source, whose z**2 overflows
-    (["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--alpha", "1e100",
+    (["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--variance", "2e200",
       "--d-min", "100", "--d-max", "100"],
      "catqkd: numerical error: the covariance overflows a float: z**2 is out of range "
      "at z=2e+200 (x=2e+200, y=2e+200)\n"),
@@ -355,11 +361,18 @@ def test_photon_number_out_of_range_is_named(capsys, scheme, n):
     assert capsys.readouterr() == ("", f"catqkd: error: photon number {n} outside 0..5\n")
 
 
-def test_config_file_has_no_signal_arm_photon_number(tmp_path, capsys):
+@pytest.mark.parametrize("argv,entries,where", [
+    # no signal-arm photon number: --n names the family's photons
+    (["success-prob", *SINGLE_ALPHA], "scheme = bsqc\nm = 1\n", ":2: unknown option 'm'"),
+    # the link commands take their source as --variance alone
+    *(([command], "alpha = 2\n", ":1: unknown option 'alpha'")
+      for command in ("keyrate", "excess-noise", "max-distance")),
+])
+def test_config_file_refuses_the_flags_that_went(tmp_path, capsys, argv, entries, where):
     config = tmp_path / "run.cfg"
-    config.write_text("scheme = bsqc\nm = 1\n")
-    assert main(["success-prob", *SINGLE_ALPHA, "--config", str(config)]) == EXIT_USAGE
-    assert capsys.readouterr() == ("", f"catqkd: error: {config}:2: unknown option 'm'\n")
+    config.write_text(entries)
+    assert main([*argv, "--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"catqkd: error: {config}{where}\n")
 
 
 def test_excess_noise_matches_library(tmp_path):
@@ -435,7 +448,7 @@ def test_config_file_splice_and_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
         "# sweep defaults\n"
-        "alpha = 2\n"
+        "variance = 9\n"
         "epsilon = 0.05\n"
         "d-min = 10\n"
         "d_max = 10\n"
@@ -446,7 +459,7 @@ def test_config_file_splice_and_override(tmp_path):
             "--epsilon", "0.02", "--format", "json", "--out", str(out)]
     assert main(args) == EXIT_OK
     meta = json.loads(out.read_text())["metadata"]
-    assert meta["alpha"] == 2.0
+    assert meta["variance"] == 9.0
     assert meta["epsilon"] == 0.02  # explicit flag wins over the file
     assert meta["d_min"] == 10.0
 
@@ -465,7 +478,7 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["keyrate", "--config", str(nested)]) == EXIT_USAGE
     assert "nest" in capsys.readouterr().err
     valueless = tmp_path / "valueless.cfg"
-    valueless.write_text("alpha = 2\nepsilon\n")
+    valueless.write_text("variance = 9\nepsilon\n")
     assert main(["keyrate", "--config", str(valueless)]) == EXIT_USAGE
     assert capsys.readouterr() == (
         "", f"catqkd: error: {valueless}:2: expected key=value, got 'epsilon'\n")
@@ -474,7 +487,7 @@ def test_config_file_errors(tmp_path, capsys):
 
 def test_config_equals_form_and_missing_value(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("alpha = 2\nd-min = 10\nd-max = 10\n")
+    config.write_text("variance = 9\nd-min = 10\nd-max = 10\n")
     base = ["keyrate", "--scheme", "original"]
     assert main([*base, "--config", str(config)]) == EXIT_OK
     spaced = capsys.readouterr()
@@ -488,7 +501,7 @@ def test_config_equals_form_and_missing_value(tmp_path, capsys):
 
 def test_config_abbreviated_like_any_flag(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("alpha = 2\nd-min = 10\nd-max = 10\n")
+    config.write_text("variance = 9\nd-min = 10\nd-max = 10\n")
     base = ["keyrate", "--scheme", "original"]
     assert main([*base, "--config", str(config)]) == EXIT_OK
     spelled_out = capsys.readouterr()
@@ -500,7 +513,7 @@ def test_config_abbreviated_like_any_flag(tmp_path, capsys):
 
 def test_repeated_config_reads_the_last_file(tmp_path, capsys):
     first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
-    first.write_text("alpha = 2\nd-min = 10\nd-max = 10\n")
+    first.write_text("variance = 9\nd-min = 10\nd-max = 10\n")
     last.write_text("variance = 5\nd-min = 10\nd-max = 10\n")
     base = ["keyrate", "--scheme", "original"]
     assert main([*base, "--config", str(first)]) == EXIT_OK
@@ -512,20 +525,16 @@ def test_repeated_config_reads_the_last_file(tmp_path, capsys):
     assert capsys.readouterr() == last_only
 
 
-@pytest.mark.parametrize("entry,flag,message", [
-    ("variance = 5", ["--alpha", "2"], "argument --alpha: not allowed with argument --variance"),
-    ("alpha = 2", ["--variance", "5"], "argument --variance: not allowed with argument --alpha"),
-])
-def test_config_source_conflicts_with_the_other_source_flag(tmp_path, capsys, entry, flag,
-                                                            message):
-    # --alpha and --variance are one mutually exclusive group: a flag does not override the other
+def test_config_source_is_overridden_by_the_flag(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text(f"{entry}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["keyrate", "--config", str(config), *flag])
-    assert exc.value.code == EXIT_USAGE
-    out, err = capsys.readouterr()
-    assert out == "" and err.endswith(f"\ncatqkd keyrate: error: {message}\n")
+    config.write_text("variance = 5\nd-min = 10\nd-max = 10\n")
+    base = ["keyrate", "--scheme", "original", "--d-min", "10", "--d-max", "10"]
+    assert main([*base, "--variance", "7"]) == EXIT_OK
+    given = capsys.readouterr()
+    assert main([*base, "--config", str(config), "--variance", "7"]) == EXIT_OK
+    assert capsys.readouterr() == given
+    assert main([*base, "--config", str(config)]) == EXIT_OK
+    assert capsys.readouterr() != given
 
 
 def test_config_value_may_start_with_a_minus(tmp_path, capsys):
@@ -573,7 +582,7 @@ def test_errors_print_one_line_and_exit_with_their_code(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"catqkd: error: [Errno 2] No such file or directory: '{missing}'\n")
     bad = tmp_path / "bad.cfg"
-    bad.write_text("alpha = 1\nno_such_option = 1\n")
+    bad.write_text("variance = 3\nno_such_option = 1\n")
     assert main(["keyrate", "--config", str(bad)]) == EXIT_USAGE
     assert capsys.readouterr() == ("", f"catqkd: error: {bad}:2: unknown option "
                                        "'no_such_option'\n")

@@ -70,7 +70,8 @@ def test_landscape_grid_ends_on_one(tmp_path):
      "--photons applies to --scheme bsqc or ssqc only"),
     (["--scheme", "subtraction", "--photons", "0"],
      "--photons applies to --scheme bsqc or ssqc only"),
-    (["--variance", "0.5"], "quadrature variance must be >= 1, got 0.5"),
+    (["--variance", "0.5"], "quadrature variance must be finite and >= 1, got 0.5"),
+    (["--variance", "inf"], "quadrature variance must be finite and >= 1, got inf"),
     (["--beta", "2"], "reconciliation efficiency 2.0 outside (0, 1]"),
     (["--epsilon", "nan"], "excess noise must be finite and non-negative, got nan"),
     (["--distances", "-5"], "distance must be non-negative, got -5.0"),
@@ -82,6 +83,23 @@ def test_landscape_refuses_a_bad_input(tmp_path, capsys, flags, error):
         landscape.main(["--distances", "50", "--out", str(out), *flags])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f": error: {error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,error", [
+    (["--variance", "1e155"], "the covariance overflows a float: z**2 is out of range"),
+    (["--epsilon", "1e150"], "symplectic invariant overflows a float"),
+    (["--variance", "1e20"], "unphysical covariance"),
+])
+def test_landscape_numerical_error_exits_two_with_one_line(tmp_path, capsys, flags, error):
+    # the library refuses a rate as it would in `catqkd keyrate`: no traceback, no file
+    out = tmp_path / "landscape.csv"
+    with pytest.raises(SystemExit) as exc:
+        landscape.main(["--distances", "50", "--out", str(out), *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f": numerical error: {error}" in captured.err and captured.err.count("\n") == 1
     assert not out.exists()
 
 

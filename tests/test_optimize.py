@@ -28,9 +28,8 @@ from catqkd import (
     optimize,
     secret_key_rate,
 )
-from catqkd.cli import _grid
 from catqkd.keyrate import grid_best, source_state
-from catqkd.optimize import (_EN_GRID, _GRID, _grid_states, _largest_true, golden_section_max,
+from catqkd.optimize import (_GRID, _grid_states, _largest_true, golden_section_max,
                              optimal_log_negativity, optimal_transmittances,
                              optimize_transmittance)
 
@@ -822,16 +821,17 @@ def test_optimal_transmittance_sweep_takes_few_exact_logarithms(monkeypatch):
     assert sum(logs) <= 7 * 3 * len(channels)  # seven logarithms a cell, three cells a channel
 
 
-# (t, E_N) of the `catqkd entanglement --t optimal` rows, as float.hex, recorded while the
-# search still lived in the CLI; every one sits at t = 1, the bracket's top (ROADMAP item 1)
+# (t, E_N) of the `catqkd entanglement --t optimal` rows, as float.hex.  Those at alpha 1.5
+# and 3 peak at t = 1, the grid's top; those at alpha 0.5 peak inside (0, 1), where the
+# fine scan below finds the same peak
 _LOG_NEGATIVITY_OPTIMA = [
-    ("bsqc", 1, 0.5, "0x1.0000000000000p+0", "0x1.6373ad151c7bep+0"),
+    ("bsqc", 1, 0.5, "0x1.8f0f74b8da314p-3", "0x1.8caadcc551ac3p+0"),
     ("bsqc", 1, 1.5, "0x1.0000000000000p+0", "0x1.b943065f02e9fp+1"),
     ("bsqc", 1, 3.0, "0x1.0000000000000p+0", "0x1.4fcda87cf0bdbp+2"),
-    ("ssqc", 1, 0.5, "0x1.0000000000000p+0", "0x1.6373ad151c7bep+0"),
+    ("ssqc", 1, 0.5, "0x1.35f17c3503dc2p-3", "0x1.7f15b1fa48026p+0"),
     ("ssqc", 1, 1.5, "0x1.0000000000000p+0", "0x1.b943065f02e9fp+1"),
     ("ssqc", 1, 3.0, "0x1.0000000000000p+0", "0x1.4fcda87cf0bdbp+2"),
-    ("bsqc", 2, 0.5, "0x1.0000000000000p+0", "0x1.6373ad151c7bep+0"),
+    ("bsqc", 2, 0.5, "0x1.181a4f2cfb233p-4", "0x1.7a86cba2c975ep+0"),
     ("bsqc", 2, 1.5, "0x1.0000000000000p+0", "0x1.b943065f02e9fp+1"),
     ("bsqc", 2, 3.0, "0x1.0000000000000p+0", "0x1.4fcda87cf0be0p+2"),
 ]
@@ -843,9 +843,17 @@ def test_log_negativity_search_keeps_the_entanglement_rows(kind, photons, alpha,
     assert (t.hex(), e_n.hex()) == (t_hex, e_n_hex)
 
 
-def test_log_negativity_grid_is_the_sweep_grid_of_its_bracket():
-    grid = _grid(0.5, 1.0, 0.01, "t")
-    assert [t.hex() for t in _EN_GRID] == [t.hex() for t in grid]
+@pytest.mark.parametrize("kind,photons", [("bsqc", 1), ("ssqc", 1), ("bsqc", 2)])
+def test_log_negativity_optima_at_alpha_half_match_a_fine_scan(kind, photons):
+    family, source = SchemeFamily(kind, photons), SourceParams(alpha=0.5)
+    scan = 10.0 ** np.linspace(-3.0, 0.0, 3001)  # 1000 points a decade
+    values = [catalysis.log_negativity(catalysis.schmidt_spectrum(family.at(float(t)), source))
+              for t in scan]
+    best = int(np.argmax(values))
+    t, e_n = optimal_log_negativity(family, source)
+    assert 0 < best < len(scan) - 1  # an interior peak
+    assert scan[best - 1] <= t <= scan[best + 1]
+    assert e_n >= values[best] - 1e-9
 
 
 def test_log_negativity_search_refuses_subtraction():
