@@ -14,6 +14,11 @@ digits) or a JSON object with the same columns plus echoed inputs.  Rows
 are computed and written in grid order, so runs with equal inputs are
 byte-identical.  Exit codes: 0 ok, 1 usage error, 2 numerical failure,
 3 verification failure.
+
+An argument ``@FILE`` after the subcommand stands for the flags of FILE,
+one a line: ``key = value`` is ``--key=value`` (``_`` in a key reads as
+``-``), a bare ``key`` is the switch ``--key`` and ``#`` starts a comment.
+argparse reads them in place, so of a flag given twice the later one wins.
 """
 
 from __future__ import annotations
@@ -41,11 +46,20 @@ _SCHEME_CHOICES = ("bsqc", "ssqc", "subtraction", "original")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1 and ``@FILE`` lines read as flags."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def convert_arg_line_to_args(self, arg_line):
+        """``key = value`` as the one token ``--key=value``, so a value may start with '-'."""
+        entry = arg_line.split("#", 1)[0].strip()
+        key, eq, value = (part.strip() for part in entry.partition("="))
+        if not key:  # argparse refuses a line with no key, so it gets it as it is
+            return [entry] if entry else []
+        flag = "--" + key.replace("_", "-")
+        return [f"{flag}={value}"] if eq else [flag]
 
 
 def _t_value(text: str):
@@ -60,8 +74,6 @@ def _t_value(text: str):
 def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="-", help="output path, '-' for stdout")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--config", default=None,
-                    help="key=value file supplying defaults; flags override")
 
 
 def _add_scheme(sp: argparse.ArgumentParser) -> None:
@@ -185,7 +197,7 @@ def _emit(args, rows: list[dict]) -> int:
     else:
         import json  # only JSON output needs it; CSV sweeps skip its import
 
-        meta = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+        meta = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
         meta["version"] = __version__
         payload = {
             "metadata": meta,
@@ -306,7 +318,7 @@ def cmd_excess_noise(args) -> int:
     # been searched, so the exit code is the one of a distance-by-distance
     # sweep.  The search runs scheme by scheme with the distances in
     # lockstep, so where several probes fail the error reported may name
-    # another distance or scheme, and warnings come in another order.
+    # another distance or scheme.
     channels, refused = _channels(distances, atten_db_per_km=args.atten_db_km)
     searched = distances[:len(channels)]
     limits = [max_tolerable_excess_noise(ProtocolParams(source=src, beta=args.beta, scheme=family),
@@ -356,13 +368,12 @@ def cmd_verify(args) -> int:
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and each subcommand's parser, built once per process for every ``main``."""
-    parser = _Parser(prog="catqkd", description=__doc__,
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process for every ``main``."""
+    parser = _Parser(prog="catqkd", description=__doc__, fromfile_prefix_chars="@",
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"catqkd {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     commands = [  # name, handler, help, and the flag groups it reads besides the output flags
         ("success-prob", cmd_success_prob, "heralding probability versus alpha",
@@ -383,49 +394,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         for add in (*groups, _add_output):
             add(sp)
         sp.set_defaults(func=func)
-        registry[name] = sp
-    return parser, registry
-
-
-def _config_tokens(path: str, sp: argparse.ArgumentParser) -> list[str]:
-    """The flags a config file's entries stand for, in the file's order."""
-    actions = {}
-    for action in sp._actions:
-        for opt in action.option_strings:
-            actions[opt.lstrip("-")] = action
-    tokens: list[str] = []
-    with open(path) as stream:
-        for lineno, line in enumerate(stream, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "config":
-                raise ValueError(f"{path}:{lineno}: config files cannot nest")
-            action = actions.get(key) or actions.get(key.replace("_", "-"))
-            if action is None:
-                raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            flag = action.option_strings[-1]
-            if isinstance(action, argparse._StoreTrueAction):
-                if value.lower() in ("1", "true", "yes", "on"):
-                    tokens.append(flag)
-                elif value.lower() not in ("0", "false", "no", "off"):
-                    raise ValueError(f"{path}:{lineno}: boolean flag {key!r} got {value!r}")
-            else:
-                tokens.append(f"{flag}={value}")  # one token: a value may start with '-'
-    return tokens
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
     try:  # parse_args reports its own errors through SystemExit
-        args = parser.parse_args(argv)
-        if args.config is not None:  # the file's flags come first, so the given ones win
-            args = parser.parse_args([argv[0], *_config_tokens(args.config, registry[args.command]),
-                                      *argv[1:]])
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"catqkd: error: {exc}", file=sys.stderr)

@@ -24,8 +24,10 @@ sweep in lockstep, a block of them at a time, one grid pass over the block
 per step.  :func:`optimal_log_negativity` walks its own grid, ``_EN_GRID``
 (61 geometric points from t = 1e-3 to 1, 20 a decade, as the peaks of weakly
 squeezed sources lie near t = 0.01), with the heralded log negativity of a
-catalysis family instead of a key rate, and refines its best cell to
-``_EN_TOL``.  Every search follows one recipe, the module constants below.
+catalysis family instead of a key rate, extends it down a decade at a time
+while the log negativity falls from its lowest point (the ssqc peaks lie
+near t = alpha^2), and refines its best cell to ``_EN_TOL``.  Every search
+follows one recipe, the module constants below.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
 _REFINE_TOL = 1e-4  # golden-section bracket width
 _EN_GRID = tuple(10.0 ** (-3 + 3 * k / 60) for k in range(61))  # the log-negativity grid
+_EN_DECADES_BELOW = 5  # decades it may grow under 1e-3, so its floor is t = 1e-8
 _EN_TOL = 1e-4  # its golden-section bracket width
 _EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
 _D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
@@ -156,16 +159,21 @@ def optimal_transmittances(p: ProtocolParams, channels: Sequence[ChannelParams]
 
 
 def optimal_log_negativity(family: SchemeFamily, source: SourceParams) -> tuple[float, float]:
-    """The t in [1e-3, 1] where ``family``'s heralded log negativity peaks, and that peak."""
+    """The t in [1e-8, 1] where ``family``'s heralded log negativity peaks, and that peak."""
     if family.kind == "subtraction":
         raise ValueError("the log-negativity search takes a catalysis family")
 
     def value(t: float) -> float:
         return catalysis.log_negativity(catalysis.schmidt_spectrum(family.at(t), source))
 
-    values = [value(t) for t in _EN_GRID]
-    best = max(range(len(_EN_GRID)), key=values.__getitem__)
-    return refine_grid_max(value, _EN_GRID, best, values[best], _EN_TOL)
+    grid, values = list(_EN_GRID), [value(t) for t in _EN_GRID]
+    for decade in range(1, _EN_DECADES_BELOW + 1):
+        if not values[0] == max(values) > values[1]:
+            break
+        lower = [10.0 ** (-3 - decade + k / 20) for k in range(20)]
+        grid[:0], values[:0] = lower, [value(t) for t in lower]
+    best = max(range(len(grid)), key=values.__getitem__)
+    return refine_grid_max(value, grid, best, values[best], _EN_TOL)
 
 
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams) -> TransmittanceOptimum:

@@ -1,5 +1,6 @@
-"""Command-line interface: schemas, determinism, exit codes, config files."""
+"""Command-line interface: schemas, determinism, exit codes, flag files."""
 
+import argparse
 import csv
 import io
 import json
@@ -41,7 +42,7 @@ def test_usage_errors_exit_code_one():
     assert exc.value.code == EXIT_USAGE
 
 
-_OUTPUT = {"out", "format", "config"}
+_OUTPUT = {"out", "format"}
 _SCHEME = {"scheme", "n"}
 _LINK = {"variance", "beta", "atten_db_km"}
 _ALPHA_GRID = {"alpha_min", "alpha_max", "alpha_step"}
@@ -57,11 +58,11 @@ FLAGS = {  # every subcommand takes exactly the flags it reads
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
-    _, registry = build_parser()
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     dests = {name: {a.dest for a in sp._actions if a.dest != "help"}
-             for name, sp in registry.items()}
+             for name, sp in subs.choices.items()}
     assert dests == FLAGS
-    assert sum(map(len, dests.values())) == 58
+    assert sum(map(len, dests.values())) == 52
 
 
 @pytest.mark.parametrize("argv", [
@@ -75,6 +76,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
       for command in ("success-prob", "entanglement", "keyrate", "excess-noise", "max-distance")),
     # the link commands take their source as --variance alone
     *([command, "--alpha", "2"] for command in ("keyrate", "excess-noise", "max-distance")),
+    ["keyrate", "--config", "run.cfg"],  # a flag file is passed as @FILE
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -361,20 +363,6 @@ def test_photon_number_out_of_range_is_named(capsys, scheme, n):
     assert capsys.readouterr() == ("", f"catqkd: error: photon number {n} outside 0..5\n")
 
 
-@pytest.mark.parametrize("argv,entries,where", [
-    # no signal-arm photon number: --n names the family's photons
-    (["success-prob", *SINGLE_ALPHA], "scheme = bsqc\nm = 1\n", ":2: unknown option 'm'"),
-    # the link commands take their source as --variance alone
-    *(([command], "alpha = 2\n", ":1: unknown option 'alpha'")
-      for command in ("keyrate", "excess-noise", "max-distance")),
-])
-def test_config_file_refuses_the_flags_that_went(tmp_path, capsys, argv, entries, where):
-    config = tmp_path / "run.cfg"
-    config.write_text(entries)
-    assert main([*argv, "--config", str(config)]) == EXIT_USAGE
-    assert capsys.readouterr() == ("", f"catqkd: error: {config}{where}\n")
-
-
 def test_excess_noise_matches_library(tmp_path):
     out = tmp_path / "noise.csv"
     args = ["excess-noise", "--scheme", "original", "--d-min", "50",
@@ -444,100 +432,54 @@ def test_bad_sweep_grids_are_usage_errors(capsys, argv, what):
     assert out == "" and f"bad {what} grid" in err
 
 
-def test_config_file_splice_and_override(tmp_path):
+def _usage_error(capsys, argv):
+    """The last line argparse prints for a usage error, which exits 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+def test_flag_file_prints_the_bytes_of_its_flags(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(
         "# sweep defaults\n"
-        "variance = 9\n"
+        "variance = 9  # alpha = 2\n"
+        "\n"
         "epsilon = 0.05\n"
         "d-min = 10\n"
         "d_max = 10\n"
         "d-step = 1\n"
     )
-    out = tmp_path / "rates.json"
-    args = ["keyrate", "--scheme", "original", "--config", str(config),
-            "--epsilon", "0.02", "--format", "json", "--out", str(out)]
-    assert main(args) == EXIT_OK
-    meta = json.loads(out.read_text())["metadata"]
-    assert meta["variance"] == 9.0
-    assert meta["epsilon"] == 0.02  # explicit flag wins over the file
-    assert meta["d_min"] == 10.0
-
-
-def test_config_file_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_option = 1\n")
-    assert main(["keyrate", "--config", str(bad)]) == EXIT_USAGE
-    assert "unknown option" in capsys.readouterr().err
-    unread = tmp_path / "unread.cfg"
-    unread.write_text("epsilon = 0.02\n")  # excess-noise searches over the excess noise
-    assert main(["excess-noise", "--config", str(unread)]) == EXIT_USAGE
-    assert "unknown option 'epsilon'" in capsys.readouterr().err
-    nested = tmp_path / "nested.cfg"
-    nested.write_text(f"config = {bad}\n")
-    assert main(["keyrate", "--config", str(nested)]) == EXIT_USAGE
-    assert "nest" in capsys.readouterr().err
-    valueless = tmp_path / "valueless.cfg"
-    valueless.write_text("variance = 9\nepsilon\n")
-    assert main(["keyrate", "--config", str(valueless)]) == EXIT_USAGE
-    assert capsys.readouterr() == (
-        "", f"catqkd: error: {valueless}:2: expected key=value, got 'epsilon'\n")
-    assert main(["keyrate", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
-
-
-def test_config_equals_form_and_missing_value(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("variance = 9\nd-min = 10\nd-max = 10\n")
     base = ["keyrate", "--scheme", "original"]
-    assert main([*base, "--config", str(config)]) == EXIT_OK
-    spaced = capsys.readouterr()
-    assert main([*base, f"--config={config}"]) == EXIT_OK
-    assert capsys.readouterr() == spaced
-    with pytest.raises(SystemExit) as exc:  # argparse reports the missing path
-        main([*base, "--config"])
-    assert exc.value.code == EXIT_USAGE
-    assert "--config: expected one argument" in capsys.readouterr().err
+    flags = ["--variance", "9", "--epsilon", "0.05", "--d-min", "10", "--d-max", "10",
+             "--d-step", "1"]
+    for output in ([], ["--format", "json"]):  # the JSON metadata echoes every flag
+        assert main([*base, *flags, *output]) == EXIT_OK
+        given = capsys.readouterr()
+        assert main([*base, f"@{config}", *output]) == EXIT_OK
+        assert capsys.readouterr() == given
 
 
-def test_config_abbreviated_like_any_flag(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("variance = 9\nd-min = 10\nd-max = 10\n")
-    base = ["keyrate", "--scheme", "original"]
-    assert main([*base, "--config", str(config)]) == EXIT_OK
-    spelled_out = capsys.readouterr()
-    assert len(spelled_out.out.splitlines()) == 2  # the header and the file's one distance
-    for flag in (["--conf", str(config)], [f"--co={config}"]):
-        assert main([*base, *flag]) == EXIT_OK
-        assert capsys.readouterr() == spelled_out
-
-
-def test_repeated_config_reads_the_last_file(tmp_path, capsys):
+def test_flag_file_precedence_goes_by_position(tmp_path, capsys):
     first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
-    first.write_text("variance = 9\nd-min = 10\nd-max = 10\n")
-    last.write_text("variance = 5\nd-min = 10\nd-max = 10\n")
-    base = ["keyrate", "--scheme", "original"]
-    assert main([*base, "--config", str(first)]) == EXIT_OK
-    first_only = capsys.readouterr()
-    assert main([*base, "--config", str(last)]) == EXIT_OK
-    last_only = capsys.readouterr()
-    assert last_only != first_only
-    assert main([*base, "--config", str(first), "--config", str(last)]) == EXIT_OK
-    assert capsys.readouterr() == last_only
-
-
-def test_config_source_is_overridden_by_the_flag(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("variance = 5\nd-min = 10\nd-max = 10\n")
+    first.write_text("variance = 5\nd-min = 10\nd-max = 10\n")
+    last.write_text("variance = 7\n")
     base = ["keyrate", "--scheme", "original", "--d-min", "10", "--d-max", "10"]
     assert main([*base, "--variance", "7"]) == EXIT_OK
-    given = capsys.readouterr()
-    assert main([*base, "--config", str(config), "--variance", "7"]) == EXIT_OK
-    assert capsys.readouterr() == given
-    assert main([*base, "--config", str(config)]) == EXIT_OK
-    assert capsys.readouterr() != given
+    seven = capsys.readouterr()
+    assert main([*base, "--variance", "5"]) == EXIT_OK
+    five = capsys.readouterr()
+    assert five != seven
+    for argv, expected in (([f"@{first}", "--variance", "7"], seven),  # a later flag wins
+                           (["--variance", "7", f"@{first}"], five),  # an earlier one loses
+                           ([f"@{first}", f"@{last}"], seven),
+                           ([f"@{last}", f"@{first}"], five)):
+        assert main([*base, *argv]) == EXIT_OK
+        assert capsys.readouterr() == expected
 
 
-def test_config_value_may_start_with_a_minus(tmp_path, capsys):
+def test_flag_file_value_may_start_with_a_minus(tmp_path, capsys):
     # the file's line reaches argparse as the one token --d-min=-1e3, not as a flag of its own
     config = tmp_path / "run.cfg"
     config.write_text("d-min = -1e3\n")
@@ -545,26 +487,64 @@ def test_config_value_may_start_with_a_minus(tmp_path, capsys):
     assert main([*base, "--d-min=-1e3"]) == EXIT_USAGE
     given = capsys.readouterr()
     assert given == ("", "catqkd: error: distance must be non-negative, got -1000.0\n")
-    assert main([*base, "--config", str(config)]) == EXIT_USAGE
+    assert main([*base, f"@{config}"]) == EXIT_USAGE
     assert capsys.readouterr() == given
 
 
-def test_config_boolean_flags(tmp_path, capsys):
-    # the JSON metadata echoes the flag: the CSV rows of both signs are equal
+def test_flag_file_switch_is_a_bare_key(tmp_path, capsys):
+    # the JSON metadata echoes the switch: the CSV rows of both signs are equal
     assert main(["verify", "--format", "json", "--flip-bs-sign"]) == EXIT_OK
     flipped = capsys.readouterr()
     assert main(["verify", "--format", "json"]) == EXIT_OK
-    default = capsys.readouterr()
-    assert flipped.out != default.out
+    assert capsys.readouterr().out != flipped.out
     config = tmp_path / "verify.cfg"
-    for value, expected in (("yes", flipped), ("off", default)):
-        config.write_text(f"seed = 0\nflip-bs-sign = {value}\n")
-        assert main(["verify", "--format", "json", "--config", str(config)]) == EXIT_OK
-        assert capsys.readouterr() == expected
-    config.write_text("seed = 0\nflip-bs-sign = maybe\n")
-    assert main(["verify", "--config", str(config)]) == EXIT_USAGE
-    assert capsys.readouterr() == (
-        "", f"catqkd: error: {config}:2: boolean flag 'flip-bs-sign' got 'maybe'\n")
+    config.write_text("seed = 0\nflip-bs-sign\n")
+    assert main(["verify", "--format", "json", f"@{config}"]) == EXIT_OK
+    assert capsys.readouterr() == flipped
+    config.write_text("seed = 0\nflip-bs-sign = true\n")
+    assert _usage_error(capsys, ["verify", f"@{config}"]) == (
+        "catqkd verify: error: argument --flip-bs-sign: ignored explicit argument 'true'")
+
+
+@pytest.mark.parametrize("argv,entries,message", [
+    (["keyrate"], "no_such_option = 1\n", "catqkd: error: unrecognized arguments: "
+                                          "--no-such-option=1"),
+    # excess-noise searches over the excess noise
+    (["excess-noise"], "epsilon = 0.02\n", "catqkd: error: unrecognized arguments: "
+                                           "--epsilon=0.02"),
+    # one file cannot name another
+    (["keyrate"], "config = other.cfg\n", "catqkd: error: unrecognized arguments: "
+                                          "--config=other.cfg"),
+    (["keyrate"], "= 5\n", "catqkd: error: unrecognized arguments: = 5"),
+    # a bare key is a switch, and --epsilon takes a value
+    (["keyrate"], "variance = 9\nepsilon\n", "catqkd keyrate: error: argument --epsilon: "
+                                              "expected one argument"),
+    # no signal-arm photon number: --n names the family's photons
+    (["success-prob", *SINGLE_ALPHA], "scheme = bsqc\nm = 1\n",
+     "catqkd: error: unrecognized arguments: --m=1"),
+    # the link commands take their source as --variance alone
+    *(([command], "alpha = 2\n", "catqkd: error: unrecognized arguments: --alpha=2")
+      for command in ("keyrate", "excess-noise", "max-distance")),
+])
+def test_flag_file_entries_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv,
+                                                                       entries, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(entries)
+    assert _usage_error(capsys, [*argv, f"@{config}"]) == message
+
+
+def test_misplaced_or_unreadable_flag_file_is_a_usage_error(tmp_path, capsys):
+    config, missing = tmp_path / "run.cfg", tmp_path / "missing.cfg"
+    config.write_text("variance = 9\n")
+    # before the subcommand, the file's flags reach the top-level parser
+    assert _usage_error(capsys, [f"@{config}", "keyrate"]) == (
+        "catqkd: error: unrecognized arguments: --variance=9")
+    unread = f"catqkd: error: [Errno 2] No such file or directory: '{missing}'"
+    assert _usage_error(capsys, ["keyrate", f"@{missing}"]) == unread
+    assert _usage_error(capsys, ["keyrate", "@"]) == (
+        "catqkd: error: [Errno 2] No such file or directory: ''")
+    # every argument that starts with '@' names a file, a flag's value too
+    assert _usage_error(capsys, ["keyrate", "--out", f"@{missing}"]) == unread
 
 
 @pytest.mark.parametrize("scheme", ["bsqc", "ssqc"])
@@ -577,15 +557,10 @@ def test_catalysis_scheme_without_photon_number_catalyses_none(capsys, scheme):
 
 
 def test_errors_print_one_line_and_exit_with_their_code(tmp_path, capsys):
-    missing = tmp_path / "missing.cfg"
-    assert main(["keyrate", "--config", str(missing)]) == EXIT_USAGE
+    target = tmp_path / "no-such-dir" / "out.csv"
+    assert main(["success-prob", *SINGLE_ALPHA, "--out", str(target)]) == EXIT_USAGE
     assert capsys.readouterr() == (
-        "", f"catqkd: error: [Errno 2] No such file or directory: '{missing}'\n")
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("variance = 3\nno_such_option = 1\n")
-    assert main(["keyrate", "--config", str(bad)]) == EXIT_USAGE
-    assert capsys.readouterr() == ("", f"catqkd: error: {bad}:2: unknown option "
-                                       "'no_such_option'\n")
+        "", f"catqkd: error: [Errno 2] No such file or directory: '{target}'\n")
     # big - root cancels to 0 at this noise
     assert main(["keyrate", "--scheme", "original", "--epsilon", "1e12", "--d-min", "100",
                  "--d-max", "100"]) == EXIT_NUMERIC

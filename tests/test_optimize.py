@@ -859,3 +859,19 @@ def test_log_negativity_optima_at_alpha_half_match_a_fine_scan(kind, photons):
 def test_log_negativity_search_refuses_subtraction():
     with pytest.raises(ValueError, match="catalysis family"):
         optimal_log_negativity(SchemeFamily("subtraction"), V20)
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.03])
+@pytest.mark.parametrize("photons", [1, 2])
+def test_low_squeezing_ssqc_peaks_under_the_grid_are_found(photons, alpha):
+    # the ssqc peaks lie near t = alpha^2, under the grid's 1e-3 here
+    family, source = SchemeFamily("ssqc", photons), SourceParams(alpha=alpha)
+
+    def value(t):
+        return catalysis.log_negativity(catalysis.schmidt_spectrum(family.at(float(t)), source))
+
+    t, e_n = optimal_log_negativity(family, source)
+    step = 10.0 ** (1 / 20)  # one cell of the grid
+    assert value(t / step) < e_n and value(t * step) < e_n  # an interior peak, not an edge
+    scan = 10.0 ** np.linspace(-6.0, 0.0, 1201)  # 200 points a decade
+    assert e_n == pytest.approx(max(map(value, scan)), abs=1e-4)
