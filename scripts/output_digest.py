@@ -56,8 +56,6 @@ EDGE_COMMANDS = [
     # an optimal-transmittance sweep that the grid pass refuses at V = 1e6
     ["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "0", "--variance", "1e6",
      "--epsilon", "0", "--d-min", "0", "--d-max", "1e-9", "--d-step", "1e-9"],
-    # the mirrored beam-splitter sign
-    ["verify", "--flip-bs-sign"],
     # ssqc2 on a vacuum source, whose Schmidt spectra have x = 0
     ["entanglement", "--t", "optimal", "--scheme", "ssqc", "--n", "2", "--alpha-min", "0",
      "--alpha-max", "0.1", "--alpha-step", "0.1"],

@@ -355,10 +355,10 @@ def log_negativity_tmsv_closed_form(src: SourceParams) -> float:
     :func:`log_negativity_tmsv` by ``-log2(1 - lam**2)``; both are kept so the
     discrepancy stays visible in sweeps.  ``sqrt(1+alpha**2) - alpha`` is
     taken as ``1/(sqrt(1+alpha**2) + alpha)``, which does not cancel to 0
-    where alpha is large.
+    where alpha is large.  Starting from ``0.0`` gives +0, not -0, at alpha 0.
     """
     a2 = src.alpha**2
-    return -math.log2(1.0 + a2) - 2.0 * math.log2(1.0 / (math.sqrt(1.0 + a2) + src.alpha))
+    return 0.0 - math.log2(1.0 + a2) - 2.0 * math.log2(1.0 / (math.sqrt(1.0 + a2) + src.alpha))
 
 
 def tmsv_covariance(src: SourceParams) -> TwoModeCovariance:

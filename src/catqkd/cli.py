@@ -13,11 +13,14 @@ Output is a CSV table (header always present, floats at 9 significant
 digits) or a JSON object with the same columns plus echoed inputs.  Rows
 are computed and written in grid order, so runs with equal inputs are
 byte-identical.  Exit codes: 0 ok, 1 usage error, 2 numerical failure,
-3 verification failure.
+3 verification failure.  A refused distance anywhere in a sweep's grid
+exits 1 before anything is computed.  The searches run scheme by scheme
+over the whole grid, so where several fail the numerical error reported
+is the first failing scheme's.
 
 An argument ``@FILE`` after the subcommand stands for the flags of FILE,
 one a line: ``key = value`` is ``--key=value`` (``_`` in a key reads as
-``-``), a bare ``key`` is the switch ``--key`` and ``#`` starts a comment.
+``-``), a bare ``key`` is ``--key`` and ``#`` starts a comment.
 argparse reads them in place, so of a flag given twice the later one wins.
 """
 
@@ -110,8 +113,6 @@ def _add_verify(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="seed for randomised spot checks")
     sp.add_argument("--cutoff", type=int, default=None,
                     help="override the adaptive Fock cutoff")
-    sp.add_argument("--flip-bs-sign", action="store_true", dest="flip_bs_sign",
-                    help="run with the opposite reflected-beam phase")
 
 
 def _add_alpha_grid(sp: argparse.ArgumentParser) -> None:
@@ -263,28 +264,12 @@ def cmd_entanglement(args) -> int:
     return _emit(args, rows)
 
 
-def _channels(distances: list[float], **kwargs) -> tuple[list[ChannelParams], ValueError | None]:
-    """The channels of the distances up to the first refused one, and its refusal."""
-    channels = []
-    for d in distances:
-        try:
-            channels.append(ChannelParams.from_distance(d, **kwargs))
-        except ValueError as exc:
-            return channels, exc
-    return channels, None
-
-
 def cmd_keyrate(args) -> int:
     entries = _scheme_entries(args, [None, *CATALYSIS_FAMILIES])
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
     src = SourceParams.from_variance(args.variance)
-    # A refused channel fails the sweep only after every nearer distance has
-    # been swept, so the exit code is the one of a distance-by-distance sweep.
-    # The optimal transmittances are searched scheme by scheme over all those
-    # distances at once, so where several fail the numerical error reported
-    # may name another distance or scheme.
-    channels, refused = _channels(distances, epsilon=args.epsilon,
-                                  atten_db_per_km=args.atten_db_km)
+    channels = [ChannelParams.from_distance(d, epsilon=args.epsilon,
+                                            atten_db_per_km=args.atten_db_km) for d in distances]
 
     def transmittances(family: SchemeFamily | None) -> list:
         if family is None or args.t != "optimal":
@@ -292,8 +277,7 @@ def cmd_keyrate(args) -> int:
         p = ProtocolParams(source=src, beta=args.beta, scheme=family)
         return [opt.t for opt in optimal_transmittances(p, channels)]
 
-    # with no channel left nothing is searched, so the channel's refusal is the error
-    t_used = [transmittances(family) for family in entries] if channels else []
+    t_used = [transmittances(family) for family in entries]
     rows = []
     for k, (d, ch) in enumerate(zip(distances, channels)):
         plob = plob_bound(ch.tc) if ch.tc < 1.0 else math.inf
@@ -305,8 +289,6 @@ def cmd_keyrate(args) -> int:
                 "p_success": result.p_success, "i_ab": result.i_ab,
                 "holevo": result.holevo, "key_rate": result.key_rate, "plob": plob,
             })
-    if refused is not None:
-        raise refused
     return _emit(args, rows)
 
 
@@ -314,18 +296,9 @@ def cmd_excess_noise(args) -> int:
     entries = _scheme_entries(args, _NOISE_SET)
     distances = _grid(args.d_min, args.d_max, args.d_step, "distance")
     src = SourceParams.from_variance(args.variance)
-    # A refused channel fails the sweep only after every nearer distance has
-    # been searched, so the exit code is the one of a distance-by-distance
-    # sweep.  The search runs scheme by scheme with the distances in
-    # lockstep, so where several probes fail the error reported may name
-    # another distance or scheme.
-    channels, refused = _channels(distances, atten_db_per_km=args.atten_db_km)
-    searched = distances[:len(channels)]
     limits = [max_tolerable_excess_noise(ProtocolParams(source=src, beta=args.beta, scheme=family),
-                                         searched, atten_db_per_km=args.atten_db_km)
-              for family in entries] if searched else []
-    if refused is not None:
-        raise refused
+                                         distances, atten_db_per_km=args.atten_db_km)
+              for family in entries]
     rows = [{"distance_km": d, **_labels(family), "eps_max": eps[k]}
             for k, d in enumerate(distances) for family, eps in zip(entries, limits)]
     return _emit(args, rows)
@@ -345,14 +318,13 @@ def cmd_max_distance(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sign = 1.0 if args.flip_bs_sign else -1.0
     if args.seed < 0:
         raise ValueError(f"seed must be non-negative, got {args.seed}")
     from . import verify  # imported here so the sweep commands never compile the oracle
 
     rows = [{"check": name, "max_abs_deviation": dev, "tolerance": tol,
              "status": "PASS" if dev <= tol else "FAIL"}
-            for name, dev, tol in verify.checks(args.seed, args.cutoff, sign)]
+            for name, dev, tol in verify.checks(args.seed, args.cutoff)]
     _emit(args, rows)
     failed = [r for r in rows if r["status"] == "FAIL"]
     if failed:

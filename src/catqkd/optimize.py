@@ -166,6 +166,8 @@ def optimal_log_negativity(family: SchemeFamily, source: SourceParams) -> tuple[
     def value(t: float) -> float:
         return catalysis.log_negativity(catalysis.schmidt_spectrum(family.at(t), source))
 
+    if source.alpha == 0.0:  # a vacuum: every t gives 0 or round-off; t = 1 catalyses nothing
+        return 1.0, value(1.0)
     grid, values = list(_EN_GRID), [value(t) for t in _EN_GRID]
     for decade in range(1, _EN_DECADES_BELOW + 1):
         if not values[0] == max(values) > values[1]:
@@ -221,7 +223,8 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     a point of the optimiser's grid, as the golden-section refinement keeps
     a point only if it beats the best grid rate.  So every probed noise
     value is one grid pass over the cached grid states that asks whether
-    the best rate of :func:`~catqkd.keyrate.grid_best` is positive.  The
+    the best rate of :func:`~catqkd.keyrate.grid_best` is positive.  A
+    refused distance raises its ``ValueError`` before the first pass.  The
     distances are bisected in lockstep, in blocks of up to 32 (``_BLOCK``)
     in sweep order, so a pass holds at most one block of rates however
     long the sweep; a refused probe raises the grid pass's

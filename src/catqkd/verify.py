@@ -19,7 +19,7 @@ from .keyrate import (CATALYSIS_FAMILIES, ChannelParams, SchemeFamily, propagate
                       source_state, symplectic_eigenvalues)
 
 
-def _catalysis(rows, sign, cutoff):
+def _catalysis(rows, cutoff):
     devs = {"p_success": 0.0, "cov_x": 0.0, "cov_z": 0.0, "log_negativity": 0.0,
             "schmidt_norm": 0.0}
     for family in CATALYSIS_FAMILIES:
@@ -27,7 +27,7 @@ def _catalysis(rows, sign, cutoff):
             for alpha in (0.5, 1.0, 3.0):
                 cfg = family.at(t)
                 src = SourceParams(alpha=alpha)
-                sim = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=sign)
+                sim = oracle.simulate_catalysis(cfg, src, cutoff=cutoff)
                 pd, cov = source_state(cfg, src)
                 spec = catalysis.schmidt_spectrum(cfg, src)
                 devs["p_success"] = max(devs["p_success"], abs(pd - sim.p_success))
@@ -42,20 +42,20 @@ def _catalysis(rows, sign, cutoff):
     rows.append(("schmidt-normalisation", devs["schmidt_norm"], 1e-8))
 
 
-def _subtraction(rows, sign, cutoff):
+def _subtraction(rows, cutoff):
     dev = 0.0
     for alpha in (0.5, 1.0, 3.0):
         for t in (0.5, 0.8, 0.95):
             cfg = SchemeFamily("subtraction").at(t)
             src = SourceParams(alpha=alpha)
-            sim = oracle.simulate_subtraction(cfg, src, cutoff=cutoff, sign=sign)
+            sim = oracle.simulate_subtraction(cfg, src, cutoff=cutoff)
             p1, cov = source_state(cfg, src)
             dev = max(dev, abs(p1 - sim.p_success), abs(cov.x - sim.cov.x),
                       abs(cov.y - sim.cov.y), abs(cov.z - sim.cov.z))
     rows.append(("subtraction-closed-forms", dev, 1e-6))
 
 
-def _orthogonality(rows, sign):
+def _orthogonality(rows):
     # One amplitude call per transmittance covers the blocks of 0 to 6
     # photons: block n sits in amps[n, :n + 1, :n + 1], and the photon
     # numbers past n are clamped to n, so every padding element is an
@@ -65,7 +65,7 @@ def _orthogonality(rows, sign):
     p = np.minimum(np.arange(7), total)
     dev = 0.0
     for t in (0.3, 0.7, 0.95):
-        amps = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
+        amps = oracle.bs_fock_amplitude(t, j, total - j, p, total - p)
         for n in range(7):
             block = amps[n, :n + 1, :n + 1]
             dev = max(dev, float(np.abs(block.T @ block - np.eye(n + 1)).max()))
@@ -113,17 +113,17 @@ def _flip(rows, cutoff):
     rows.append(("reflection-phase-invariance", dev, 1e-12))
 
 
-def checks(seed: int, cutoff: int | None, sign: float) -> list[tuple[str, float, float]]:
+def checks(seed: int, cutoff: int | None) -> list[tuple[str, float, float]]:
     """Every check as ``(name, max_abs_deviation, tolerance)``, in report order.
 
-    ``seed`` seeds the randomised symplectic spot checks, ``cutoff``
-    overrides the oracle's adaptive Fock cutoff, and ``sign`` is the
-    reflected-beam phase of the oracle's beam splitter (+1 or -1).
+    ``seed`` seeds the randomised symplectic spot checks and ``cutoff``
+    overrides the oracle's adaptive Fock cutoff.  Only
+    ``reflection-phase-invariance`` runs the mirrored reflected-beam phase.
     """
     rows: list[tuple[str, float, float]] = []
-    _orthogonality(rows, sign)
-    _catalysis(rows, sign, cutoff)
-    _subtraction(rows, sign, cutoff)
+    _orthogonality(rows)
+    _catalysis(rows, cutoff)
+    _subtraction(rows, cutoff)
     _symplectic(rows, random.Random(seed))
     _flip(rows, cutoff)
     return rows

@@ -335,6 +335,8 @@ def test_frozen_entanglement_values():
     assert log_negativity_tmsv_closed_form(SourceParams(3.0)) == pytest.approx(
         1.9249992828250324, abs=1e-12
     )
+    # the vacuum's is +0, not -0
+    assert math.copysign(1.0, log_negativity_tmsv_closed_form(SourceParams(0.0))) == 1.0
     # lam = 1/2 gives log2(3) exactly
     src = SourceParams.from_variance(5.0 / 3.0)
     assert src.lam == pytest.approx(0.5, abs=1e-15)

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from catqkd import (ChannelParams, ConsistencyError, ProtocolParams, SchemeFamily,
-                    SourceParams, catalysis)
+                    SourceParams, catalysis, optimize)
 from catqkd.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -53,7 +53,7 @@ FLAGS = {  # every subcommand takes exactly the flags it reads
     "keyrate": _SCHEME | {"t", "epsilon"} | _LINK | _DISTANCE_GRID | _OUTPUT,
     "excess-noise": _SCHEME | _LINK | _DISTANCE_GRID | _OUTPUT,
     "max-distance": _SCHEME | {"epsilon", "floor"} | _LINK | _OUTPUT,
-    "verify": {"seed", "cutoff", "flip_bs_sign"} | _OUTPUT,
+    "verify": {"seed", "cutoff"} | _OUTPUT,
 }
 
 
@@ -62,7 +62,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     dests = {name: {a.dest for a in sp._actions if a.dest != "help"}
              for name, sp in subs.choices.items()}
     assert dests == FLAGS
-    assert sum(map(len, dests.values())) == 52
+    assert sum(map(len, dests.values())) == 51
 
 
 @pytest.mark.parametrize("argv", [
@@ -77,6 +77,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     # the link commands take their source as --variance alone
     *([command, "--alpha", "2"] for command in ("keyrate", "excess-noise", "max-distance")),
     ["keyrate", "--config", "run.cfg"],  # a flag file is passed as @FILE
+    ["verify", "--flip-bs-sign"],  # reflection-phase-invariance compares both phases
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -165,6 +166,16 @@ def test_entanglement_at_the_optimal_transmittance(tmp_path):
     # the refinement never does worse than the command's 61-point grid on [1e-3, 1]
     best = max(value(t) for t in _EN_GRID)
     assert float(row["log_negativity"]) >= float(format(best, ".9g"))
+
+
+def test_entanglement_of_the_vacuum_prints_t_one_and_no_negative_zero(capsys):
+    # alpha = 0: every t gives E_N 0, and t = 1 catalyses nothing
+    assert main(["entanglement", "--t", "optimal", "--alpha-min", "0",
+                 "--alpha-max", "0"]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(r["scheme"], r["t"], r["log_negativity"]) for r in rows] == [
+        *((kind, "1", "0") for kind in ["bsqc"] * 3 + ["ssqc"] * 3),
+        ("tmsv", "", "0"), ("tmsv-closed-form", "", "0")]
 
 
 @pytest.mark.parametrize("scheme,t_peak", [("bsqc", 0.074), ("ssqc", 0.0099)])
@@ -261,17 +272,30 @@ def test_keyrate_optimal_rows_follow_the_distance_grid(tmp_path):
     assert [r["distance_km"] for r in rows[::7]] == ["0", "100", "200", "300", "400", "500"]
 
 
-def test_keyrate_optimal_refused_channel_fails_after_nearer_distances(capsys):
-    # at 15500 km the channel noise (1 - tc)/tc overflows; 15000 km is swept first
-    assert main(["keyrate", "--t", "optimal", "--scheme", "subtraction", "--d-min", "15000",
-                 "--d-max", "15800", "--d-step", "500"]) == EXIT_USAGE
-    assert capsys.readouterr().err == ("catqkd: error: channel noise (1 - tc)/tc + epsilon"
-                                       " overflows at tc=1e-310, epsilon=0.01\n")
-    # a numerical refusal at a nearer distance comes first
-    assert main(["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--variance", "1e6",
-                 "--epsilon", "0", "--d-min", "0", "--d-max", "1e-6",
-                 "--d-step", "1e-7"]) == EXIT_NUMERIC
-    assert "symplectic eigenvalue" in capsys.readouterr().err
+_FAR = ["--variance", "1e6", "--d-min", "1e-9", "--d-max", "20000", "--d-step", "19999"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 1e-9 km alone fails numerically at V = 1e6, and the fibre at 20000 km has transmittance 0
+    (["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--epsilon", "0", *_FAR],
+     "channel transmittance 0.0 outside (0, 1]"),
+    (["excess-noise", *_FAR], "channel transmittance 0.0 outside (0, 1]"),
+    # at 15500 km the channel noise (1 - tc)/tc overflows; 15000 km alone has a row
+    (["keyrate", "--t", "optimal", "--scheme", "subtraction", "--d-min", "15000",
+      "--d-max", "15800", "--d-step", "500"],
+     "channel noise (1 - tc)/tc + epsilon overflows at tc=1e-310, epsilon=0.01"),
+    (["excess-noise", "--d-min", "0", "--d-max", "20000", "--d-step", "10000"],
+     "channel transmittance 0.0 outside (0, 1]"),
+], ids=["keyrate-near-failure", "excess-noise-near-failure", "keyrate-noise-overflow",
+        "excess-noise-zero-transmittance"])
+def test_a_refused_distance_fails_the_sweep_before_any_search(monkeypatch, capsys, argv,
+                                                               message):
+    def no_search(p):
+        raise AssertionError("searched before every channel was built")
+
+    monkeypatch.setattr(optimize, "_grid", no_search)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"catqkd: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -386,18 +410,6 @@ def test_excess_noise_sweep_rows_follow_the_distance_grid(tmp_path):
     assert len(rows) == 18
 
 
-def test_excess_noise_refused_channel_fails_after_nearer_distances(capsys):
-    # the fibre at 19999 km has transmittance 0; the nearer distance's
-    # numerical error comes first, as in a distance-by-distance sweep
-    near_error = ["excess-noise", "--variance", "1e6", "--d-min", "1e-9",
-                  "--d-max", "20000", "--d-step", "19999"]
-    assert main(near_error) == EXIT_NUMERIC
-    assert "symplectic eigenvalue" in capsys.readouterr().err
-    assert main(["excess-noise", "--d-min", "0", "--d-max", "20000",
-                 "--d-step", "10000"]) == EXIT_USAGE
-    assert "channel transmittance 0.0" in capsys.readouterr().err
-
-
 def test_max_distance_subcommand(tmp_path):
     out = tmp_path / "reach.csv"
     args = ["max-distance", "--scheme", "original", "--epsilon", "0.01",
@@ -491,21 +503,6 @@ def test_flag_file_value_may_start_with_a_minus(tmp_path, capsys):
     assert capsys.readouterr() == given
 
 
-def test_flag_file_switch_is_a_bare_key(tmp_path, capsys):
-    # the JSON metadata echoes the switch: the CSV rows of both signs are equal
-    assert main(["verify", "--format", "json", "--flip-bs-sign"]) == EXIT_OK
-    flipped = capsys.readouterr()
-    assert main(["verify", "--format", "json"]) == EXIT_OK
-    assert capsys.readouterr().out != flipped.out
-    config = tmp_path / "verify.cfg"
-    config.write_text("seed = 0\nflip-bs-sign\n")
-    assert main(["verify", "--format", "json", f"@{config}"]) == EXIT_OK
-    assert capsys.readouterr() == flipped
-    config.write_text("seed = 0\nflip-bs-sign = true\n")
-    assert _usage_error(capsys, ["verify", f"@{config}"]) == (
-        "catqkd verify: error: argument --flip-bs-sign: ignored explicit argument 'true'")
-
-
 @pytest.mark.parametrize("argv,entries,message", [
     (["keyrate"], "no_such_option = 1\n", "catqkd: error: unrecognized arguments: "
                                           "--no-such-option=1"),
@@ -516,9 +513,10 @@ def test_flag_file_switch_is_a_bare_key(tmp_path, capsys):
     (["keyrate"], "config = other.cfg\n", "catqkd: error: unrecognized arguments: "
                                           "--config=other.cfg"),
     (["keyrate"], "= 5\n", "catqkd: error: unrecognized arguments: = 5"),
-    # a bare key is a switch, and --epsilon takes a value
+    # a bare key is the flag alone, and every flag takes a value
     (["keyrate"], "variance = 9\nepsilon\n", "catqkd keyrate: error: argument --epsilon: "
                                               "expected one argument"),
+    (["verify"], "seed\n", "catqkd verify: error: argument --seed: expected one argument"),
     # no signal-arm photon number: --n names the family's photons
     (["success-prob", *SINGLE_ALPHA], "scheme = bsqc\nm = 1\n",
      "catqkd: error: unrecognized arguments: --m=1"),
@@ -579,9 +577,8 @@ def test_unwritable_output_exits_one(tmp_path):
     assert main(["success-prob", *SINGLE_ALPHA, "--out", str(target)]) == EXIT_USAGE
 
 
-def test_verify_passes_both_sign_conventions(capsys):
+def test_verify_passes(capsys):
     assert main(["verify"]) == EXIT_OK
-    assert main(["verify", "--flip-bs-sign"]) == EXIT_OK
     capsys.readouterr()
 
 
@@ -589,7 +586,7 @@ def test_verify_failure_exits_three_and_names_the_check(monkeypatch, capsys):
     from catqkd import verify
 
     rows = [("symplectic-eigenvalues", 2.5e-9, 1e-9), ("beamsplitter-orthogonality", 0.0, 1e-10)]
-    monkeypatch.setattr(verify, "checks", lambda seed, cutoff, sign: rows)
+    monkeypatch.setattr(verify, "checks", lambda seed, cutoff: rows)
     assert main(["verify"]) == EXIT_VERIFY
     out, err = capsys.readouterr()
     table = list(csv.DictReader(io.StringIO(out)))

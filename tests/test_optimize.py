@@ -329,6 +329,9 @@ def test_noise_limit_refusals():
                            ChannelParams(1.0, 0.2)).key_rate > 0.09
     with pytest.raises(ValueError, match="distance must be non-negative"):
         max_tolerable_excess_noise(ProtocolParams(V20, BSQC1), [10.0, -1.0])
+    # every distance is refused before the first grid pass, which would refuse 1e-9 km
+    with pytest.raises(ValueError, match=re.escape("channel transmittance 0.0 outside (0, 1]")):
+        max_tolerable_excess_noise(p, [1e-9, 20000.0])
 
 
 def test_noise_limit_refusal_is_raised_for_the_first_refused_block():
@@ -823,8 +826,11 @@ def test_optimal_transmittance_sweep_takes_few_exact_logarithms(monkeypatch):
 
 # (t, E_N) of the `catqkd entanglement --t optimal` rows, as float.hex.  Those at alpha 1.5
 # and 3 peak at t = 1, the grid's top; those at alpha 0.5 peak inside (0, 1), where the
-# fine scan below finds the same peak
+# fine scan below finds the same peak.  At alpha 0, the vacuum, every t gives E_N 0 or
+# round-off, and the search keeps t = 1, where the catalyser does nothing
 _LOG_NEGATIVITY_OPTIMA = [
+    *((family.kind, family.photons, 0.0, "0x1.0000000000000p+0", "0x0.0p+0")
+      for family in keyrate.CATALYSIS_FAMILIES),
     ("bsqc", 1, 0.5, "0x1.8f0f74b8da314p-3", "0x1.8caadcc551ac3p+0"),
     ("bsqc", 1, 1.5, "0x1.0000000000000p+0", "0x1.b943065f02e9fp+1"),
     ("bsqc", 1, 3.0, "0x1.0000000000000p+0", "0x1.4fcda87cf0bdbp+2"),

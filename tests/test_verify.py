@@ -12,14 +12,14 @@ from catqkd.keyrate import ChannelParams, SchemeFamily, propagate_covariance, sy
 from catqkd.subtraction import SubtractionConfig
 
 
-def _orthogonality_per_block(rows, sign):
+def _orthogonality_per_block(rows):
     # one amplitude call per photon-number block, as the checks once ran
     dev = 0.0
     for t in (0.3, 0.7, 0.95):
         for total in range(0, 7):
             j = np.arange(total + 1)[:, None]
             p = np.arange(total + 1)
-            block = oracle.bs_fock_amplitude(t, j, total - j, p, total - p, sign)
+            block = oracle.bs_fock_amplitude(t, j, total - j, p, total - p)
             dev = max(dev, float(np.abs(block.T @ block - np.eye(total + 1)).max()))
     rows.append(("beamsplitter-orthogonality", dev, 1e-10))
 
@@ -55,16 +55,15 @@ def _bits(rows):
     return [(name, dev.hex(), tol) for name, dev, tol in rows]
 
 
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("seed", [0, 7, 4242])
-def test_stacked_checks_equal_the_per_case_checks_bit_for_bit(seed, sign):
+def test_stacked_checks_equal_the_per_case_checks_bit_for_bit(seed):
     rows = []
-    _orthogonality_per_block(rows, sign)
-    verify._catalysis(rows, sign, None)
-    verify._subtraction(rows, sign, None)
+    _orthogonality_per_block(rows)
+    verify._catalysis(rows, None)
+    verify._subtraction(rows, None)
     _symplectic_per_case(rows, random.Random(seed))
     verify._flip(rows, None)
-    assert _bits(verify.checks(seed, None, sign)) == _bits(rows)
+    assert _bits(verify.checks(seed, None)) == _bits(rows)
 
 
 def test_verify_runs_no_svd_and_one_eigensolve(monkeypatch):
@@ -81,7 +80,7 @@ def test_verify_runs_no_svd_and_one_eigensolve(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    rows = verify.checks(0, None, -1.0)
+    rows = verify.checks(0, None)
     assert all(dev <= tol for _, dev, tol in rows)
     assert solves == [(20, 4, 4)]
 
@@ -96,7 +95,7 @@ def test_orthogonality_makes_one_amplitude_call_per_transmittance(monkeypatch):
 
     monkeypatch.setattr(oracle, "bs_fock_amplitude", counted)
     rows = []
-    verify._orthogonality(rows, -1.0)
+    verify._orthogonality(rows)
     assert calls == [0.3, 0.7, 0.95]
     assert rows[0][1] <= rows[0][2]
 
@@ -111,7 +110,7 @@ def test_cutoff_reaches_every_oracle_simulation(monkeypatch):
             return real(cfg, src, cutoff=cutoff, sign=sign)
 
         monkeypatch.setattr(oracle, name, spy)
-    rows = verify.checks(0, 600, -1.0)
+    rows = verify.checks(0, 600)
     assert all(dev <= tol for _, dev, tol in rows)
     assert set(seen) == {"simulate_catalysis", "simulate_subtraction"}
     assert all(cutoffs and set(cutoffs) == {600} for cutoffs in seen.values())
