@@ -87,8 +87,6 @@ EDGE_COMMANDS = [
     # bsqc0 at t = 0.99 and 1e-9 km, whose discriminant cancels below 0
     ["keyrate", "--scheme", "bsqc", "--n", "0", "--t", "0.99", "--epsilon", "0", "--d-min", "1e-9",
      "--d-max", "1e-9"],
-    # a Fock cutoff of 600, which every oracle simulation takes
-    ["verify", "--cutoff", "600"],
     # the JSON writer; plob is inf at 0 km, so a cell is written as null
     ["keyrate", "--format", "json", "--scheme", "original", "--d-min", "0", "--d-max", "10",
      "--d-step", "10"],

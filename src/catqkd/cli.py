@@ -111,8 +111,6 @@ def _add_floor(sp: argparse.ArgumentParser) -> None:
 
 def _add_verify(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0, help="seed for randomised spot checks")
-    sp.add_argument("--cutoff", type=int, default=None,
-                    help="override the adaptive Fock cutoff")
 
 
 def _add_alpha_grid(sp: argparse.ArgumentParser) -> None:
@@ -324,7 +322,7 @@ def cmd_verify(args) -> int:
 
     rows = [{"check": name, "max_abs_deviation": dev, "tolerance": tol,
              "status": "PASS" if dev <= tol else "FAIL"}
-            for name, dev, tol in verify.checks(args.seed, args.cutoff)]
+            for name, dev, tol in verify.checks(args.seed)]
     _emit(args, rows)
     failed = [r for r in rows if r["status"] == "FAIL"]
     if failed:

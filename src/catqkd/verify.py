@@ -19,7 +19,7 @@ from .keyrate import (CATALYSIS_FAMILIES, ChannelParams, SchemeFamily, propagate
                       source_state, symplectic_eigenvalues)
 
 
-def _catalysis(rows, cutoff):
+def _catalysis(rows):
     devs = {"p_success": 0.0, "cov_x": 0.0, "cov_z": 0.0, "log_negativity": 0.0,
             "schmidt_norm": 0.0}
     for family in CATALYSIS_FAMILIES:
@@ -27,7 +27,7 @@ def _catalysis(rows, cutoff):
             for alpha in (0.5, 1.0, 3.0):
                 cfg = family.at(t)
                 src = SourceParams(alpha=alpha)
-                sim = oracle.simulate_catalysis(cfg, src, cutoff=cutoff)
+                sim = oracle.simulate_catalysis(cfg, src)
                 pd, cov = source_state(cfg, src)
                 spec = catalysis.schmidt_spectrum(cfg, src)
                 devs["p_success"] = max(devs["p_success"], abs(pd - sim.p_success))
@@ -42,13 +42,13 @@ def _catalysis(rows, cutoff):
     rows.append(("schmidt-normalisation", devs["schmidt_norm"], 1e-8))
 
 
-def _subtraction(rows, cutoff):
+def _subtraction(rows):
     dev = 0.0
     for alpha in (0.5, 1.0, 3.0):
         for t in (0.5, 0.8, 0.95):
             cfg = SchemeFamily("subtraction").at(t)
             src = SourceParams(alpha=alpha)
-            sim = oracle.simulate_subtraction(cfg, src, cutoff=cutoff)
+            sim = oracle.simulate_subtraction(cfg, src)
             p1, cov = source_state(cfg, src)
             dev = max(dev, abs(p1 - sim.p_success), abs(cov.x - sim.cov.x),
                       abs(cov.y - sim.cov.y), abs(cov.z - sim.cov.z))
@@ -101,29 +101,30 @@ def _symplectic(rows, rng: random.Random):
     rows.append(("symplectic-eigenvalues", dev, 1e-9))
 
 
-def _flip(rows, cutoff):
+def _flip(rows):
     dev = 0.0
     for cfg in (SchemeFamily("bsqc", 1).at(0.9), SchemeFamily("ssqc", 2).at(0.9)):
         src = SourceParams(alpha=1.0)
-        plus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=1.0)
-        minus = oracle.simulate_catalysis(cfg, src, cutoff=cutoff, sign=-1.0)
+        plus = oracle.simulate_catalysis(cfg, src, sign=1.0)
+        minus = oracle.simulate_catalysis(cfg, src, sign=-1.0)
         dev = max(dev, abs(plus.p_success - minus.p_success),
                   abs(plus.cov.x - minus.cov.x), abs(plus.cov.z - minus.cov.z),
                   abs(plus.log_negativity - minus.log_negativity))
     rows.append(("reflection-phase-invariance", dev, 1e-12))
 
 
-def checks(seed: int, cutoff: int | None) -> list[tuple[str, float, float]]:
+def checks(seed: int) -> list[tuple[str, float, float]]:
     """Every check as ``(name, max_abs_deviation, tolerance)``, in report order.
 
-    ``seed`` seeds the randomised symplectic spot checks and ``cutoff``
-    overrides the oracle's adaptive Fock cutoff.  Only
-    ``reflection-phase-invariance`` runs the mirrored reflected-beam phase.
+    ``seed`` seeds the randomised symplectic spot checks.  Every oracle
+    simulation runs at its adaptive Fock cutoff
+    (:func:`oracle.adaptive_cutoff`).  Only ``reflection-phase-invariance``
+    runs the mirrored reflected-beam phase.
     """
     rows: list[tuple[str, float, float]] = []
     _orthogonality(rows)
-    _catalysis(rows, cutoff)
-    _subtraction(rows, cutoff)
+    _catalysis(rows)
+    _subtraction(rows)
     _symplectic(rows, random.Random(seed))
-    _flip(rows, cutoff)
+    _flip(rows)
     return rows

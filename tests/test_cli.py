@@ -53,7 +53,7 @@ FLAGS = {  # every subcommand takes exactly the flags it reads
     "keyrate": _SCHEME | {"t", "epsilon"} | _LINK | _DISTANCE_GRID | _OUTPUT,
     "excess-noise": _SCHEME | _LINK | _DISTANCE_GRID | _OUTPUT,
     "max-distance": _SCHEME | {"epsilon", "floor"} | _LINK | _OUTPUT,
-    "verify": {"seed", "cutoff"} | _OUTPUT,
+    "verify": {"seed"} | _OUTPUT,
 }
 
 
@@ -62,7 +62,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     dests = {name: {a.dest for a in sp._actions if a.dest != "help"}
              for name, sp in subs.choices.items()}
     assert dests == FLAGS
-    assert sum(map(len, dests.values())) == 51
+    assert sum(map(len, dests.values())) == 50
 
 
 @pytest.mark.parametrize("argv", [
@@ -78,11 +78,12 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     *([command, "--alpha", "2"] for command in ("keyrate", "excess-noise", "max-distance")),
     ["keyrate", "--config", "run.cfg"],  # a flag file is passed as @FILE
     ["verify", "--flip-bs-sign"],  # reflection-phase-invariance compares both phases
+    ["verify", "--cutoff", "600"],  # the oracle works out its own Fock cutoff
 ])
-def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_USAGE
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    message = _usage_error(capsys, argv)
+    assert message.startswith("catqkd: error: unrecognized arguments: --")
+    assert message.endswith(argv[-1])
 
 
 def test_subtraction_at_unit_transmittance_is_refused(capsys):
@@ -410,6 +411,30 @@ def test_excess_noise_sweep_rows_follow_the_distance_grid(tmp_path):
     assert len(rows) == 18
 
 
+def _stdout_rows(capsys, argv):
+    assert main(argv) == EXIT_OK
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+@pytest.mark.parametrize("command", ["keyrate", "excess-noise"])
+@pytest.mark.parametrize("scheme", [["original"], ["ssqc", "--n", "1"]])
+def test_attenuation_and_distance_enter_as_their_product(capsys, command, scheme):
+    # 0.4 dB/km x 50 km and the default 0.2 dB/km x 100 km both round to 20.0 dB
+    (doubled,) = _stdout_rows(capsys, [command, "--scheme", *scheme, "--atten-db-km", "0.4",
+                                       "--d-min", "50", "--d-max", "50"])
+    (default,) = _stdout_rows(capsys, [command, "--scheme", *scheme,
+                                       "--d-min", "100", "--d-max", "100"])
+    assert (doubled.pop("distance_km"), default.pop("distance_km")) == ("50", "100")
+    assert doubled == default
+
+
+def test_halving_the_attenuation_doubles_the_reach(capsys):
+    def reach(*flags):
+        (row,) = _stdout_rows(capsys, ["max-distance", "--scheme", "bsqc", "--n", "1", *flags])
+        return float(row["max_distance_km"])
+
+    assert reach("--atten-db-km", "0.1") == pytest.approx(2 * reach(), abs=2 * 0.1)
+
 def test_max_distance_subcommand(tmp_path):
     out = tmp_path / "reach.csv"
     args = ["max-distance", "--scheme", "original", "--epsilon", "0.01",
@@ -586,18 +611,13 @@ def test_verify_failure_exits_three_and_names_the_check(monkeypatch, capsys):
     from catqkd import verify
 
     rows = [("symplectic-eigenvalues", 2.5e-9, 1e-9), ("beamsplitter-orthogonality", 0.0, 1e-10)]
-    monkeypatch.setattr(verify, "checks", lambda seed, cutoff: rows)
+    monkeypatch.setattr(verify, "checks", lambda seed: rows)
     assert main(["verify"]) == EXIT_VERIFY
     out, err = capsys.readouterr()
     table = list(csv.DictReader(io.StringIO(out)))
     assert [(r["check"], r["status"]) for r in table] == [
         ("symplectic-eigenvalues", "FAIL"), ("beamsplitter-orthogonality", "PASS")]
     assert err == "FAIL symplectic-eigenvalues: 2.5e-09 > 1e-09\n"
-
-
-def test_verify_with_starved_cutoff_is_a_numeric_error(capsys):
-    assert main(["verify", "--cutoff", "20"]) == EXIT_NUMERIC
-    assert "cutoff" in capsys.readouterr().err
 
 
 def test_verify_negative_seed_is_a_usage_error(capsys):
@@ -616,8 +636,3 @@ def test_the_parser_is_built_once_and_reused(capsys):
     assert "outside (0, 1]" in capsys.readouterr().err
     assert main(argv) == EXIT_OK
     assert capsys.readouterr() == first
-
-
-def test_verify_negative_cutoff_is_a_usage_error(capsys):
-    assert main(["verify", "--cutoff", "-1"]) == EXIT_USAGE
-    assert "cutoff must be non-negative" in capsys.readouterr().err

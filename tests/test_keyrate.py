@@ -225,6 +225,16 @@ def test_a_pure_state_on_a_lossless_channel_leaks_nothing():
     assert res.symplectic[2] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="the spectrum cancels near a pure state (ROADMAP item 3)")
+def test_a_near_pure_bare_source_has_no_negative_holevo_term():
+    # a draw of test_rate_never_exceeds_the_mutual_information that breaks its
+    # bound: nu1 = 1 + 8.9e-15 and nu3 = 1 + 5.2e-14 give holevo -1.0018e-12
+    p = ProtocolParams(SourceParams(2.965330384847558))
+    res = secret_key_rate(p, ChannelParams.from_distance(2.0110561123982162e-14, 0.0))
+    assert res.holevo >= -1e-12
+    assert res.key_rate <= p.beta * res.i_ab + 1e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(0.3, 3.0),

@@ -221,6 +221,12 @@ def test_max_noise_boundaries():
     assert max_tolerable_excess_noise(ProtocolParams(V20), 0.0) == 0.2
 
 
+def test_max_noise_reads_the_attenuation():
+    # 0.4 dB/km x 50 km and the default 0.2 dB/km x 100 km both round to 20.0 dB
+    p = ProtocolParams(V20, BSQC1)
+    assert (max_tolerable_excess_noise(p, [50.0], atten_db_per_km=0.4)
+            == max_tolerable_excess_noise(p, [100.0]))
+
 def test_max_noise_decreases_with_distance():
     p = ProtocolParams(V20)
     eps = [max_tolerable_excess_noise(p, d) for d in (20.0, 50.0, 80.0)]

@@ -1,4 +1,4 @@
-"""The checks of ``catqkd verify``: stacked oracle calls, cutoff pass-through."""
+"""The checks of ``catqkd verify``: stacked oracle calls, the adaptive Fock cutoff."""
 
 import math
 import random
@@ -59,11 +59,11 @@ def _bits(rows):
 def test_stacked_checks_equal_the_per_case_checks_bit_for_bit(seed):
     rows = []
     _orthogonality_per_block(rows)
-    verify._catalysis(rows, None)
-    verify._subtraction(rows, None)
+    verify._catalysis(rows)
+    verify._subtraction(rows)
     _symplectic_per_case(rows, random.Random(seed))
-    verify._flip(rows, None)
-    assert _bits(verify.checks(seed, None)) == _bits(rows)
+    verify._flip(rows)
+    assert _bits(verify.checks(seed)) == _bits(rows)
 
 
 def test_verify_runs_no_svd_and_one_eigensolve(monkeypatch):
@@ -80,7 +80,7 @@ def test_verify_runs_no_svd_and_one_eigensolve(monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
-    rows = verify.checks(0, None)
+    rows = verify.checks(0)
     assert all(dev <= tol for _, dev, tol in rows)
     assert solves == [(20, 4, 4)]
 
@@ -100,7 +100,7 @@ def test_orthogonality_makes_one_amplitude_call_per_transmittance(monkeypatch):
     assert rows[0][1] <= rows[0][2]
 
 
-def test_cutoff_reaches_every_oracle_simulation(monkeypatch):
+def test_every_oracle_simulation_takes_the_adaptive_cutoff(monkeypatch):
     seen = {}
     for name in ("simulate_catalysis", "simulate_subtraction"):
         real = getattr(oracle, name)
@@ -110,7 +110,7 @@ def test_cutoff_reaches_every_oracle_simulation(monkeypatch):
             return real(cfg, src, cutoff=cutoff, sign=sign)
 
         monkeypatch.setattr(oracle, name, spy)
-    rows = verify.checks(0, 600)
+    rows = verify.checks(0)
     assert all(dev <= tol for _, dev, tol in rows)
     assert set(seen) == {"simulate_catalysis", "simulate_subtraction"}
-    assert all(cutoffs and set(cutoffs) == {600} for cutoffs in seen.values())
+    assert all(cutoffs and set(cutoffs) == {None} for cutoffs in seen.values())
