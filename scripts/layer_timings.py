@@ -17,6 +17,10 @@ threads are pinned to 1.
   cache of ``cli.py`` was present, since without one every module is
   compiled as it is imported.  The smallest peak RSS of those processes
   is printed with it.
+- ``compile()`` of each module that ``import catqkd.cli`` compiles (not
+  the lazily bound ``oracle`` and ``series``), as the import system does
+  without a bytecode cache: the compilation part of the start-up above,
+  one line per module and their sum;
 - one ``_moments`` call for bsqc at t = 0.95, with its memo cleared;
 - ``secret_key_rate`` of the original protocol, subtraction and bsqc1 at
   t = 0.95, with the moment memo warm;
@@ -73,6 +77,14 @@ import catqkd.cli
 catqkd.cli.build_parser()
 print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+COMPILE_RUNS = 21
+_LOADED = """
+import sys, types
+import catqkd.cli
+# a lazily bound module is not compiled before its first use; reading its __file__ would do that
+print(*sorted(m.__file__ for name, m in sys.modules.items()
+              if name.split(".")[0] == "catqkd" and type(m) is types.ModuleType))
+"""
 SWEEP_KM = [0.5 * k for k in range(601)]
 _NOISE_SWEEP = """
 import resource
@@ -102,6 +114,20 @@ def startup() -> str:
             f"bytecode cache {'present' if cached else 'absent'}")
 
 
+def compile_times() -> list[tuple[str, float]]:
+    """Best-of-N ``compile()`` seconds of each module that ``import catqkd.cli`` compiles."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    paths = subprocess.run([sys.executable, "-c", _LOADED], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    times = []
+    for path in paths:
+        source = Path(path).read_bytes()
+        times.append((f"catqkd/{Path(path).name}", min(timeit.repeat(
+            lambda: compile(source, path, "exec", dont_inherit=True),
+            number=1, repeat=COMPILE_RUNS))))
+    return times
+
+
 def fresh_peak_rss(script: str) -> str:
     """Peak RSS of a fresh interpreter that runs ``script``, which prints its ru_maxrss."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -112,6 +138,10 @@ def fresh_peak_rss(script: str) -> str:
 
 def main() -> int:
     print(f"{'start-up: import catqkd.cli + build_parser()':58s} N={STARTUP_RUNS:<4d} {startup()}")
+    times = compile_times()
+    times.append((f"catqkd, all {len(times)} modules", sum(s for _, s in times)))
+    for label, seconds in times:
+        print(f"{'compile() ' + label:58s} N={COMPILE_RUNS:<4d} {seconds:.6f} s", flush=True)
     src = SourceParams.from_variance(20.0)
     ch = ChannelParams.from_distance(200.0, 0.01)
     bsqc1 = SchemeFamily("bsqc", 1)

@@ -141,12 +141,6 @@ def _grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     return points
 
 
-def _fixed_t(args) -> float:
-    if args.t == "optimal":
-        raise ValueError(f"{args.command} needs a fixed --t, not 'optimal'")
-    return args.t
-
-
 def _scheme_entries(args, default: Sequence[SchemeFamily | None]) -> Sequence[SchemeFamily | None]:
     """Scheme families for the sweep; None is the original, unheralded protocol."""
     if args.n is not None and args.scheme not in ("bsqc", "ssqc"):
@@ -224,7 +218,9 @@ _NOISE_SET = [None, SchemeFamily("bsqc", 0), SchemeFamily("bsqc", 1), SchemeFami
 
 
 def cmd_success_prob(args) -> int:
-    t = _fixed_t(args)
+    t = args.t
+    if t == "optimal":
+        raise ValueError(f"{args.command} needs a fixed --t, not 'optimal'")
     entries = _scheme_entries(args, CATALYSIS_FAMILIES)
     alphas = _grid(args.alpha_min, args.alpha_max, args.alpha_step, "alpha")
     rows = []

@@ -372,11 +372,9 @@ def grid_best(t: Sequence[float] | None, p_success: np.ndarray, x: np.ndarray, y
     rows, cols = np.nonzero(kept & (bound > 0.0))
     raw[rows, cols] = _raw_rates(p_success[cols], beta, ratio[rows, cols], v[:, rows, cols],
                                  _log2)[0]
-    best = [(0, 0.0)] * len(channels)
-    for i, k, rate in zip(*(a.tolist() for a in np.nonzero(kept)), raw[kept].tolist()):
-        if rate > best[i][1]:  # cells in row order: the first of equal rates stays
-            best[i] = (k, rate)
-    return best
+    # argmax takes a row's first maximum; a row without a positive kept rate is all 0.0: (0, 0.0)
+    rates = np.where(kept & (raw > 0.0), raw, 0.0)
+    return list(zip(rates.argmax(axis=1).tolist(), rates.max(axis=1).tolist()))
 
 
 def plob_bound(tc: float) -> float:

@@ -115,9 +115,7 @@ def _grid_states(family: SchemeFamily | None, source: SourceParams
 
 def _probe_rate(family: SchemeFamily, source: SourceParams, ch: ChannelParams, beta: float,
                 t: float) -> float:
-    """The key rate of ``family`` at ``t``, with the bits of :func:`secret_key_rate`."""
-    if not family.heralds(t):
-        return 0.0
+    """``family``'s key rate at ``t`` in (0.5, 1), with the bits of :func:`secret_key_rate`."""
     return max(0.0, _rate_terms(*source_state(family.at(t), source), ch, beta)[-1])
 
 

@@ -536,6 +536,17 @@ def test_grid_pass_over_channels_is_one_pass_per_channel():
         assert cell == grid_best(t, *state, [ch], 0.95)[0]
 
 
+def test_grid_pass_keeps_the_first_of_equal_rates():
+    # a cell without key, then one state twice: every channel gets its first copy
+    t, state = _grid_states(BSQC1, V20)
+    channels = [ChannelParams.from_distance(d, 0.01) for d in (0.0, 100.0, 200.0)]
+    cells = [0, 90, 90]
+    worse, best = (grid_best(None, *state[:, [k]], channels, 0.95) for k in cells[:2])
+    assert all(w == 0.0 < b for (_, w), (_, b) in zip(worse, best))
+    assert (grid_best([t[k] for k in cells], *state[:, cells], channels, 0.95)
+            == [(1, rate) for _, rate in best])
+
+
 _GRID_FAMILIES = [*(SchemeFamily(kind, n) for kind in ("bsqc", "ssqc") for n in range(6)),
                   SchemeFamily("subtraction")]
 
@@ -671,13 +682,18 @@ def test_optimal_transmittances_refuse_alike():
     assert str(sweep.value).endswith(f" on {channels[1]}")
 
 
+# the golden-section probes lie in [0.5, 1) for subtraction, where it heralds
+_PROBES = _SCHEMES.flatmap(lambda scheme: st.tuples(
+    st.just(scheme), st.floats(0.5, 1.0, exclude_max=scheme.kind == "subtraction")))
+
+
 @settings(max_examples=60, deadline=None)
-@given(scheme=_SCHEMES, variance=st.floats(1.0, 1e6), t=st.floats(0.5, 1.0),
-       d_km=st.floats(0.0, 1e3), eps=st.floats(0.0, 0.1))
-@example(scheme=SchemeFamily("subtraction"), variance=20.0, t=1.0, d_km=100.0, eps=0.01)
-@example(scheme=SchemeFamily("subtraction"), variance=1e3, t=0.99995, d_km=0.0, eps=0.01)
-@example(scheme=SchemeFamily("bsqc", 0), variance=1e6, t=1.0, d_km=1e-9, eps=0.0)  # refused
-def test_probe_rate_is_the_key_rate(scheme, variance, t, d_km, eps):
+@given(probe=_PROBES, variance=st.floats(1.0, 1e6), d_km=st.floats(0.0, 1e3),
+       eps=st.floats(0.0, 0.1))
+@example(probe=(SchemeFamily("subtraction"), 0.99995), variance=1e3, d_km=0.0, eps=0.01)
+@example(probe=(SchemeFamily("bsqc", 0), 1.0), variance=1e6, d_km=1e-9, eps=0.0)  # refused
+def test_probe_rate_is_the_key_rate(probe, variance, d_km, eps):
+    scheme, t = probe
     p = ProtocolParams(SourceParams.from_variance(variance), scheme)
     ch = ChannelParams.from_distance(d_km, eps)
     try:
@@ -689,8 +705,25 @@ def test_probe_rate_is_the_key_rate(scheme, variance, t, d_km, eps):
         return
     rate = optimize._probe_rate(scheme, p.source, ch, p.beta, t)
     assert type(rate) is float and rate.hex() == expected.hex()
-    if not scheme.heralds(t):
-        assert rate == 0.0
+
+
+@pytest.mark.parametrize("variance", [20.0, 1e3])
+def test_subtraction_probes_stay_where_it_heralds(monkeypatch, variance):
+    # the refinement brackets a grid cell of [0.5, 0.995] with its neighbours,
+    # so its probes lie strictly inside [0.5, 1] and never at t = 1
+    probes, real_probe = [], optimize._probe_rate
+
+    def spy(family, source, ch, beta, t):
+        probes.append(t)
+        return real_probe(family, source, ch, beta, t)
+
+    monkeypatch.setattr(optimize, "_probe_rate", spy)
+    p = ProtocolParams(SourceParams.from_variance(variance), SchemeFamily("subtraction"))
+    optimal_transmittances(p, [ChannelParams.from_distance(d, 0.01) for d in range(0, 300, 5)])
+    max_distance(p)
+    assert probes and all(0.5 <= t < 1.0 for t in probes)
+    if variance == 1e3:  # the best cell at short distances is the last heralding point
+        assert max(probes) > _GRID[-2]
 
 
 def test_grid_states_are_built_once_per_template_and_source(monkeypatch):
