@@ -90,6 +90,14 @@ EDGE_COMMANDS = [
     # the JSON writer; plob is inf at 0 km, so a cell is written as null
     ["keyrate", "--format", "json", "--scheme", "original", "--d-min", "0", "--d-max", "10",
      "--d-step", "10"],
+    # the refusal of subtraction at a subnormal tap transmittance, whose success probability
+    # overflows (inf at V = 20, nan at alpha = 1)
+    ["keyrate", "--scheme", "subtraction", "--t", "5e-324", "--d-min", "0", "--d-max", "0"],
+    ["success-prob", "--scheme", "subtraction", "--t", "5e-324", "--alpha-min", "1",
+     "--alpha-max", "1"],
+    # the refusal of ssqc4 at t = 1e-300, whose Schmidt arm coefficients overflow
+    ["entanglement", "--t", "1e-300", "--scheme", "ssqc", "--n", "4", "--alpha-min", "0.5",
+     "--alpha-max", "0.5"],
 ]
 
 

@@ -306,7 +306,11 @@ def schmidt_spectrum(cfg: CatalysisConfig, src: SourceParams) -> SchmidtSpectrum
     x = src.lam * math.sqrt(cfg.t1 * cfg.t2)
     k2 = cfg.t1**cfg.m * cfg.t2**cfg.n / (1.0 + src.alpha**2)  # K**2
     scale = math.sqrt(k2 / success_probability(cfg, src))
-    arms = [[c / a for c in arm] for arm, a in (_arm(cfg.m, cfg.t1), _arm(cfg.n, cfg.t2))]
+    try:  # c / a is ((t - 1)/t)**s, which a tiny t with s >= 2 takes past a float
+        arms = [[c / a for c in arm] for arm, a in (_arm(cfg.m, cfg.t1), _arm(cfg.n, cfg.t2))]
+    except OverflowError:
+        raise ConsistencyError(f"Schmidt spectrum arm coefficients overflow a float at "
+                               f"t1={cfg.t1}, t2={cfg.t2}") from None
 
     def tail(cutoff: int) -> float:  # first left-out term / (1 - ratio bound)
         gap = cutoff + 2 - cfg.m - cfg.n

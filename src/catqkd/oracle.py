@@ -4,9 +4,9 @@ Fock-space simulations expand states in the photon-number basis up to a
 cutoff, with exact beam-splitter matrix elements.  ``bs_fock_amplitude``
 evaluates them for a whole photon-number ladder in one numpy pass.  A
 catalysis simulation takes each arm's ladder from a memo of the last 32
-keys ``(t, photons, cutoff, sign)``, so equal arms (BSQC) and repeated
-inputs cost one call each (``catqkd verify`` meets 30 distinct ladders in
-its 108 catalysis arms); subtraction makes one call per simulation.  A
+keys ``(t, photons, cutoff)``, so equal arms (BSQC) and repeated inputs
+cost one call each (``catqkd verify`` meets 30 distinct ladders in its
+108 catalysis arms); subtraction makes one call per simulation.  A
 cutoff above 2^20 terms, the cap of the Schmidt spectra in
 :mod:`catqkd.catalysis`, raises :class:`CutoffError` before any array is
 allocated.  Tests and ``catqkd verify`` check the production closed
@@ -17,9 +17,9 @@ in :mod:`catqkd.series`, so this module does not load them.
 
 Beam-splitter convention: ``sign=-1`` (default) maps ``b -> sqrt(t) b -
 sqrt(1-t) c`` and ``c -> sqrt(1-t) b + sqrt(t) c``, so ``<0,1|B|1,0> =
--sqrt(1-t)``; ``sign=+1`` selects the mirrored convention with the minus
-on the other reflected component.  Both are unitary and all heralded
-observables must agree between them.
+-sqrt(1-t)``, and the simulations take it.  ``sign=+1``, the mirrored
+convention, multiplies each element by ``(-1)**(out_c - in_c)``, which no
+heralded observable sees (``catqkd verify``'s reflection-phase row).
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalysis import (_MAX_TERMS, CatalysisConfig, SchmidtSpectrum, SourceParams,
-                        TwoModeCovariance)
+from .catalysis import _MAX_TERMS, CatalysisConfig, SourceParams, TwoModeCovariance
 from .errors import CutoffError
 from .subtraction import SubtractionConfig
 
@@ -142,26 +141,33 @@ def _check_cutoff(lam: float, cutoff: int, what: str, least: int = 0) -> None:
 
 @dataclass(frozen=True)
 class HeraldedSimulation:
-    """Output of a Fock-space heralding simulation."""
+    """Output of a Fock-space heralding simulation.
+
+    ``weights`` are the normalised amplitudes of the heralded state's
+    Schmidt pairs, indexed by the photon number of Alice's mode.
+    """
 
     p_success: float
-    spectrum: SchmidtSpectrum
+    weights: np.ndarray
     cov: TwoModeCovariance
-    log_negativity: float
+
+    @property
+    def log_negativity(self) -> float:
+        return 2.0 * math.log2(float(np.abs(self.weights).sum()))
 
 
 @functools.lru_cache(maxsize=32)
-def _ladder(t: float, photons: int, cutoff: int, sign: float) -> np.ndarray:
+def _ladder(t: float, photons: int, cutoff: int) -> np.ndarray:
     # <l, photons|B(t)|l, photons> for l = 0..cutoff, read-only as every caller shares it;
     # 32 keys hold the 30 ladders of verify's catalysis checks
     ls = np.arange(cutoff + 1)
-    amps = bs_fock_amplitude(t, ls, photons, ls, photons, sign)
+    amps = bs_fock_amplitude(t, ls, photons, ls, photons)
     amps.setflags(write=False)
     return amps
 
 
 def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
-                       cutoff: int | None = None, sign: float = -1.0) -> HeraldedSimulation:
+                       cutoff: int | None = None) -> HeraldedSimulation:
     """Exact Fock-basis simulation of two-arm photon catalysis.
 
     Catalysis is diagonal in the twin-Fock basis: the |l, l> component is
@@ -173,28 +179,23 @@ def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
         cutoff = adaptive_cutoff(lam)
     _check_cutoff(lam, cutoff, f"catalysis with lam={lam:.4f}")
     ls = np.arange(cutoff + 1)
-    g1 = _ladder(cfg.t1, cfg.m, cutoff, sign)
-    g2 = _ladder(cfg.t2, cfg.n, cutoff, sign)
+    g1 = _ladder(cfg.t1, cfg.m, cutoff)
+    g2 = _ladder(cfg.t2, cfg.n, cutoff)
     amps = math.sqrt(1.0 - lam**2) * lam**ls * g1 * g2
     pd = float(amps @ amps)
     weights = amps / math.sqrt(pd)
     nbar = float(ls @ (weights * weights))
     corr = float(np.sum(weights[:-1] * weights[1:] * (ls[:-1] + 1)))
     cov = TwoModeCovariance(x=2.0 * nbar + 1.0, y=2.0 * nbar + 1.0, z=2.0 * corr)
-    return HeraldedSimulation(
-        p_success=pd,
-        spectrum=SchmidtSpectrum(weights=weights, tail_bound=float(lam ** (2 * (cutoff + 1)))),
-        cov=cov,
-        log_negativity=2.0 * math.log2(float(np.abs(weights).sum())),
-    )
+    return HeraldedSimulation(p_success=pd, weights=weights, cov=cov)
 
 
 def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams,
-                         cutoff: int | None = None, sign: float = -1.0) -> HeraldedSimulation:
+                         cutoff: int | None = None) -> HeraldedSimulation:
     """Exact Fock-basis simulation of single-photon subtraction.
 
     The heralded state is ``sum_l u_l |l, l-1>`` with Alice holding the
-    larger photon number; ``spectrum`` stores u_l indexed by Alice's l
+    larger photon number; ``weights`` stores u_l indexed by Alice's l
     (u_0 = 0).
     """
     lam = src.lam
@@ -205,7 +206,7 @@ def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams,
     # the heralded state starts at l = 1
     _check_cutoff(lam * math.sqrt(cfg.t), cutoff, f"subtraction with lam={lam:.4f}", least=1)
     ls = np.arange(cutoff + 1)
-    taps = np.concatenate(([0.0], bs_fock_amplitude(cfg.t, ls[1:], 0, ls[1:] - 1, 1, sign)))
+    taps = np.concatenate(([0.0], bs_fock_amplitude(cfg.t, ls[1:], 0, ls[1:] - 1, 1)))
     amps = math.sqrt(1.0 - lam**2) * lam**ls * taps
     p1 = float(amps @ amps)
     u = amps / math.sqrt(p1)
@@ -213,12 +214,7 @@ def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams,
     b_mean = float(np.maximum(ls - 1, 0) @ (u * u))
     corr = float(np.sum(u[1:-1] * u[2:] * np.sqrt((ls[1:-1] + 1) * ls[1:-1])))
     cov = TwoModeCovariance(x=2.0 * a_mean + 1.0, y=2.0 * b_mean + 1.0, z=2.0 * corr)
-    return HeraldedSimulation(
-        p_success=p1,
-        spectrum=SchmidtSpectrum(weights=u, tail_bound=float((lam**2 * cfg.t) ** (cutoff + 1))),
-        cov=cov,
-        log_negativity=2.0 * math.log2(float(np.abs(u).sum())),
-    )
+    return HeraldedSimulation(p_success=p1, weights=u, cov=cov)
 
 
 def two_mode_symplectic_numeric(

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .catalysis import SourceParams, TwoModeCovariance
+from .errors import ConsistencyError
 
 
 @dataclass(frozen=True)
@@ -33,13 +34,20 @@ class SubtractionConfig:
 
 
 def closed_forms(t: float, src: SourceParams) -> tuple[float, float, float, float]:
-    """``(P1, x, y, z)`` at tap transmittance ``t``, for one ``t`` at a time."""
+    """``(P1, x, y, z)`` at tap transmittance ``t``, for one ``t`` at a time.
+
+    A ``t`` so small that P1 is not finite raises :class:`ConsistencyError`.
+    """
     if src.lam == 0.0:
         raise ValueError("photon subtraction cannot herald on a vacuum source")
     # 1 - lam**2 is 1/(1 + alpha**2) exactly, which the difference loses as lam -> 1
     a2, b2 = (1.0 - t) / (t * (1.0 + src.alpha**2)), src.lam**2 * t
     one = 1.0 - b2
-    return a2 * b2 / one**2, (3.0 + b2) / one, (1.0 + 3.0 * b2) / one, 4.0 * math.sqrt(b2) / one
+    p1 = a2 * b2 / one**2
+    if not math.isfinite(p1):
+        raise ConsistencyError(f"success probability {p1} is not finite at t={t}, "
+                               f"alpha={src.alpha}: (1 - t)/(t (1 + alpha**2)) overflows a float")
+    return p1, (3.0 + b2) / one, (1.0 + 3.0 * b2) / one, 4.0 * math.sqrt(b2) / one
 
 
 def success_probability(cfg: SubtractionConfig, src: SourceParams) -> float:

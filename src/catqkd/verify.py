@@ -102,14 +102,14 @@ def _symplectic(rows, rng: random.Random):
 
 
 def _flip(rows):
+    # The mirrored reflection phase multiplies each amplitude by (-1)**(out_c - in_c):
+    # the ladders <l,k|B|l,k> of bsqc1 and ssqc2 keep their bits and subtraction's tap
+    # <l-1,1|B|l,0> flips as a whole, so no heralded observable sees the phase.
+    ls = np.arange(oracle.adaptive_cutoff(SourceParams(alpha=1.0).lam) + 1)
     dev = 0.0
-    for cfg in (SchemeFamily("bsqc", 1).at(0.9), SchemeFamily("ssqc", 2).at(0.9)):
-        src = SourceParams(alpha=1.0)
-        plus = oracle.simulate_catalysis(cfg, src, sign=1.0)
-        minus = oracle.simulate_catalysis(cfg, src, sign=-1.0)
-        dev = max(dev, abs(plus.p_success - minus.p_success),
-                  abs(plus.cov.x - minus.cov.x), abs(plus.cov.z - minus.cov.z),
-                  abs(plus.log_negativity - minus.log_negativity))
+    for j, k, p, q in ((ls, 1, ls, 1), (ls, 2, ls, 2), (ls[1:], 0, ls[1:] - 1, 1)):
+        plus, minus = (oracle.bs_fock_amplitude(0.9, j, k, p, q, sign) for sign in (1.0, -1.0))
+        dev = max(dev, float(np.abs(plus - (-1.0) ** (q - k) * minus).max()))
     rows.append(("reflection-phase-invariance", dev, 1e-12))
 
 

@@ -216,7 +216,7 @@ def test_schmidt_weights_match_fock_oracle(cfg, alpha):
     keep = min(spec.cutoff, 30)
     assert np.allclose(
         np.abs(spec.weights[: keep + 1]),
-        np.abs(sim.spectrum.weights[: keep + 1]),
+        np.abs(sim.weights[: keep + 1]),
         atol=1e-10,
     )
     assert log_negativity(spec) == pytest.approx(sim.log_negativity, abs=1e-8)

@@ -235,6 +235,17 @@ def test_a_near_pure_bare_source_has_no_negative_holevo_term():
     assert res.key_rate <= p.beta * res.i_ab + 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason="round-off rates exceed the PLOB bound (ROADMAP item 3)")
+def test_round_off_rates_stay_below_the_plob_bound():
+    # Far out the rate is the round-off of i_ab, with holevo 0: at the defaults and
+    # 770 km it is 5.17e-15 against a bound of 5.74e-16, and at V = 1e6, epsilon = 1
+    # and 900 km 6.85e-13 against 1.44e-18.  The rate is not clamped to the bound.
+    for variance, distance, epsilon in ((20.0, 770.0, 0.01), (1e6, 900.0, 1.0)):
+        ch = ChannelParams.from_distance(distance, epsilon)
+        res = secret_key_rate(ProtocolParams(SourceParams.from_variance(variance)), ch)
+        assert res.key_rate <= plob_bound(ch.tc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(0.3, 3.0),

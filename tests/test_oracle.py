@@ -109,23 +109,17 @@ def test_results_stable_under_cutoff_doubling():
     assert lo.cov.z == pytest.approx(hi.cov.z, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: (simulate_catalysis, SchemeFamily("bsqc", 1).at(0.9)),
-        lambda: (simulate_catalysis, SchemeFamily("ssqc", 2).at(0.8)),
-        lambda: (simulate_subtraction, SubtractionConfig(0.85)),
-    ],
-)
-def test_observables_invariant_under_sign_convention(make):
-    sim, cfg = make()
-    src = SourceParams(1.0)
-    a = sim(cfg, src, sign=-1.0)
-    b = sim(cfg, src, sign=1.0)
-    assert a.p_success == pytest.approx(b.p_success, abs=1e-12)
-    assert a.log_negativity == pytest.approx(b.log_negativity, abs=1e-12)
-    assert a.cov.x == pytest.approx(b.cov.x, abs=1e-12)
-    assert a.cov.z == pytest.approx(b.cov.z, abs=1e-12)
+@pytest.mark.parametrize("t", [0.3, 0.8, 0.85, 0.9])
+def test_mirrored_convention_keeps_the_ladders_and_flips_the_tap(t):
+    # The simulations take sign -1.  Under sign +1 a catalyser's ladder <l,k|B|l,k>
+    # keeps its bits and subtraction's tap <l-1,1|B|l,0> changes sign as a whole,
+    # so every heralded observable is the same under either convention.
+    ls = np.arange(adaptive_cutoff(SourceParams(1.0).lam) + 1)
+    for k in range(6):
+        assert np.array_equal(bs_fock_amplitude(t, ls, k, ls, k, -1.0),
+                              bs_fock_amplitude(t, ls, k, ls, k, 1.0))
+    minus, plus = (bs_fock_amplitude(t, ls[1:], 0, ls[1:] - 1, 1, sign) for sign in (-1.0, 1.0))
+    assert np.array_equal(plus, -minus)
 
 
 def test_transparent_catalysis_returns_the_source():
@@ -284,16 +278,17 @@ def test_one_amplitude_call_per_arm(cutoff, monkeypatch):
     assert len(calls) == 2
 
 
-def test_memoised_ladders_are_read_only_and_keyed_on_the_sign():
+def test_memoised_ladders_are_read_only_and_keyed_on_t_photons_and_cutoff():
     oracle._ladder.cache_clear()
-    plus = oracle._ladder(0.9, 1, 40, 1.0)
-    minus = oracle._ladder(0.9, 1, 40, -1.0)
-    assert oracle._ladder.cache_info().currsize == 2
+    ladder = oracle._ladder(0.9, 1, 40)
+    assert oracle._ladder(0.9, 1, 40) is ladder
+    for key in ((0.8, 1, 40), (0.9, 2, 40), (0.9, 1, 41)):
+        oracle._ladder(*key)
+    assert oracle._ladder.cache_info().currsize == 4
     ls = np.arange(41)
-    assert np.array_equal(minus, bs_fock_amplitude(0.9, ls, 1, ls, 1, -1.0))
-    assert np.array_equal(plus, bs_fock_amplitude(0.9, ls, 1, ls, 1, 1.0))
+    assert np.array_equal(ladder, bs_fock_amplitude(0.9, ls, 1, ls, 1))
     with pytest.raises(ValueError, match="read-only"):
-        minus[0] = 0.0
+        ladder[0] = 0.0
 
 
 @pytest.mark.parametrize("simulate, cfg", [
@@ -339,5 +334,5 @@ def test_subtraction_needs_a_cutoff_of_one():
     with pytest.raises(ValueError, match="cutoff must be at least 1"):
         simulate_subtraction(cfg, src, cutoff=0)
     sim = simulate_subtraction(cfg, src, cutoff=1)
-    assert np.all(np.isfinite(sim.spectrum.weights))
+    assert np.all(np.isfinite(sim.weights))
     assert sim.p_success == pytest.approx(subtraction.success_probability(cfg, src), rel=1e-6)

@@ -105,12 +105,33 @@ def test_every_oracle_simulation_takes_the_adaptive_cutoff(monkeypatch):
     for name in ("simulate_catalysis", "simulate_subtraction"):
         real = getattr(oracle, name)
 
-        def spy(cfg, src, cutoff=None, sign=-1.0, name=name, real=real):
+        def spy(cfg, src, cutoff=None, name=name, real=real):
             seen.setdefault(name, []).append(cutoff)
-            return real(cfg, src, cutoff=cutoff, sign=sign)
+            return real(cfg, src, cutoff=cutoff)
 
         monkeypatch.setattr(oracle, name, spy)
     rows = verify.checks(0)
     assert all(dev <= tol for _, dev, tol in rows)
     assert set(seen) == {"simulate_catalysis", "simulate_subtraction"}
     assert all(cutoffs and set(cutoffs) == {None} for cutoffs in seen.values())
+
+
+def test_reflection_row_compares_amplitudes_under_both_signs_and_simulates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reflection-phase row must not run a simulation")
+
+    for name in ("simulate_catalysis", "simulate_subtraction"):
+        monkeypatch.setattr(oracle, name, refuse)
+    amplitude = oracle.bs_fock_amplitude
+    signs = []
+
+    def counted(t, *numbers):
+        signs.append(numbers[-1])
+        return amplitude(t, *numbers)
+
+    monkeypatch.setattr(oracle, "bs_fock_amplitude", counted)
+    rows = []
+    verify._flip(rows)
+    # bsqc1's and ssqc2's ladders and subtraction's tap, each under both signs
+    assert signs == [1.0, -1.0] * 3
+    assert rows == [("reflection-phase-invariance", 0.0, 1e-12)]
