@@ -12,4 +12,5 @@ class ConsistencyError(ArithmeticError):
 
 
 class CutoffError(ConsistencyError):
-    """A Fock-space truncation was too small for the requested accuracy."""
+    """No Fock-space truncation fits: the adaptive cutoff passes the cap on
+    terms, or the source's lam rounds to 1."""

@@ -6,10 +6,11 @@ evaluates them for a whole photon-number ladder in one numpy pass.  A
 catalysis simulation takes each arm's ladder from a memo of the last 32
 keys ``(t, photons, cutoff)``, so equal arms (BSQC) and repeated inputs
 cost one call each (``catqkd verify`` meets 30 distinct ladders in its
-108 catalysis arms); subtraction makes one call per simulation.  A
-cutoff above 2^20 terms, the cap of the Schmidt spectra in
-:mod:`catqkd.catalysis`, raises :class:`CutoffError` before any array is
-allocated.  Tests and ``catqkd verify`` check the production closed
+108 catalysis arms); subtraction makes one call per simulation.  Every
+simulation takes :func:`adaptive_cutoff`; one past 2^20 terms, the cap
+of the Schmidt spectra in :mod:`catqkd.catalysis`, or a source whose lam
+rounds to 1 raises :class:`CutoffError` before any array is allocated.
+Tests and ``catqkd verify`` check the production closed
 forms against these simulations; ``verify`` uses nothing else of the
 references.  The paper's generating-function route for catalysis, the
 tests' second reference, lives with the Taylor jets it is written in,
@@ -34,7 +35,6 @@ from .catalysis import _MAX_TERMS, CatalysisConfig, SourceParams, TwoModeCovaria
 from .errors import CutoffError
 from .subtraction import SubtractionConfig
 
-_TAIL_MASS_LIMIT = 1e-8
 _CUTOFF_TAIL = 1e-12  # weight-sum tail that adaptive_cutoff leaves out
 
 
@@ -122,21 +122,17 @@ def adaptive_cutoff(lam: float) -> int:
     return max(60, math.ceil(bound / math.log(lam)))
 
 
-def _check_cutoff(lam: float, cutoff: int, what: str, least: int = 0) -> None:
-    # Runs before any array of length cutoff + 1 is allocated.
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
-    if cutoff < least:
-        raise ValueError(f"cutoff must be at least {least} for {what}, got {cutoff}")
+def _cutoff(lam: float, x: float, what: str) -> int:
+    # adaptive_cutoff(x) for a source of parameter lam, refused before any
+    # array of length cutoff + 1 is allocated
+    if lam >= 1.0:
+        raise CutoffError(f"{what} with lam={lam!r}: lam rounds to 1, "
+                          "so no cutoff holds the source")
+    cutoff = adaptive_cutoff(x)
     if cutoff >= _MAX_TERMS:
-        raise CutoffError(f"cutoff too large: {what} at cutoff {cutoff} needs "
-                          f"{cutoff + 1} terms, more than {_MAX_TERMS}")
-    # Discarded probability mass of the geometric photon distribution.
-    tail_mass = lam ** (2 * (cutoff + 1))
-    if tail_mass > _TAIL_MASS_LIMIT:
-        raise CutoffError(
-            f"cutoff too small: {what} at cutoff {cutoff} leaves tail mass {tail_mass:.3g}"
-        )
+        raise CutoffError(f"cutoff too large: {what} with lam={lam:.4f} at cutoff {cutoff} "
+                          f"needs {cutoff + 1} terms, more than {_MAX_TERMS}")
+    return cutoff
 
 
 @dataclass(frozen=True)
@@ -166,8 +162,7 @@ def _ladder(t: float, photons: int, cutoff: int) -> np.ndarray:
     return amps
 
 
-def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
-                       cutoff: int | None = None) -> HeraldedSimulation:
+def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams) -> HeraldedSimulation:
     """Exact Fock-basis simulation of two-arm photon catalysis.
 
     Catalysis is diagonal in the twin-Fock basis: the |l, l> component is
@@ -175,9 +170,7 @@ def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
     ancilla photons, so the heralded state stays in Schmidt form.
     """
     lam = src.lam
-    if cutoff is None:
-        cutoff = adaptive_cutoff(lam)
-    _check_cutoff(lam, cutoff, f"catalysis with lam={lam:.4f}")
+    cutoff = _cutoff(lam, lam, "catalysis")
     ls = np.arange(cutoff + 1)
     g1 = _ladder(cfg.t1, cfg.m, cutoff)
     g2 = _ladder(cfg.t2, cfg.n, cutoff)
@@ -190,8 +183,7 @@ def simulate_catalysis(cfg: CatalysisConfig, src: SourceParams,
     return HeraldedSimulation(p_success=pd, weights=weights, cov=cov)
 
 
-def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams,
-                         cutoff: int | None = None) -> HeraldedSimulation:
+def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams) -> HeraldedSimulation:
     """Exact Fock-basis simulation of single-photon subtraction.
 
     The heralded state is ``sum_l u_l |l, l-1>`` with Alice holding the
@@ -201,10 +193,7 @@ def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams,
     lam = src.lam
     if lam == 0.0:
         raise ValueError("photon subtraction cannot herald on a vacuum source")
-    if cutoff is None:
-        cutoff = adaptive_cutoff(lam * math.sqrt(cfg.t))
-    # the heralded state starts at l = 1
-    _check_cutoff(lam * math.sqrt(cfg.t), cutoff, f"subtraction with lam={lam:.4f}", least=1)
+    cutoff = _cutoff(lam, lam * math.sqrt(cfg.t), "subtraction")
     ls = np.arange(cutoff + 1)
     taps = np.concatenate(([0.0], bs_fock_amplitude(cfg.t, ls[1:], 0, ls[1:] - 1, 1)))
     amps = math.sqrt(1.0 - lam**2) * lam**ls * taps

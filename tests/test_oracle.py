@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -85,28 +86,35 @@ def test_conventions_differ_by_local_phase_only():
 
 
 def test_adaptive_cutoff_controls_tail():
-    for alpha in [0.5, 1.0, 3.0]:
-        lam = SourceParams(alpha).lam
+    # the sources of the tests and a grid up to the 2^20-term cap and past it
+    lams = [SourceParams(alpha).lam for alpha in (0.5, 1.0, 3.0)]
+    lams += [SourceParams.from_variance(v).lam for v in (1e2, 1e4, 3e4, 1e6)]
+    lams += [*np.linspace(0.0, 0.99, 100)[1:], *(1.0 - 10.0 ** -np.arange(3.0, 6.5, 0.5))]
+    for lam in lams:
         c = adaptive_cutoff(lam)
         assert c >= 60
         tail = math.sqrt(1.0 - lam**2) * lam ** (c + 1) / (1.0 - lam)
         assert tail < 1e-12
+        # the probability mass left out, which no simulation checks
+        assert lam ** (2 * (c + 1)) <= 1e-24
     assert adaptive_cutoff(SourceParams(3.0).lam) > adaptive_cutoff(SourceParams(1.0).lam)
+    assert adaptive_cutoff(1.0 - 1e-6) >= 1 << 20
 
 
-def test_cutoff_too_small_raises():
-    with pytest.raises(CutoffError, match="cutoff too small"):
-        simulate_catalysis(SchemeFamily("bsqc", 1).at(0.9), SourceParams(3.0), cutoff=20)
-
-
-def test_results_stable_under_cutoff_doubling():
-    cfg, src = SchemeFamily("bsqc", 1).at(0.9), SourceParams(1.0)
+def test_results_stable_under_a_tighter_cutoff_tail(monkeypatch):
+    cases = [(simulate_catalysis, SchemeFamily("bsqc", 1).at(0.9)),
+             (simulate_subtraction, SubtractionConfig(0.9))]
+    src = SourceParams(1.0)
     base = adaptive_cutoff(src.lam)
-    lo = simulate_catalysis(cfg, src, cutoff=base)
-    hi = simulate_catalysis(cfg, src, cutoff=2 * base)
-    assert lo.p_success == pytest.approx(hi.p_success, abs=1e-9)
-    assert lo.log_negativity == pytest.approx(hi.log_negativity, abs=1e-9)
-    assert lo.cov.z == pytest.approx(hi.cov.z, abs=1e-9)
+    lo = [simulate(cfg, src) for simulate, cfg in cases]
+    # a tail of 1e-24 instead of 1e-12 about doubles every cutoff
+    monkeypatch.setattr(oracle, "_CUTOFF_TAIL", 1e-24)
+    assert 1.9 * base < adaptive_cutoff(src.lam) < 2.1 * base
+    hi = [simulate(cfg, src) for simulate, cfg in cases]
+    for a, b in zip(lo, hi):
+        assert len(b.weights) > 1.9 * len(a.weights)
+        assert (b.p_success, b.log_negativity, b.cov.x, b.cov.y, b.cov.z) == pytest.approx(
+            (a.p_success, a.log_negativity, a.cov.x, a.cov.y, a.cov.z), abs=1e-9)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.8, 0.85, 0.9])
@@ -258,8 +266,8 @@ def test_amplitude_refuses_bad_inputs():
         bs_fock_amplitude(0.3, np.arange(3.0), 0, np.arange(3.0), 0)
 
 
-@pytest.mark.parametrize("cutoff", [None, 80, 300])
-def test_one_amplitude_call_per_arm(cutoff, monkeypatch):
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_one_amplitude_call_per_arm(alpha, monkeypatch):
     calls = []
     inner = oracle.bs_fock_amplitude
 
@@ -270,11 +278,11 @@ def test_one_amplitude_call_per_arm(cutoff, monkeypatch):
     monkeypatch.setattr(oracle, "bs_fock_amplitude", counted)
     oracle._ladder.cache_clear()
     # bsqc's two arms are one ladder, computed once and then served by the memo
-    simulate_catalysis(SchemeFamily("bsqc", 2).at(0.9), SourceParams(1.0), cutoff=cutoff)
+    simulate_catalysis(SchemeFamily("bsqc", 2).at(0.9), SourceParams(alpha))
     assert len(calls) == 1
-    simulate_catalysis(SchemeFamily("bsqc", 2).at(0.9), SourceParams(1.0), cutoff=cutoff)
+    simulate_catalysis(SchemeFamily("bsqc", 2).at(0.9), SourceParams(alpha))
     assert len(calls) == 1
-    simulate_subtraction(SubtractionConfig(0.9), SourceParams(1.0), cutoff=cutoff)
+    simulate_subtraction(SubtractionConfig(0.9), SourceParams(alpha))
     assert len(calls) == 2
 
 
@@ -301,8 +309,6 @@ def test_cutoff_cap_raises_before_allocating(simulate, cfg):
     try:
         with pytest.raises(CutoffError, match=r"lam=.* at cutoff \d+ needs"):
             simulate(cfg, src)
-        with pytest.raises(CutoffError, match=r"lam=.* at cutoff 1048576 needs"):
-            simulate(cfg, SourceParams(1.0), cutoff=1 << 20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -319,20 +325,29 @@ def test_cutoff_below_the_cap_is_simulated():
     assert sim.cov.z == pytest.approx(cov.z, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [1e8, 1e9])
 @pytest.mark.parametrize("simulate, cfg", [
     (simulate_catalysis, SchemeFamily("bsqc", 1).at(0.9)),
     (simulate_subtraction, SubtractionConfig(0.9)),
 ])
-def test_negative_cutoff_is_refused(simulate, cfg):
-    with pytest.raises(ValueError, match="cutoff must be non-negative"):
-        simulate(cfg, SourceParams(1.0), cutoff=-1)
+def test_a_source_whose_lam_rounds_to_one_is_refused(simulate, cfg, alpha):
+    src = SourceParams(alpha)
+    assert src.lam == 1.0
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CutoffError, match=r"lam=1\.0: lam rounds to 1"):
+                simulate(cfg, src)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
-def test_subtraction_needs_a_cutoff_of_one():
-    # the heralded state starts at l = 1: a cutoff of 0 keeps no term at all
+def test_subtraction_heralds_a_faint_source():
+    # at alpha = 1e-5 the heralded state is almost all |1, 0>
     cfg, src = SubtractionConfig(0.5), SourceParams(1e-5)
-    with pytest.raises(ValueError, match="cutoff must be at least 1"):
-        simulate_subtraction(cfg, src, cutoff=0)
-    sim = simulate_subtraction(cfg, src, cutoff=1)
+    sim = simulate_subtraction(cfg, src)
     assert np.all(np.isfinite(sim.weights))
     assert sim.p_success == pytest.approx(subtraction.success_probability(cfg, src), rel=1e-6)
