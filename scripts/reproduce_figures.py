@@ -12,11 +12,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from catqkd.cli import main as cli
+from catqkd.cli import _grid, main as cli
 
 
-def run(argv: list[str], out: Path) -> None:
-    print(f"  {out.name}: catqkd {' '.join(argv)}", flush=True)
+def run(argv: list[str], out: Path, echo: bool = True) -> None:
+    if echo:
+        print(f"  {out.name}: catqkd {' '.join(argv)}", flush=True)
     code = cli([*argv, "--out", str(out)])
     if code != 0:
         raise SystemExit(f"catqkd exited with {code} for {argv}")
@@ -54,6 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     alpha_step_opt = "0.5" if args.quick else "0.1"
     d_step = "25" if args.quick else "5"
     noise_step = "125" if args.quick else "25"
+    t_step = 0.05 if args.quick else 0.0025
 
     print("heralding probability versus squeezing", flush=True)
     run(["success-prob", "--alpha-step", alpha_step], args.outdir / "success_prob_catalysis.csv")
@@ -79,6 +81,19 @@ def main(argv: list[str] | None = None) -> int:
         run(["keyrate", "--t", "optimal", "--scheme", "subtraction", "--d-step", d_step],
             parts[1])
         merge(parts, args.outdir / "keyrate_optimal_t.csv")
+
+    print("key rate versus catalyser transmittance, bsqc1", flush=True)
+    case = ["keyrate", "--scheme", "bsqc", "--n", "1"]
+    distances = ["--d-min", "25", "--d-max", "200", "--d-step", "25"]
+    ts = _grid(0.5, 1.0, t_step, "t")
+    out = args.outdir / "keyrate_vs_t.csv"
+    print(f"  {out.name}: catqkd {' '.join([*case, '--t', 'T', *distances])}"
+          f" for {len(ts)} T in [0.5, 1]", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        parts = [Path(tmp) / f"{k}.csv" for k in range(len(ts))]
+        for t, part in zip(ts, parts):
+            run([*case, "--t", str(t), *distances], part, echo=False)
+        merge(parts, out)
 
     print("tolerable excess noise versus distance", flush=True)
     run(["excess-noise", "--d-step", noise_step], args.outdir / "excess_noise.csv")

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from catqkd import oracle, subtraction
+from catqkd import catalysis, oracle, subtraction
 
 from catqkd import (
     CatalysisConfig,
@@ -139,6 +139,30 @@ def test_transparent_catalysis_returns_the_source():
     assert sim.cov.z == pytest.approx(ref.z, abs=1e-12)
     assert sim.log_negativity == pytest.approx(log_negativity_tmsv(src), abs=1e-12)
 
+
+
+@pytest.mark.parametrize("family, p", [(SchemeFamily("bsqc", 2), 0.2401),  # 0.7**4
+                                       (SchemeFamily("ssqc", 3), 0.343)])  # 0.7**3
+def test_catalysis_of_a_vacuum_passes_it_through(family, p):
+    # a vacuum meets each catalyser's photons alone: the herald returns them with
+    # probability t1**m * t2**n and leaves the vacuum, e_0 in the Schmidt basis
+    assert adaptive_cutoff(0.0) == 60
+    cfg, src = family.at(0.7), SourceParams(0.0)
+    sim = simulate_catalysis(cfg, src)
+    assert sim.p_success == pytest.approx(p, abs=1e-15)
+    assert sim.p_success == pytest.approx(catalysis.success_probability(cfg, src), abs=1e-15)
+    assert np.array_equal(sim.weights, np.eye(61)[0])
+    assert (sim.cov.x, sim.cov.y, sim.cov.z) == (1.0, 1.0, 0.0)
+    assert sim.log_negativity == 0.0
+
+
+def test_subtraction_of_a_vacuum_is_refused_as_the_closed_forms_refuse_it():
+    cfg, src = SubtractionConfig(0.9), SourceParams(0.0)
+    with pytest.raises(ValueError) as closed:
+        subtraction.closed_forms(cfg.t, src)
+    with pytest.raises(ValueError) as simulated:
+        simulate_subtraction(cfg, src)
+    assert (simulated.type, str(simulated.value)) == (closed.type, str(closed.value))
 
 def test_numeric_symplectic_route_on_known_state():
     # a pure TMSV has both symplectic eigenvalues equal to one
