@@ -26,7 +26,7 @@ threads are pinned to 1.
   t = 0.95, with the moment memo warm;
 - one ``grid_best`` pass over the cached bsqc1 grid states, for 1 channel
   (200 km) and for 51 (50 to 300 km in 5 km steps), and one at 1e-9 km
-  and epsilon = 0, where the scalar rate formula decides 8 of the 101
+  and epsilon = 0, where the rate's float path decides 8 of the 101
   near-pure cells;
 - ``optimal_transmittances`` for bsqc1 on the one 200 km channel, with
   the grid states cached, and with the grid cache and the moment memo

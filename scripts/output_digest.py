@@ -80,7 +80,7 @@ EDGE_COMMANDS = [
      "--d-min", "100", "--d-max", "100"],
     # 70 distances, which cross two boundaries of the 32-distance blocks the search bisects
     ["excess-noise", "--d-min", "0", "--d-max", "345", "--d-step", "5"],
-    # near-pure grid cells at 0 and 1e-9 km, which the scalar rate formula decides
+    # near-pure grid cells at 0 and 1e-9 km, which the rate's float path decides
     ["keyrate", "--t", "optimal", "--epsilon", "0", "--d-min", "0", "--d-max", "1e-9",
      "--d-step", "1e-9"],
     ["excess-noise", "--d-min", "0", "--d-max", "1e-9", "--d-step", "1e-9"],

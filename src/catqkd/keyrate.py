@@ -12,15 +12,21 @@ Holevo bound needs the post-channel symplectic spectrum and keeps ``tc``
 explicit.  Heralded sources multiply the rate by their success
 probability, because only heralded pulses contribute key.
 
+The rate's formula is written once: :func:`_mutual_products`,
+:func:`_spectrum_products`, :func:`_information`, :func:`_entropy_terms`
+and :func:`_rate` check nothing and run on Python floats for one cell and
+on numpy arrays for a grid, with the squares and logarithms passed in:
+``pow`` and ``math.log2`` on floats, ``np.float_power`` and ``np.log2`` or
+the exact ``_log2`` on arrays (numpy's ``x ** 2`` is ``x * x``, which may
+differ from the C library's ``pow`` in the last bit).  The float path,
+:func:`_rate_terms`, checks the products in order and raises the first refusal.
+
 :func:`grid_best` serves every search over a transmittance grid: per
-channel of a sequence, the first index of the largest grid rate and that
-rate, with the bits of :func:`secret_key_rate`.  It takes numpy's vector
-``log2`` with an error bound to rule out the cells that can be neither the
-maximum nor tie it, and exact ``math.log2`` logarithms for the few left.
-It checks nothing itself and takes the states as :func:`source_state`
-gives them: the scalar formula decides each cell whose vector rate is not
-finite or whose spectrum falls below 1, so every refusal and every edge
-rate is the one :func:`secret_key_rate` gives.
+channel, the first index of the largest grid rate and that rate, with the
+bits of :func:`secret_key_rate`.  It rules out most cells with numpy's
+``log2`` and an error bound, takes exact logarithms for the few left, and
+hands each cell whose array rate is not finite, or whose spectrum falls
+below 1, to the float path, so every refusal and edge rate is the float path's.
 """
 
 from __future__ import annotations
@@ -90,6 +96,11 @@ def channel_transmittance(distance_km: float, atten_db_per_km: float = DEFAULT_A
     """Fibre transmittance 10**(-atten*d/10)."""
     if distance_km < 0.0:
         raise ValueError(f"distance must be non-negative, got {distance_km}")
+    if not distance_km < math.inf:
+        raise ValueError(f"distance must be finite, got {distance_km}")
+    if not 0.0 <= atten_db_per_km < math.inf:
+        raise ValueError(f"attenuation must be finite and non-negative, "
+                         f"got {atten_db_per_km} dB/km")
     return 10.0 ** (-atten_db_per_km * distance_km / 10.0)
 
 
@@ -174,6 +185,36 @@ def propagate_covariance(cov: TwoModeCovariance, ch: ChannelParams) -> TwoModeCo
     )
 
 
+def _mutual_products(x, y, z, xi, pw):
+    """``joint = (x + 1)(y + xi)`` and ``joint - z**2``: the mutual information's ratio."""
+    joint = (x + 1.0) * (y + xi)
+    return joint, joint - pw(z, 2)
+
+
+def _spectrum_products(x, y, z, tc, xi, pw):
+    """Bob's variance ``yb``, ``tc z**2``, the invariant ``big``, its discriminant, ``nu3**2``."""
+    z2 = pw(z, 2)
+    yb, zz = tc * (y + xi), tc * z2
+    big = pw(x, 2) + pw(yb, 2) - 2.0 * zz
+    return yb, zz, big, pw(big, 2) - 4.0 * pw(x * yb - zz, 2), x * (x - z2 / (y + xi))
+
+
+def _information(joint, conditional, log2):
+    """The mutual information in bits, from :func:`_mutual_products`."""
+    return 0.5 * log2(joint / conditional)
+
+
+def _entropy_terms(v, log2):
+    """``(v + 1) log2(v + 1)`` and ``v log2(v)``, whose difference is g(v); both 0 at v = 0."""
+    return (v + 1.0) * log2(v + 1.0), v * log2(v + (v == 0.0))
+
+
+def _rate(p_success, beta, i_ab, g1, g2, g3):
+    """The Holevo term from the three entropies, and the raw rate."""
+    holevo = g1 + g2 - g3
+    return holevo, p_success * (beta * i_ab - holevo)
+
+
 def mutual_information(cov: TwoModeCovariance, xi: float) -> float:
     """Alice-Bob mutual information in bits per pulse.
 
@@ -181,14 +222,13 @@ def mutual_information(cov: TwoModeCovariance, xi: float) -> float:
     channel transmittance cancels between signal and conditional
     variances, so it never appears.
     """
-    joint = (cov.x + 1.0) * (cov.y + xi)
+    joint, conditional = _mutual_products(cov.x, cov.y, cov.z, xi, pow)
     if not math.isfinite(joint):
         raise ConsistencyError(f"mutual information overflows a float: (x + 1)(y + xi) is inf "
                                f"at x={cov.x}, y={cov.y}, xi={xi}")
-    conditional = joint - cov.z**2
     if conditional <= 0.0:
         raise ConsistencyError("conditional variance non-positive")
-    return 0.5 * math.log2(joint / conditional)
+    return _information(joint, conditional, math.log2)
 
 
 def von_neumann_g(x: float) -> float:
@@ -196,11 +236,14 @@ def von_neumann_g(x: float) -> float:
 
     g(x) = (x+1) log2(x+1) - x log2(x), continuously extended by g(0)=0.
     """
+    if 0.0 < x < math.inf:
+        up, down = _entropy_terms(x, math.log2)
+        return up - down
     if x < -1e-9:
         raise ValueError(f"mean photon number must be non-negative, got {x}")
     if x <= 0.0:
         return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    raise ValueError(f"mean photon number must be finite, got {x}")
 
 
 def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[float, float, float]:
@@ -210,23 +253,20 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
     after the channel and the single eigenvalue of Alice's state
     conditioned on Bob's homodyne outcome.
     """
-    yb = ch.tc * (cov.y + ch.xi)          # Bob's variance after the channel
-    zz = ch.tc * cov.z**2                 # squared correlation after the channel
-    det = cov.x * yb - zz
-    l3sq = cov.x * (cov.x - cov.z**2 / (cov.y + ch.xi))
+    state = (cov.x, cov.y, cov.z, ch.tc, ch.xi)
     try:
-        big = cov.x**2 + yb**2 - 2.0 * zz
-        disc = big**2 - 4.0 * det**2
-    except OverflowError:  # a float power, past about 1e77 for yb
+        yb, zz, big, disc, l3sq = _spectrum_products(*state, pow)
+    except OverflowError:  # a square past the largest float, where numpy's gives inf
+        with np.errstate(all="ignore"):
+            yb = float(_spectrum_products(*np.array(state), np.float_power)[0])
         raise ConsistencyError(f"symplectic invariant overflows a float at Bob's variance "
                                f"{yb} after the channel") from None
     try:
         return _checked_eigenvalues(big, disc, l3sq)
     except ConsistencyError:
-        # near a pure state big**2 - 4*det**2 cancels to ~1e-16*big**2, or below 0,
-        # and its root splits the two eigenvalues by ~1e-8; the factored discriminant
-        # does not cancel.  Only a refused state takes it, so every accepted
-        # spectrum keeps its bits.  grid_best hands such cells here; it keeps no copy.
+        # near a pure state big**2 - 4*det**2 cancels to ~1e-16*big**2, or below 0, and its
+        # root splits the two eigenvalues by ~1e-8; the factored discriminant does not cancel.
+        # Only a refused state takes it, so every accepted spectrum keeps its bits.
         return _checked_eigenvalues(big, (cov.x - yb)**2 * ((cov.x + yb)**2 - 4.0 * zz), l3sq)
 
 
@@ -236,28 +276,21 @@ def _checked_eigenvalues(big: float, disc: float, l3sq: float) -> tuple[float, f
     root = math.sqrt(disc)
     out = []
     for sq in (0.5 * (big + root), 0.5 * (big - root), l3sq):
-        val = math.sqrt(max(sq, 0.0))
+        val = math.sqrt(0.0 if sq < 0.0 else sq)  # max(sq, 0.0) and max(val, 1.0), without a call
         if val < _NU_MIN:
             raise ConsistencyError(f"unphysical state: symplectic eigenvalue {val} < 1")
-        out.append(max(val, 1.0))
+        out.append(1.0 if val < 1.0 else val)
     return out[0], out[1], out[2]
 
 
 def _rate_terms(p_success: float, cov: TwoModeCovariance, ch: ChannelParams, beta: float
                 ) -> tuple[float, float, tuple[float, float, float], float]:
-    """``i_ab``, ``holevo``, the symplectic spectrum and the raw rate of a heralded state.
-
-    The one scalar formula of the rate: :func:`secret_key_rate` and the
-    optimiser's golden-section probes both take their rates from here.
-    """
+    """The float path: ``i_ab``, ``holevo``, the symplectic spectrum and the raw rate."""
     i_ab = mutual_information(cov, ch.xi)
     l1, l2, l3 = symplectic_eigenvalues(cov, ch)
-    holevo = (
-        von_neumann_g((l1 - 1.0) / 2.0)
-        + von_neumann_g((l2 - 1.0) / 2.0)
-        - von_neumann_g((l3 - 1.0) / 2.0)
-    )
-    return i_ab, holevo, (l1, l2, l3), p_success * (beta * i_ab - holevo)
+    holevo, raw = _rate(p_success, beta, i_ab, von_neumann_g((l1 - 1.0) / 2.0),
+                        von_neumann_g((l2 - 1.0) / 2.0), von_neumann_g((l3 - 1.0) / 2.0))
+    return i_ab, holevo, (l1, l2, l3), raw
 
 
 def secret_key_rate(p: ProtocolParams, ch: ChannelParams) -> KeyRateResult:
@@ -274,50 +307,17 @@ def secret_key_rate(p: ProtocolParams, ch: ChannelParams) -> KeyRateResult:
     )
 
 
-def _sq(values: np.ndarray) -> np.ndarray:
-    # the C library's pow, as Python's ** 2 on floats: numpy's x ** 2 is x * x
-    return np.float_power(values, 2)
-
-
 def _log2(values: np.ndarray) -> np.ndarray:
     # math.log2 value by value: numpy's log2 may differ from it in the last bit
     return np.fromiter(map(math.log2, memoryview(values.ravel())), float,
                        values.size).reshape(values.shape)
 
 
-def _spectra(x: np.ndarray, y: np.ndarray, z: np.ndarray, channels: Sequence[ChannelParams]
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The ratio ``joint/conditional`` and the eigenvalues, shapes (channels, len(t)) and (3, ...).
-
-    The operations of :func:`mutual_information` and :func:`symplectic_eigenvalues`
-    without their checks: where those refuse a physical state, its rate here is NaN or
-    infinite, or an eigenvalue is below ``_NU_MIN``.
-    """
-    tc = np.array([c.tc for c in channels])[:, None]
-    xi = np.array([c.xi for c in channels])[:, None]
-    z2 = _sq(z)
-    joint = (x + 1.0) * (y + xi)
-    yb = tc * (y + xi)
-    zz = tc * z2
-    big = _sq(x) + _sq(yb) - 2.0 * zz
-    root = np.sqrt(_sq(big) - 4.0 * _sq(x * yb - zz))
-    l3sq = x * (x - z2 / (y + xi))
-    return joint / (joint - z2), np.sqrt([0.5 * (big + root), 0.5 * (big - root), l3sq])
-
-
-def _raw_rates(p_success: np.ndarray, beta: float, ratio: np.ndarray, v: np.ndarray, log2
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Raw rates of the cells ``(ratio, v)`` in the operations of :func:`_rate_terms`.
-
-    ``log2`` takes the logarithms.  Also returns the logarithmic terms
-    ``0.5*log2(ratio)`` and, per eigenvalue, ``(w+1)*log2(w+1)`` and
-    ``w*log2(w)``, where ``w = v``, or 1 where ``v <= 0``.
-    """
-    vacuum = v <= 0.0
-    w = np.where(vacuum, 1.0, v)  # von_neumann_g, which is 0 at v = 0 and NaN at NaN
-    half_log, up, down = 0.5 * log2(ratio), (w + 1.0) * log2(w + 1.0), w * log2(w)
-    g = np.where(vacuum, 0.0, up - down)
-    return p_success * (beta * half_log - (g[0] + g[1] - g[2])), half_log, up, down
+def _vector_rates(p_success, beta, joint, conditional, v, log2):
+    """Raw rates, ``i_ab`` and the entropy terms of ``v``, the stacked ``(nu - 1)/2``."""
+    i_ab = _information(joint, conditional, log2)
+    up, down = _entropy_terms(v, log2)
+    return _rate(p_success, beta, i_ab, *(up - down))[1], i_ab, up, down
 
 
 # Where np.log2 and math.log2 differ (by 1 ulp, 2**-52 of their value, at
@@ -335,26 +335,25 @@ def grid_best(t: Sequence[float] | None, p_success: np.ndarray, x: np.ndarray, y
 
     One pair ``(k, rate)`` per channel: the first index of the largest rate
     and that rate, with the bits of :func:`secret_key_rate`; ``(0, 0.0)``
-    when no rate is positive.  The rates are first computed with numpy's
-    ``log2``, which may differ from ``math.log2`` in the last bit, within a
-    bound: ``2**-36`` times ``p_success`` times the summed sizes of the
-    logarithmic terms.  A cell whose upper bound is at most 0, or below the
-    largest lower bound of its row, can neither be the maximum nor tie it;
-    every other cell is recomputed with ``math.log2``.
+    when no rate is positive.  Numpy's ``log2`` may differ from ``math.log2``
+    in the last bit, so its rates are taken within a bound, ``2**-36`` times
+    ``p_success`` times the summed sizes of the logarithmic terms.  Only the
+    cells that may be a row's maximum or tie it are recomputed with ``math.log2``.
 
-    It checks nothing itself and takes the states as :func:`source_state`
-    gives them.  A cell whose vector rate is not finite, or with an
-    eigenvalue below ``_NU_MIN``, goes to :func:`_rate_terms` in row order:
-    the rate it gives is exact, and its first refusal is raised with ``t``
-    and the channel appended (``t`` is read for that message only; ``None``
-    leaves it out).
+    It checks nothing itself: a cell whose array rate is not finite, or with an
+    eigenvalue below ``_NU_MIN``, goes to :func:`_rate_terms` in row order, and its
+    first refusal is raised with ``t`` (``None`` leaves it out) and the channel.
     """
+    tc = np.array([c.tc for c in channels])[:, None]
+    xi = np.array([c.xi for c in channels])[:, None]
     with np.errstate(all="ignore"):
-        ratio, nu = _spectra(x, y, z, channels)
+        joint, conditional = _mutual_products(x, y, z, xi, np.float_power)
+        _, _, big, disc, l3sq = _spectrum_products(x, y, z, tc, xi, np.float_power)
+        root = np.sqrt(disc)
+        nu = np.sqrt([0.5 * (big + root), 0.5 * (big - root), l3sq])
         v = (np.maximum(nu, 1.0) - 1.0) / 2.0
-        raw, half_log, up, down = _raw_rates(p_success, beta, ratio, v, np.log2)
-        # half_log and up are >= 0; a vacuum eigenvalue's terms, 2 and 0, only widen the bound
-        size = beta * half_log + (up + np.abs(down)).sum(axis=0)
+        raw, i_ab, up, down = _vector_rates(p_success, beta, joint, conditional, v, np.log2)
+        size = beta * i_ab + (up + np.abs(down)).sum(axis=0)  # i_ab and up are >= 0
         # at least the smallest normal number: a rate that rounds to a subnormal is not decided
         bound = np.maximum(_SIGN_BOUND * p_success * size, np.finfo(float).tiny)
         deferred = ~np.isfinite(raw) | (nu < _NU_MIN).any(axis=0)
@@ -365,13 +364,13 @@ def grid_best(t: Sequence[float] | None, p_success: np.ndarray, x: np.ndarray, y
         except ConsistencyError as exc:
             where = "" if t is None else f" at t={t[k]}"
             raise ConsistencyError(f"{exc}{where} on {channels[i]}") from None
-        bound[i, k] = 0.0  # the scalar formula's rate is exact
+        bound[i, k] = 0.0  # the float path's rate is exact
     upper = raw + bound
     lower = np.fmax.reduce(raw - bound, axis=1)[:, None]  # of the row's best cell
     kept = ~((upper <= 0.0) | (upper < lower))
     rows, cols = np.nonzero(kept & (bound > 0.0))
-    raw[rows, cols] = _raw_rates(p_success[cols], beta, ratio[rows, cols], v[:, rows, cols],
-                                 _log2)[0]
+    raw[rows, cols] = _vector_rates(p_success[cols], beta, joint[rows, cols],
+                                    conditional[rows, cols], v[:, rows, cols], _log2)[0]
     # argmax takes a row's first maximum; a row without a positive kept rate is all 0.0: (0, 0.0)
     rates = np.where(kept & (raw > 0.0), raw, 0.0)
     return list(zip(rates.argmax(axis=1).tolist(), rates.max(axis=1).tolist()))

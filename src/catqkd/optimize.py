@@ -11,8 +11,8 @@ depend on the family and the source only, so they are built once and
 reused for every channel.  A sweep over many channels,
 :func:`optimal_transmittances`, evaluates the grid for a block of
 channels per pass.  Each golden-section probe builds one state with
-:func:`~catqkd.keyrate.source_state` and takes its rate from the scalar
-formula of :func:`~catqkd.keyrate.secret_key_rate`.  Noise and distance
+:func:`~catqkd.keyrate.source_state` and takes its rate from the float
+path of :func:`~catqkd.keyrate.secret_key_rate`.  Noise and distance
 limits bisect on top of that: wherever the rate is more than round-off it
 crosses zero, or the floor, once, so a plain bisection finds the edge.
 Every search reads one thing per channel from the grid pass,

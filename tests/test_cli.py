@@ -287,8 +287,16 @@ _FAR = ["--variance", "1e6", "--d-min", "1e-9", "--d-max", "20000", "--d-step", 
      "channel noise (1 - tc)/tc + epsilon overflows at tc=1e-310, epsilon=0.01"),
     (["excess-noise", "--d-min", "0", "--d-max", "20000", "--d-step", "10000"],
      "channel transmittance 0.0 outside (0, 1]"),
+    # an attenuation that is no fibre's is refused by name, not by the transmittance it gives
+    (["keyrate", "--atten-db-km=-0.2", "--d-min", "0", "--d-max", "10"],
+     "attenuation must be finite and non-negative, got -0.2 dB/km"),
+    (["excess-noise", "--atten-db-km=nan", "--d-min", "0", "--d-max", "10"],
+     "attenuation must be finite and non-negative, got nan dB/km"),
+    (["max-distance", "--atten-db-km=-0.2"],
+     "attenuation must be finite and non-negative, got -0.2 dB/km"),
 ], ids=["keyrate-near-failure", "excess-noise-near-failure", "keyrate-noise-overflow",
-        "excess-noise-zero-transmittance"])
+        "excess-noise-zero-transmittance", "keyrate-negative-attenuation",
+        "excess-noise-nan-attenuation", "max-distance-negative-attenuation"])
 def test_a_refused_distance_fails_the_sweep_before_any_search(monkeypatch, capsys, argv,
                                                                message):
     def no_search(p):
@@ -308,6 +316,17 @@ def test_a_refused_distance_fails_the_sweep_before_any_search(monkeypatch, capsy
     (["keyrate", "--scheme", "original", "--d-min", "15400", "--d-max", "15400"],
      "catqkd: numerical error: mutual information overflows a float: (x + 1)(y + xi) is inf "
      "at x=19.999999999999996, y=19.999999999999996, xi=1e+308\n"),
+    # both checks fail at xi = 1e307: (x + 1)(y + xi) is inf, and so would be the square of
+    # Bob's variance 1e307; the mutual information is checked first
+    (["keyrate", "--scheme", "original", "--epsilon", "1e307", "--d-min", "0", "--d-max", "0"],
+     "catqkd: numerical error: mutual information overflows a float: (x + 1)(y + xi) is inf "
+     "at x=19.999999999999996, y=19.999999999999996, xi=1e+307\n"),
+    # at bsqc1's t = 0.5 on the same channel x is small enough for (x + 1)(y + xi) to stay
+    # finite, so the symplectic invariant's square is the first to overflow
+    (["keyrate", "--t", "optimal", "--scheme", "bsqc", "--n", "1", "--epsilon", "1e307",
+      "--d-min", "0", "--d-max", "0"],
+     "catqkd: numerical error: symplectic invariant overflows a float at Bob's variance "
+     "1e+307 after the channel at t=0.5 on ChannelParams(tc=1.0, epsilon=1e+307)\n"),
     # the bare source's covariance squares V
     (["keyrate", "--scheme", "original", "--variance", "1e155", "--d-min", "100", "--d-max", "100"],
      "catqkd: numerical error: the covariance of the two-mode squeezed vacuum "
