@@ -17,6 +17,9 @@ threads are pinned to 1.
   cache of ``cli.py`` was present, since without one every module is
   compiled as it is imported.  The smallest peak RSS of those processes
   is printed with it.
+- ``build_parser()`` alone, in this process, with its cache cleared
+  before each call: the part of the start-up that builds the parser of
+  every subcommand from ``cli``'s flag table;
 - ``compile()`` of each module that ``import catqkd.cli`` compiles (not
   the lazily bound ``oracle`` and ``series``), as the import system does
   without a bytecode cache: the compilation part of the start-up above,
@@ -138,6 +141,10 @@ def fresh_peak_rss(script: str) -> str:
 
 def main() -> int:
     print(f"{'start-up: import catqkd.cli + build_parser()':58s} N={STARTUP_RUNS:<4d} {startup()}")
+    label, repeats = "cli.build_parser(), cache cleared", 51
+    seconds = min(timeit.repeat(cli.build_parser, setup=cli.build_parser.cache_clear,
+                                number=1, repeat=repeats))
+    print(f"{label:58s} N={repeats:<4d} {seconds:.6f} s", flush=True)
     times = compile_times()
     times.append((f"catqkd, all {len(times)} modules", sum(s for _, s in times)))
     for label, seconds in times:

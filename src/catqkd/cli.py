@@ -74,55 +74,29 @@ def _t_value(text: str):
     return value
 
 
-def _add_output(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_scheme(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--scheme", choices=_SCHEME_CHOICES, default=None,
-                    help="single scheme instead of the command's default set")
-    sp.add_argument("--n", type=int, default=None,
-                    help="catalysed photon number of bsqc or ssqc (default 0)")
-
-
-def _add_t(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--t", type=_t_value, default=0.95,
-                    help="beam-splitter transmittance, a float or 'optimal'")
-
-
-def _add_link(sp: argparse.ArgumentParser) -> None:
-    """The source, the reconciliation efficiency and the fibre attenuation."""
-    sp.add_argument("--variance", type=float, default=20.0,
-                    help="source quadrature variance in shot-noise units")
-    sp.add_argument("--beta", type=float, default=0.95, help="reconciliation efficiency")
-    sp.add_argument("--atten-db-km", type=float, default=DEFAULT_ATTENUATION_DB_PER_KM,
-                    dest="atten_db_km", help="fibre attenuation in dB/km")
-
-
-def _add_epsilon(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--epsilon", type=float, default=0.01, help="channel excess noise")
-
-
-def _add_floor(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--floor", type=float, default=1e-6,
-                    help="minimal usable key rate in bits per pulse")
-
-
-def _add_verify(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomised spot checks")
-
-
-def _add_alpha_grid(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--alpha-min", type=float, default=0.0, dest="alpha_min")
-    sp.add_argument("--alpha-max", type=float, default=3.0, dest="alpha_max")
-    sp.add_argument("--alpha-step", type=float, default=0.1, dest="alpha_step")
-
-
-def _add_distance_grid(sp: argparse.ArgumentParser, d_min: float, d_max: float, d_step: float) -> None:
-    sp.add_argument("--d-min", type=float, default=d_min, dest="d_min")
-    sp.add_argument("--d-max", type=float, default=d_max, dest="d_max")
-    sp.add_argument("--d-step", type=float, default=d_step, dest="d_step")
+_FLAGS = {  # every flag of a subcommand, with its add_argument keywords
+    "scheme": dict(choices=_SCHEME_CHOICES, default=None,
+                   help="single scheme instead of the command's default set"),
+    "n": dict(type=int, default=None, help="catalysed photon number of bsqc or ssqc (default 0)"),
+    "t": dict(type=_t_value, default=0.95,
+              help="beam-splitter transmittance, a float or 'optimal'"),
+    "variance": dict(type=float, default=20.0,
+                     help="source quadrature variance in shot-noise units"),
+    "beta": dict(type=float, default=0.95, help="reconciliation efficiency"),
+    "atten-db-km": dict(type=float, default=DEFAULT_ATTENUATION_DB_PER_KM,
+                        help="fibre attenuation in dB/km"),
+    "epsilon": dict(type=float, default=0.01, help="channel excess noise"),
+    "floor": dict(type=float, default=1e-6, help="minimal usable key rate in bits per pulse"),
+    "seed": dict(type=int, default=0, help="seed for randomised spot checks"),
+    "alpha-min": dict(type=float, default=0.0),
+    "alpha-max": dict(type=float, default=3.0),
+    "alpha-step": dict(type=float, default=0.1),
+    "d-min": dict(type=float),  # the distance grid's defaults are each command's own
+    "d-max": dict(type=float),
+    "d-step": dict(type=float),
+    "out": dict(default="-", help="output path, '-' for stdout"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
 
 
 _MAX_GRID_STEPS = 10**6  # a sweep grid has at most this many points, plus its end point
@@ -341,25 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"catqkd {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    commands = [  # name, handler, help, and the flag groups it reads besides the output flags
+    commands = [  # name, handler, help, the flags it reads besides the output flags, own defaults
         ("success-prob", cmd_success_prob, "heralding probability versus alpha",
-         [_add_scheme, _add_t, _add_alpha_grid]),
+         "scheme n t alpha-min alpha-max alpha-step", {}),
         ("entanglement", cmd_entanglement, "log negativity versus alpha",
-         [_add_scheme, _add_t, _add_alpha_grid]),
+         "scheme n t alpha-min alpha-max alpha-step", {}),
         ("keyrate", cmd_keyrate, "key rate versus distance",
-         [_add_scheme, _add_t, _add_link, _add_epsilon,
-          lambda sp: _add_distance_grid(sp, 0.0, 300.0, 5.0)]),
+         "scheme n t variance beta atten-db-km epsilon d-min d-max d-step",
+         dict(d_min=0.0, d_max=300.0, d_step=5.0)),
         ("excess-noise", cmd_excess_noise, "maximal tolerable excess noise versus distance",
-         [_add_scheme, _add_link, lambda sp: _add_distance_grid(sp, 50.0, 300.0, 50.0)]),
+         "scheme n variance beta atten-db-km d-min d-max d-step",
+         dict(d_min=50.0, d_max=300.0, d_step=50.0)),
         ("max-distance", cmd_max_distance, "largest distance above the key-rate floor",
-         [_add_scheme, _add_link, _add_epsilon, _add_floor]),
-        ("verify", cmd_verify, "closed forms against the Fock-space oracle", [_add_verify]),
+         "scheme n variance beta atten-db-km epsilon floor", {}),
+        ("verify", cmd_verify, "closed forms against the Fock-space oracle", "seed", {}),
     ]
-    for name, func, text, groups in commands:
+    for name, func, text, flags, defaults in commands:
         sp = subs.add_parser(name, help=text)
-        for add in (*groups, _add_output):
-            add(sp)
-        sp.set_defaults(func=func)
+        for flag in (*flags.split(), "out", "format"):
+            sp.add_argument("--" + flag, **_FLAGS[flag])
+        sp.set_defaults(func=func, **defaults)
     return parser
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,20 +110,18 @@ class ChannelParams:
 
     tc: float
     epsilon: float = 0.0
+    xi: float = field(init=False, repr=False, compare=False)  # input noise (1 - tc)/tc + epsilon
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tc <= 1.0:
             raise ValueError(f"channel transmittance {self.tc} outside (0, 1]")
         if not (0.0 <= self.epsilon < math.inf):
             raise ValueError(f"excess noise must be finite and non-negative, got {self.epsilon}")
-        if not math.isfinite(self.xi):
+        xi = (1.0 - self.tc) / self.tc + self.epsilon
+        if not math.isfinite(xi):
             raise ValueError(f"channel noise (1 - tc)/tc + epsilon overflows at tc={self.tc}, "
                              f"epsilon={self.epsilon}")
-
-    @property
-    def xi(self) -> float:
-        """Total input-referred noise (1 - tc)/tc + epsilon."""
-        return (1.0 - self.tc) / self.tc + self.epsilon
+        object.__setattr__(self, "xi", xi)
 
     @classmethod
     def from_distance(cls, distance_km: float, epsilon: float = 0.0,

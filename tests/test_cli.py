@@ -65,6 +65,36 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     assert sum(map(len, dests.values())) == 50
 
 
+_SCHEME_DEFAULTS = [("scheme", None), ("n", None)]
+_LINK_DEFAULTS = [("variance", 20.0), ("beta", 0.95), ("atten_db_km", 0.2)]
+_ALPHA_DEFAULTS = [("alpha_min", 0.0), ("alpha_max", 3.0), ("alpha_step", 0.1)]
+_OUTPUT_DEFAULTS = [("out", "-"), ("format", "csv")]
+DEFAULTS = {  # each subcommand's flags in the order of its --help, with their parsed defaults
+    "success-prob": [*_SCHEME_DEFAULTS, ("t", 0.95), *_ALPHA_DEFAULTS, *_OUTPUT_DEFAULTS],
+    "entanglement": [*_SCHEME_DEFAULTS, ("t", 0.95), *_ALPHA_DEFAULTS, *_OUTPUT_DEFAULTS],
+    "keyrate": [*_SCHEME_DEFAULTS, ("t", 0.95), *_LINK_DEFAULTS, ("epsilon", 0.01),
+                ("d_min", 0.0), ("d_max", 300.0), ("d_step", 5.0), *_OUTPUT_DEFAULTS],
+    "excess-noise": [*_SCHEME_DEFAULTS, *_LINK_DEFAULTS,
+                     ("d_min", 50.0), ("d_max", 300.0), ("d_step", 50.0), *_OUTPUT_DEFAULTS],
+    "max-distance": [*_SCHEME_DEFAULTS, *_LINK_DEFAULTS, ("epsilon", 0.01), ("floor", 1e-6),
+                     *_OUTPUT_DEFAULTS],
+    "verify": [("seed", 0), *_OUTPUT_DEFAULTS],
+}
+
+
+@pytest.mark.parametrize("command", DEFAULTS)
+def test_each_subcommand_declares_its_flags_in_order_with_their_defaults(command):
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [a.option_strings for a in subs.choices[command]._actions]
+    assert options == [["-h", "--help"],
+                       *(["--" + dest.replace("_", "-")] for dest, _ in DEFAULTS[command])]
+    parsed = vars(build_parser().parse_args([command]))
+    assert parsed.pop("func").__name__ == "cmd_" + command.replace("-", "_")
+    expected = [("command", command), *DEFAULTS[command]]
+    assert list(parsed.items()) == expected
+    assert [type(v) for v in parsed.values()] == [type(v) for _, v in expected]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--variance", "5"],
     ["excess-noise", "--epsilon", "0.02"],

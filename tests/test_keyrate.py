@@ -1,5 +1,6 @@
 """Key-rate pipeline: channel model, entropies, Holevo bound, PLOB."""
 
+import dataclasses
 import decimal
 import math
 import re
@@ -51,6 +52,23 @@ def test_channel_transmittance():
             (10.0, math.nan, "attenuation must be finite and non-negative, got nan dB/km")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             channel_transmittance(distance_km, atten)
+
+
+def test_channel_noise_is_the_formula_and_not_a_field_of_equality():
+    for tc, epsilon in [(0.5, 0.02), (1.0, 0.0), (0.95, 0.01), (0.1 + 0.2, 1e-300),
+                        (1e-308, 0.0), (channel_transmittance(200.0), 0.01)]:
+        ch = ChannelParams(tc=tc, epsilon=epsilon)
+        assert ch.xi.hex() == ((1.0 - tc) / tc + epsilon).hex()
+        assert repr(ch) == f"ChannelParams(tc={tc!r}, epsilon={epsilon!r})"
+        assert hash(ch) == hash((tc, epsilon))
+        twin = dataclasses.replace(ch)
+        assert twin == ch and twin.xi.hex() == ch.xi.hex()
+        assert dataclasses.replace(ch, epsilon=epsilon + 1.0).xi == (1.0 - tc) / tc + epsilon + 1.0
+    assert "xi" not in {f.name for f in dataclasses.fields(ChannelParams) if f.init or f.compare}
+    with pytest.raises(TypeError):
+        ChannelParams(tc=0.5, xi=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ChannelParams(tc=0.5).xi = 1.0
 
 
 def test_channel_params():
