@@ -182,7 +182,7 @@ def main() -> int:
          lambda: optimize.optimal_transmittances(p, [ch]), clear_caches),
         ("max_distance bsqc1", 5, lambda: optimize.max_distance(p, epsilon=0.01), None),
         ("max_tolerable_excess_noise bsqc1, 300 km", 5,
-         lambda: optimize.max_tolerable_excess_noise(p, 300.0), None),
+         lambda: optimize.max_tolerable_excess_noise(p, [300.0]), None),
     ]
     for alpha in (0.1, 1.5):
         entries.append((f"optimal_log_negativity bsqc1, alpha {alpha}, memo cleared", 11,

@@ -251,14 +251,11 @@ def symplectic_eigenvalues(cov: TwoModeCovariance, ch: ChannelParams) -> tuple[f
     after the channel and the single eigenvalue of Alice's state
     conditioned on Bob's homodyne outcome.
     """
-    state = (cov.x, cov.y, cov.z, ch.tc, ch.xi)
     try:
-        yb, zz, big, disc, l3sq = _spectrum_products(*state, pow)
-    except OverflowError:  # a square past the largest float, where numpy's gives inf
-        with np.errstate(all="ignore"):
-            yb = float(_spectrum_products(*np.array(state), np.float_power)[0])
+        yb, zz, big, disc, l3sq = _spectrum_products(cov.x, cov.y, cov.z, ch.tc, ch.xi, pow)
+    except OverflowError:  # a square past the largest float
         raise ConsistencyError(f"symplectic invariant overflows a float at Bob's variance "
-                               f"{yb} after the channel") from None
+                               f"{ch.tc * (cov.y + ch.xi)} after the channel") from None
     try:
         return _checked_eigenvalues(big, disc, l3sq)
     except ConsistencyError:

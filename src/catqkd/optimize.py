@@ -132,6 +132,7 @@ def _blocks(items: list) -> list[list]:
 
 
 def _refine(p: ProtocolParams, ch: ChannelParams, best: int, rate: float) -> TransmittanceOptimum:
+    # best indexes the family's grid t, which is a prefix of _GRID (subtraction drops t = 1)
     if rate <= 0.0:
         return TransmittanceOptimum(t=_GRID[0], key_rate=0.0, all_zero=True)
     probe = functools.partial(_probe_rate, p.scheme, p.source, ch, p.beta)
@@ -212,10 +213,10 @@ def _largest_true(pred, lanes: int, hi: float, resolution: float) -> list[float]
     return a
 
 
-def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[float],
+def max_tolerable_excess_noise(p: ProtocolParams, distances: Sequence[float],
                                atten_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM
-                               ) -> float | list[float]:
-    """Largest excess noise with a positive key rate at the given distance, or at each of several.
+                               ) -> list[float]:
+    """Largest excess noise with a positive key rate at each distance in km.
 
     A rate is positive at some transmittance exactly when it is positive at
     a point of the optimiser's grid, as the golden-section refinement keeps
@@ -229,10 +230,8 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     :class:`~catqkd.errors.ConsistencyError` for the first block that
     meets one.  Returns 0 when even a noiseless channel yields no key, and
     0.2, the top of the search interval, when the whole interval stays
-    positive; a list for a sequence of distances.
+    positive.
     """
-    scalar = np.ndim(distance_km) == 0
-    distances = [distance_km] if scalar else list(distance_km)
     tcs = [ChannelParams.from_distance(d, atten_db_per_km=atten_db_per_km).tc for d in distances]
     t, states = _grid(p)
 
@@ -243,7 +242,7 @@ def max_tolerable_excess_noise(p: ProtocolParams, distance_km: float | Sequence[
     limits = []
     for block in _blocks(tcs):
         limits += _largest_true(functools.partial(positive, block), len(block), _EPS_MAX, _EPS_TOL)
-    return limits[0] if scalar else limits
+    return limits
 
 
 def max_distance(p: ProtocolParams, epsilon: float = 0.01, floor: float = 1e-6,

@@ -42,8 +42,8 @@ def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
     """Matrix element <out_b, out_c|B(t)|in_b, in_c> of a beam splitter.
 
     The photon numbers are integers or integer arrays that broadcast
-    together; scalar inputs give a ``float``, array inputs an array of the
-    broadcast shape, so a whole photon-number ladder costs one call.
+    together, and the result is an array of the broadcast shape (0-d for
+    scalar inputs), so a whole photon-number ladder costs one call.
     Photon number is conserved, so an element vanishes unless
     ``in_b + in_c == out_b + out_c``.  The binomial sum runs in log space
     to stay finite for photon numbers far past the range of factorials in
@@ -105,8 +105,7 @@ def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
     for log_term, odd in terms:
         mag = np.exp(log_term - peak)
         acc = acc + np.where(odd, -mag, mag)
-    amp = np.where(matched, acc * np.exp(peak), 0.0)
-    return float(amp) if amp.ndim == 0 else amp
+    return np.where(matched, acc * np.exp(peak), 0.0)
 
 
 def adaptive_cutoff(lam: float) -> int:
@@ -206,16 +205,13 @@ def simulate_subtraction(cfg: SubtractionConfig, src: SourceParams) -> HeraldedS
     return HeraldedSimulation(p_success=p1, weights=u, cov=cov)
 
 
-def two_mode_symplectic_numeric(
-    matrix: np.ndarray,
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+def two_mode_symplectic_numeric(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic eigenvalues of 4x4 covariance matrices via |eig(i Omega V)|.
 
-    ``matrix`` is one matrix or a stack of shape ``(..., 4, 4)``, whose
-    spectra come from one ``np.linalg.eigvals`` call; each matrix gets
-    the bits it gets alone.  One matrix gives the larger and the smaller
-    eigenvalue as two floats, a stack two arrays of shape ``(...)``.
-    Independent of the closed-form route used by the key-rate module.
+    ``matrix`` is a stack of shape ``(..., 4, 4)``, whose spectra come from
+    one ``np.linalg.eigvals`` call; each matrix gets the bits it gets alone.
+    Returns the larger and the smaller eigenvalues as two arrays of shape
+    ``(...)``.  Independent of the closed-form route used by the key-rate module.
     """
     omega = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -224,8 +220,4 @@ def two_mode_symplectic_numeric(
         [0.0, 0.0, -1.0, 0.0],
     ])
     nus = np.sort(np.abs(np.linalg.eigvals(1j * omega @ matrix)), axis=-1)[..., ::-1]
-    big = 0.5 * (nus[..., 0] + nus[..., 1])
-    small = 0.5 * (nus[..., 2] + nus[..., 3])
-    if big.ndim == 0:
-        return float(big), float(small)
-    return big, small
+    return 0.5 * (nus[..., 0] + nus[..., 1]), 0.5 * (nus[..., 2] + nus[..., 3])

@@ -142,7 +142,7 @@ def test_criterion_5_tolerable_noise_at_300km(criterion):
     ]
     got = []
     for scheme, anchor, label in anchors:
-        eps = max_tolerable_excess_noise(ProtocolParams(V20, scheme), 300.0)
+        eps = max_tolerable_excess_noise(ProtocolParams(V20, scheme), [300.0])[0]
         got.append(eps)
         check(
             failures,

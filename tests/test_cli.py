@@ -444,8 +444,8 @@ def test_excess_noise_matches_library(tmp_path):
     assert main(args) == EXIT_OK
     (row,) = read_csv(out)
     direct = max_tolerable_excess_noise(
-        ProtocolParams(SourceParams.from_variance(20.0)), 50.0
-    )
+        ProtocolParams(SourceParams.from_variance(20.0)), [50.0]
+    )[0]
     assert float(row["eps_max"]) == pytest.approx(direct, abs=1e-6)
 
 

@@ -113,7 +113,7 @@ def test_optimisers_refuse_a_concrete_scheme():
     ch = ChannelParams.from_distance(100.0, 0.01)
     p = ProtocolParams(V20, SchemeFamily("bsqc", 1).at(0.9))
     for search in (lambda: optimal_transmittances(p, [ch])[0],
-                   lambda: max_tolerable_excess_noise(p, 100.0), lambda: max_distance(p)):
+                   lambda: max_tolerable_excess_noise(p, [100.0]), lambda: max_distance(p)):
         with pytest.raises(TypeError, match="SchemeFamily"):
             search()
 
@@ -198,7 +198,7 @@ def test_max_noise_matches_direct_bisection():
     # oracle: bisect the fixed-transmittance rate directly at the same tol
     p = ProtocolParams(V20, BSQC1)
     d = 100.0
-    got = max_tolerable_excess_noise(p, d)
+    got = max_tolerable_excess_noise(p, [d])[0]
 
     def rate(eps):
         return _best_rate(p, ChannelParams.from_distance(d, eps))
@@ -217,8 +217,8 @@ def test_max_noise_matches_direct_bisection():
 def test_max_noise_boundaries():
     # past its zero-noise cutoff the bare protocol tolerates nothing; a
     # perfect channel saturates the search cap
-    assert max_tolerable_excess_noise(ProtocolParams(V20), 200.0) == 0.0
-    assert max_tolerable_excess_noise(ProtocolParams(V20), 0.0) == 0.2
+    assert max_tolerable_excess_noise(ProtocolParams(V20), [200.0])[0] == 0.0
+    assert max_tolerable_excess_noise(ProtocolParams(V20), [0.0])[0] == 0.2
 
 
 def test_max_noise_reads_the_attenuation():
@@ -229,7 +229,7 @@ def test_max_noise_reads_the_attenuation():
 
 def test_max_noise_decreases_with_distance():
     p = ProtocolParams(V20)
-    eps = [max_tolerable_excess_noise(p, d) for d in (20.0, 50.0, 80.0)]
+    eps = [max_tolerable_excess_noise(p, [d])[0] for d in (20.0, 50.0, 80.0)]
     assert eps[0] > eps[1] > eps[2] > 0.0
 
 
@@ -283,7 +283,7 @@ def test_noise_limits_over_distances_match_single_calls(monkeypatch, family):
     monkeypatch.setattr(optimize, "grid_best", counted_best)
     limits = max_tolerable_excess_noise(p, distances)
     assert isinstance(limits, list)
-    assert limits == [max_tolerable_excess_noise(p, d) for d in distances]
+    assert limits == [max_tolerable_excess_noise(p, [d])[0] for d in distances]
     assert max_tolerable_excess_noise(p, []) == []
     # no grid pass holds more than one block of channels
     assert 0 < max(passes) <= optimize._BLOCK
@@ -319,7 +319,7 @@ def test_noise_limit_needs_no_golden_section_probes(monkeypatch):
 def test_noise_limit_refusals():
     p = ProtocolParams(SourceParams.from_variance(1e6), SchemeFamily("bsqc", 0))
     with pytest.raises(ConsistencyError) as one:
-        max_tolerable_excess_noise(p, 1e-9)
+        max_tolerable_excess_noise(p, [1e-9])
     # t = 0.58 (x = 2.01) was refused too until a refused spectrum retried the
     # factored discriminant; at t = 1, x = 1e6 leaves no digits for an eigenvalue near 1
     assert str(one.value) == ("unphysical state: symplectic eigenvalue 0.9999769738901874 < 1"
@@ -330,7 +330,7 @@ def test_noise_limit_refusals():
             max_tolerable_excess_noise(p, distances)
         assert str(lanes.value) == str(one.value)
     # a golden-section probe at t = 0.99975 used to refuse this; the grid point t = 1 has a key
-    assert max_tolerable_excess_noise(p, 0.0) == 0.2
+    assert max_tolerable_excess_noise(p, [0.0])[0] == 0.2
     assert secret_key_rate(replace(p, scheme=p.scheme.at(1.0)),
                            ChannelParams(1.0, 0.2)).key_rate > 0.09
     with pytest.raises(ValueError, match="distance must be non-negative"):
@@ -347,7 +347,7 @@ def test_noise_limit_refusal_is_raised_for_the_first_refused_block():
     messages = {}
     for d in (1e-10, 1e-9):
         with pytest.raises(ConsistencyError) as one:
-            max_tolerable_excess_noise(p, d)
+            max_tolerable_excess_noise(p, [d])
         messages[d] = str(one.value)
     assert messages[1e-10] != messages[1e-9]
     block = optimize._BLOCK
@@ -592,6 +592,14 @@ def test_grid_states_are_the_source_states(family, variance):
         pd, cov = source_state(family.at(u), source)
         assert {type(v) for v in (pd, cov.x, cov.y, cov.z)} == {float}
         assert [column[k] for column in columns] == [pd, cov.x, cov.y, cov.z]
+
+
+@pytest.mark.parametrize("variance", [1.5, 20.0])
+@pytest.mark.parametrize("family", _GRID_FAMILIES)
+def test_grid_index_of_every_family_is_an_index_into_the_grid(family, variance):
+    # _refine takes grid_best's index into the family's grid t as an index into _GRID
+    t = _grid_states(family, SourceParams.from_variance(variance))[0]
+    assert t == (_GRID[:-1] if family.kind == "subtraction" else _GRID)
 
 
 @pytest.mark.parametrize("variance", [1.5, 20.0, 1e6])

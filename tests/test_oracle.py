@@ -182,8 +182,9 @@ def test_numeric_symplectic_route_on_a_stack_equals_single_calls():
     big, small = two_mode_symplectic_numeric(stack)
     assert big.shape == small.shape == (3, 6)
     singles = [two_mode_symplectic_numeric(m) for m in matrices]
-    assert all(type(v) is float for pair in singles for v in pair)
-    assert list(zip(big.ravel().tolist(), small.ravel().tolist())) == singles
+    assert all(v.shape == () for pair in singles for v in pair)
+    assert (list(zip(big.ravel().tolist(), small.ravel().tolist()))
+            == [(float(b), float(s)) for b, s in singles])
 
 
 LADDER = np.arange(601)
@@ -265,8 +266,8 @@ def test_amplitudes_match_an_exact_binomial_sum(t, sign):
 
 
 def test_amplitude_broadcasting():
-    assert isinstance(bs_fock_amplitude(0.3, 1, 0, 1, 0), float)
-    assert isinstance(bs_fock_amplitude(0.3, np.int64(1), 0, 1, 0), float)
+    for one in (bs_fock_amplitude(0.3, 1, 0, 1, 0), bs_fock_amplitude(0.3, np.int64(1), 0, 1, 0)):
+        assert isinstance(one, np.ndarray) and one.shape == ()
     j = np.arange(4)[:, None]
     p = np.arange(4)
     block = bs_fock_amplitude(0.3, j, 3 - j, p, 3 - p)
