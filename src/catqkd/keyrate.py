@@ -220,12 +220,12 @@ def mutual_information(cov: TwoModeCovariance, xi: float) -> float:
     channel transmittance cancels between signal and conditional
     variances, so it never appears.
     """
+    if not 0.0 <= xi < math.inf:
+        raise ValueError(f"total noise xi must be finite and non-negative, got {xi}")
     joint, conditional = _mutual_products(cov.x, cov.y, cov.z, xi, pow)
     if not math.isfinite(joint):
         raise ConsistencyError(f"mutual information overflows a float: (x + 1)(y + xi) is inf "
                                f"at x={cov.x}, y={cov.y}, xi={xi}")
-    if conditional <= 0.0:
-        raise ConsistencyError("conditional variance non-positive")
     return _information(joint, conditional, math.log2)
 
 

@@ -16,11 +16,11 @@ references.  The paper's generating-function route for catalysis, the
 tests' second reference, lives with the Taylor jets it is written in,
 in :mod:`catqkd.series`, so this module does not load them.
 
-Beam-splitter convention: ``sign=-1`` (default) maps ``b -> sqrt(t) b -
-sqrt(1-t) c`` and ``c -> sqrt(1-t) b + sqrt(t) c``, so ``<0,1|B|1,0> =
--sqrt(1-t)``, and the simulations take it.  ``sign=+1``, the mirrored
-convention, multiplies each element by ``(-1)**(out_c - in_c)``, which no
-heralded observable sees (``catqkd verify``'s reflection-phase row).
+Beam-splitter convention: ``B`` maps ``b -> sqrt(t) b - sqrt(1-t) c`` and
+``c -> sqrt(1-t) b + sqrt(t) c``, so ``<0,1|B|1,0> = -sqrt(1-t)``.  The
+mirrored convention is ``B`` with its modes swapped,
+``<p,q|B+|j,k> = <q,p|B|k,j> = (-1)**(q-k) <p,q|B|j,k>``, which no heralded
+observable sees (``catqkd verify``'s reflection-phase row).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .subtraction import SubtractionConfig
 _CUTOFF_TAIL = 1e-12  # weight-sum tail that adaptive_cutoff leaves out
 
 
-def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
+def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c):
     """Matrix element <out_b, out_c|B(t)|in_b, in_c> of a beam splitter.
 
     The photon numbers are integers or integer arrays that broadcast
@@ -57,8 +57,6 @@ def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance {t} outside [0, 1]")
-    if sign not in (-1.0, 1.0):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     numbers = [np.asarray(n) for n in (in_b, in_c, out_b, out_c)]
     if any(n.dtype.kind not in "iu" for n in numbers):
         raise TypeError("photon numbers must be integers")
@@ -73,7 +71,6 @@ def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
     lg = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
     head = 0.5 * (lg[p] + lg[q] - lg[j] - lg[k]) + lg[j]
     lg_k = lg[k]
-    parity = j if sign < 0 else p
     a_lo = np.maximum(0, p - k)
     span = np.minimum(j, p) - a_lo
     terms = []
@@ -95,7 +92,7 @@ def bs_fock_amplitude(t: float, in_b, in_c, out_b, out_c, sign: float = -1.0):
             live &= e_r == 0
         else:
             log_term = log_term + 0.5 * e_r * math.log(1.0 - t)
-        terms.append((np.where(live, log_term, -np.inf), (parity - a) % 2 == 1))
+        terms.append((np.where(live, log_term, -np.inf), (j - a) % 2 == 1))
     peak = np.full(j.shape, -np.inf)
     for log_term, _ in terms:
         peak = np.maximum(peak, log_term)

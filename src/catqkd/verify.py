@@ -102,14 +102,15 @@ def _symplectic(rows, rng: random.Random):
 
 
 def _flip(rows):
-    # The mirrored reflection phase multiplies each amplitude by (-1)**(out_c - in_c):
-    # the ladders <l,k|B|l,k> of bsqc1 and ssqc2 keep their bits and subtraction's tap
-    # <l-1,1|B|l,0> flips as a whole, so no heralded observable sees the phase.
+    # The mirrored reflection phase swaps the modes, <p,q|B+|j,k> = <q,p|B|k,j> =
+    # (-1)**(q - k) <p,q|B|j,k>: bsqc1's and ssqc2's ladders <l,k|B|l,k> keep their values
+    # and subtraction's tap <l-1,1|B|l,0> flips as a whole, which no heralded observable sees.
     ls = np.arange(oracle.adaptive_cutoff(SourceParams(alpha=1.0).lam) + 1)
     dev = 0.0
     for j, k, p, q in ((ls, 1, ls, 1), (ls, 2, ls, 2), (ls[1:], 0, ls[1:] - 1, 1)):
-        plus, minus = (oracle.bs_fock_amplitude(0.9, j, k, p, q, sign) for sign in (1.0, -1.0))
-        dev = max(dev, float(np.abs(plus - (-1.0) ** (q - k) * minus).max()))
+        swapped = oracle.bs_fock_amplitude(0.9, k, j, q, p)
+        direct = oracle.bs_fock_amplitude(0.9, j, k, p, q)
+        dev = max(dev, float(np.abs(swapped - (-1.0) ** (q - k) * direct).max()))
     rows.append(("reflection-phase-invariance", dev, 1e-12))
 
 
@@ -119,7 +120,7 @@ def checks(seed: int) -> list[tuple[str, float, float]]:
     ``seed`` seeds the randomised symplectic spot checks.  Every oracle
     simulation runs at its adaptive Fock cutoff
     (:func:`oracle.adaptive_cutoff`).  Only ``reflection-phase-invariance``
-    runs the mirrored reflected-beam phase.
+    runs the mirrored convention, the beam splitter with its modes swapped.
     """
     rows: list[tuple[str, float, float]] = []
     _orthogonality(rows)

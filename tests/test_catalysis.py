@@ -230,6 +230,16 @@ def test_schmidt_spectrum_is_normalised(cfg, alpha):
     assert spec.tail_bound < 1e-12
 
 
+def test_schmidt_spectrum_refuses_weights_that_do_not_sum_to_one(monkeypatch):
+    # a success probability twice too large halves every squared weight; the spectrum
+    # refuses at the tolerance of catqkd verify's schmidt-normalisation row, 1e-8
+    real = catalysis.success_probability
+    monkeypatch.setattr(catalysis, "success_probability", lambda cfg, src: 2.0 * real(cfg, src))
+    with pytest.raises(ConsistencyError,
+                       match=r"^Schmidt weights sum to 0\.(5|49999999)\d*, expected 1$"):
+        schmidt_spectrum(SchemeFamily("bsqc", 1).at(0.9), SourceParams(1.0))
+
+
 @pytest.mark.parametrize("cfg,variance", [
     (SchemeFamily("bsqc", 1).at(0.95), 1000.0),
     (SchemeFamily("bsqc", 5).at(0.7), 20.0),

@@ -107,7 +107,7 @@ def test_each_subcommand_declares_its_flags_in_order_with_their_defaults(command
     # the link commands take their source as --variance alone
     *([command, "--alpha", "2"] for command in ("keyrate", "excess-noise", "max-distance")),
     ["keyrate", "--config", "run.cfg"],  # a flag file is passed as @FILE
-    ["verify", "--flip-bs-sign"],  # reflection-phase-invariance compares both phases
+    ["verify", "--flip-bs-sign"],  # reflection-phase-invariance runs the mode-swapped splitter
     ["verify", "--cutoff", "600"],  # the oracle works out its own Fock cutoff
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):

@@ -120,6 +120,15 @@ def test_mutual_information_identity_channel():
     )
 
 
+@pytest.mark.parametrize("xi", [-0.5, -25.0, math.nan, math.inf])
+def test_mutual_information_refuses_an_unphysical_noise(xi):
+    # a noise below 0 can give a finite information or a ratio below 0; one in
+    # [0, inf) keeps the rounded (x + 1)(y + xi) above the rounded z**2
+    with pytest.raises(ValueError, match=f"^total noise xi must be finite and non-negative, "
+                                         f"got {xi}$"):
+        mutual_information(tmsv_covariance(V20), xi)
+
+
 @pytest.mark.parametrize("d_km", [10.0, 50.0, 120.0])
 @pytest.mark.parametrize("eps", [0.0, 0.01, 0.05])
 def test_mutual_information_matches_joint_determinant(d_km, eps):

@@ -63,25 +63,31 @@ def test_identity_at_unit_transmittance():
             )
 
 
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def _modes(swap, j, k, p, q):
+    # the photon numbers of <p,q|B|j,k>, or of <q,p|B|k,j>: the beam splitter with
+    # its two modes swapped, which is the mirrored reflection-phase convention
+    return (k, j, q, p) if swap else (j, k, p, q)
+
+
+@pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("t", [0.3, 0.7, 0.95])
 @pytest.mark.parametrize("total", [1, 2, 3, 4, 5, 6])
-def test_fixed_photon_sector_is_unitary(t, total, sign):
+def test_fixed_photon_sector_is_unitary(t, total, swap):
     dim = total + 1
     u = np.empty((dim, dim))
     for col in range(dim):
         for row in range(dim):
-            u[row, col] = bs_fock_amplitude(t, col, total - col, row, total - row, sign)
+            u[row, col] = bs_fock_amplitude(t, *_modes(swap, col, total - col, row, total - row))
     assert np.allclose(u.T @ u, np.eye(dim), atol=1e-10)
 
 
 def test_conventions_differ_by_local_phase_only():
-    # flipping the reflection sign multiplies each amplitude by (-1)^(out_c - in_c)
+    # swapping the modes multiplies each amplitude by (-1)^(out_c - in_c)
     t = 0.6
     for in_b, in_c, out_b in [(2, 1, 1), (3, 0, 2), (1, 1, 0), (2, 2, 3)]:
         out_c = in_b + in_c - out_b
-        a = bs_fock_amplitude(t, in_b, in_c, out_b, out_c, sign=-1.0)
-        b = bs_fock_amplitude(t, in_b, in_c, out_b, out_c, sign=1.0)
+        a = bs_fock_amplitude(t, in_b, in_c, out_b, out_c)
+        b = bs_fock_amplitude(t, in_c, in_b, out_c, out_b)
         assert b == pytest.approx((-1.0) ** (out_c - in_c) * a, abs=1e-14)
 
 
@@ -119,15 +125,20 @@ def test_results_stable_under_a_tighter_cutoff_tail(monkeypatch):
 
 @pytest.mark.parametrize("t", [0.3, 0.8, 0.85, 0.9])
 def test_mirrored_convention_keeps_the_ladders_and_flips_the_tap(t):
-    # The simulations take sign -1.  Under sign +1 a catalyser's ladder <l,k|B|l,k>
-    # keeps its bits and subtraction's tap <l-1,1|B|l,0> changes sign as a whole,
-    # so every heralded observable is the same under either convention.
+    # The simulations take B.  With its modes swapped a catalyser's ladder <l,k|B|l,k>
+    # keeps its value and subtraction's tap <l-1,1|B|l,0> changes sign as a whole,
+    # so every heralded observable is the same under either convention.  The swapped
+    # call rounds its terms differently, so from k = 2 on a ladder keeps its value
+    # to 1e-12, the tolerance of catqkd verify's row, and not to the bit.
     ls = np.arange(adaptive_cutoff(SourceParams(1.0).lam) + 1)
     for k in range(6):
-        assert np.array_equal(bs_fock_amplitude(t, ls, k, ls, k, -1.0),
-                              bs_fock_amplitude(t, ls, k, ls, k, 1.0))
-    minus, plus = (bs_fock_amplitude(t, ls[1:], 0, ls[1:] - 1, 1, sign) for sign in (-1.0, 1.0))
-    assert np.array_equal(plus, -minus)
+        direct = bs_fock_amplitude(t, ls, k, ls, k)
+        swapped = bs_fock_amplitude(t, *_modes(True, ls, k, ls, k))
+        assert np.allclose(swapped, direct, rtol=0.0, atol=1e-12)
+        if k < 2:
+            assert np.array_equal(swapped, direct)
+    direct = bs_fock_amplitude(t, ls[1:], 0, ls[1:] - 1, 1)
+    assert np.array_equal(bs_fock_amplitude(t, *_modes(True, ls[1:], 0, ls[1:] - 1, 1)), -direct)
 
 
 def test_transparent_catalysis_returns_the_source():
@@ -191,24 +202,24 @@ LADDER = np.arange(601)
 LADDER_T = [0.0, 0.3, 0.5, 0.95, 1.0]
 
 
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("t", LADDER_T)
-def test_ladder_call_equals_scalar_calls(t, sign):
+def test_ladder_call_equals_scalar_calls(t, swap):
     # The forms the simulations use: catalysis keeps k ancilla photons,
     # subtraction moves one photon from the l arm to the tap.  A scalar
     # call costs about as much as a whole ladder, so every sixth l of the
     # ladder is checked.
     sample = LADDER[::6]
     for k in range(6):
-        got = bs_fock_amplitude(t, LADDER, k, LADDER, k, sign)[sample]
-        ref = [bs_fock_amplitude(t, int(l), k, int(l), k, sign) for l in sample]
+        got = bs_fock_amplitude(t, *_modes(swap, LADDER, k, LADDER, k))[sample]
+        ref = [bs_fock_amplitude(t, *_modes(swap, int(l), k, int(l), k)) for l in sample]
         assert np.array_equal(got, ref)
-    got = bs_fock_amplitude(t, LADDER[1:], 0, LADDER[1:] - 1, 1, sign)[sample[1:] - 1]
-    ref = [bs_fock_amplitude(t, int(l), 0, int(l) - 1, 1, sign) for l in sample[1:]]
+    got = bs_fock_amplitude(t, *_modes(swap, LADDER[1:], 0, LADDER[1:] - 1, 1))[sample[1:] - 1]
+    ref = [bs_fock_amplitude(t, *_modes(swap, int(l), 0, int(l) - 1, 1)) for l in sample[1:]]
     assert np.array_equal(got, ref)
 
 
-def _exact_amplitude(t, j, k, p, q, sign):
+def _exact_amplitude(t, j, k, p, q):
     # The binomial sum with even powers of t and 1 - t in rationals; the
     # common odd powers and the factorial prefactor are one float each.
     # Also returns the sum of the terms' magnitudes, the scale of the
@@ -221,8 +232,7 @@ def _exact_amplitude(t, j, k, p, q, sign):
     for a in range(max(0, p - k), min(j, p) + 1):
         e_t, e_r = 2 * a + k - p, j + p - 2 * a
         term = math.comb(j, a) * math.comb(k, p - a) * tf ** (e_t // 2) * (1 - tf) ** (e_r // 2)
-        parity = (j - a) if sign < 0 else (p - a)
-        total += -term if parity % 2 else term
+        total += -term if (j - a) % 2 else term
         magnitude += term
     scale = math.sqrt(math.factorial(p) * math.factorial(q)
                       / (math.factorial(j) * math.factorial(k)))
@@ -230,9 +240,9 @@ def _exact_amplitude(t, j, k, p, q, sign):
     return scale * float(total), scale * float(magnitude), abs(total) == magnitude
 
 
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("t", LADDER_T)
-def test_amplitudes_match_an_exact_binomial_sum(t, sign):
+def test_amplitudes_match_an_exact_binomial_sum(t, swap):
     # matched photon numbers up to 30, sampled, plus mismatched neighbours
     rng = np.random.default_rng(30)
     j, k, p = rng.integers(0, 31, size=(3, 400))
@@ -249,9 +259,12 @@ def test_amplitudes_match_an_exact_binomial_sum(t, sign):
     ladder[q.size - 2 * ls.size:q.size] = True
     j, k, p = (np.concatenate([n, n]) for n in (j, k, p))
     q = np.concatenate([q, (q + rng.integers(1, 4, size=q.size)) % 31])
-    got = bs_fock_amplitude(t, j, k, p, q, sign)
-    exact = [_exact_amplitude(t, *map(int, n), sign) for n in zip(j, k, p, q)]
+    got = bs_fock_amplitude(t, *_modes(swap, j, k, p, q))
+    exact = [_exact_amplitude(t, *map(int, n)) for n in zip(j, k, p, q)]
     ref, magnitude, same_sign = np.array(exact).T
+    if swap:
+        # <q,p|B|k,j> = (-1)^(q-k) <p,q|B|j,k>, term by term
+        ref = np.where((q - k) % 2, -ref, ref)
     # relative to the terms' magnitudes, which is the amplitude itself
     # unless the alternating sum cancels
     assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
@@ -285,8 +298,6 @@ def test_amplitude_refuses_bad_inputs():
         bs_fock_amplitude(0.3, np.arange(3), 0, np.arange(3) - 1, 1)
     with pytest.raises(ValueError, match="transmittance"):
         bs_fock_amplitude(1.5, np.arange(3), 0, np.arange(3), 0)
-    with pytest.raises(ValueError, match="sign"):
-        bs_fock_amplitude(0.3, np.arange(3), 0, np.arange(3), 0, sign=0.5)
     with pytest.raises(TypeError, match="integers"):
         bs_fock_amplitude(0.3, np.arange(3.0), 0, np.arange(3.0), 0)
 

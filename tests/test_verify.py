@@ -116,22 +116,44 @@ def test_every_oracle_simulation_takes_the_adaptive_cutoff(monkeypatch):
     assert seen == {"simulate_catalysis", "simulate_subtraction"}
 
 
-def test_reflection_row_compares_amplitudes_under_both_signs_and_simulates_nothing(monkeypatch):
+def test_reflection_row_compares_mode_swapped_amplitudes_and_simulates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the reflection-phase row must not run a simulation")
 
     for name in ("simulate_catalysis", "simulate_subtraction"):
         monkeypatch.setattr(oracle, name, refuse)
     amplitude = oracle.bs_fock_amplitude
-    signs = []
+    calls = []
 
     def counted(t, *numbers):
-        signs.append(numbers[-1])
+        calls.append((t, numbers))
         return amplitude(t, *numbers)
 
     monkeypatch.setattr(oracle, "bs_fock_amplitude", counted)
     rows = []
     verify._flip(rows)
-    # bsqc1's and ssqc2's ladders and subtraction's tap, each under both signs
-    assert signs == [1.0, -1.0] * 3
-    assert rows == [("reflection-phase-invariance", 0.0, 1e-12)]
+    # bsqc1's and ssqc2's ladders <l,k|B|l,k> and subtraction's tap <l-1,1|B|l,0>,
+    # each first with its modes swapped, <q,p|B|k,j>, and then as <p,q|B|j,k>
+    ls = np.arange(oracle.adaptive_cutoff(SourceParams(alpha=1.0).lam) + 1)
+    sets = [(ls, 1, ls, 1), (ls, 2, ls, 2), (ls[1:], 0, ls[1:] - 1, 1)]
+    expected = [numbers for j, k, p, q in sets for numbers in ((k, j, q, p), (j, k, p, q))]
+    assert [t for t, _ in calls] == [0.9] * 6
+    for (_, numbers), want in zip(calls, expected):
+        assert all(np.array_equal(n, w) for n, w in zip(numbers, want, strict=True))
+    assert rows == [("reflection-phase-invariance", 5.190292640122607e-15, 1e-12)]
+
+
+def test_reflection_row_fails_on_a_wrong_amplitude(monkeypatch):
+    # A relative error of 1e-9 per photon of the first input.  The mode swap moves
+    # it to the other input, so the two sides of the row differ and it reads FAIL.
+    amplitude = oracle.bs_fock_amplitude
+
+    def wrong(t, in_b, in_c, out_b, out_c):
+        return amplitude(t, in_b, in_c, out_b, out_c) * (1.0 + 1e-9 * np.asarray(in_b))
+
+    monkeypatch.setattr(oracle, "bs_fock_amplitude", wrong)
+    rows = []
+    verify._flip(rows)
+    [(name, dev, tol)] = rows
+    assert (name, tol) == ("reflection-phase-invariance", 1e-12)
+    assert dev > 1e-9
