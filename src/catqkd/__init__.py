@@ -16,7 +16,7 @@ from .catalysis import (
     success_probability,
     tmsv_covariance,
 )
-from .errors import ConsistencyError, CutoffError
+from .errors import ConsistencyError
 from .keyrate import (
     ChannelParams,
     KeyRateResult,
@@ -62,7 +62,6 @@ __all__ = [
     "CatalysisConfig",
     "ChannelParams",
     "ConsistencyError",
-    "CutoffError",
     "KeyRateResult",
     "ProtocolParams",
     "SchemeFamily",

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The exception type shared across the package."""
 
 
 class ConsistencyError(ArithmeticError):
@@ -6,11 +6,7 @@ class ConsistencyError(ArithmeticError):
 
     Raised when a probability leaves (0, 1], a covariance matrix fails the
     Heisenberg bound, a symplectic eigenvalue drops below one beyond
-    tolerance, and similar conditions that indicate a numerical problem
+    tolerance, a Schmidt spectrum or Fock-space truncation needs more than
+    2^20 terms, and similar conditions that indicate a numerical problem
     rather than bad user input.
     """
-
-
-class CutoffError(ConsistencyError):
-    """No Fock-space truncation fits: the adaptive cutoff passes the cap on
-    terms, or the source's lam rounds to 1."""

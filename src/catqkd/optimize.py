@@ -26,7 +26,7 @@ per step.  :func:`optimal_log_negativity` walks its own grid, ``_EN_GRID``
 squeezed sources lie near t = 0.01), with the heralded log negativity of a
 catalysis family instead of a key rate, extends it down a decade at a time
 while the log negativity falls from its lowest point (the ssqc peaks lie
-near t = alpha^2), and refines its best cell to ``_EN_TOL``.  Every search
+near t = alpha^2), and refines its best cell to ``_REFINE_TOL``.  Every search
 follows one recipe, the module constants below.
 """
 
@@ -46,10 +46,9 @@ from .keyrate import (DEFAULT_ATTENUATION_DB_PER_KM, ChannelParams, ProtocolPara
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = tuple(0.5 + k * (1.0 - 0.5) / 100 for k in range(101))  # the transmittance grid
-_REFINE_TOL = 1e-4  # golden-section bracket width
+_REFINE_TOL = 1e-4  # golden-section bracket width of both searches
 _EN_GRID = tuple(10.0 ** (-3 + 3 * k / 60) for k in range(61))  # the log-negativity grid
 _EN_DECADES_BELOW = 5  # decades it may grow under 1e-3, so its floor is t = 1e-8
-_EN_TOL = 1e-4  # its golden-section bracket width
 _EPS_MAX, _EPS_TOL = 0.2, 1e-5  # noise search interval [0, _EPS_MAX] and resolution
 _D_MAX, _D_RES = 1500.0, 0.1  # distance search interval [0, _D_MAX] km and resolution
 _BLOCK = 32  # channels per grid pass of every sweep: it bounds the working set of each pass
@@ -174,7 +173,7 @@ def optimal_log_negativity(family: SchemeFamily, source: SourceParams) -> tuple[
         lower = [10.0 ** (-3 - decade + k / 20) for k in range(20)]
         grid[:0], values[:0] = lower, [value(t) for t in lower]
     best = max(range(len(grid)), key=values.__getitem__)
-    return refine_grid_max(value, grid, best, values[best], _EN_TOL)
+    return refine_grid_max(value, grid, best, values[best], _REFINE_TOL)
 
 
 def optimize_transmittance(p: ProtocolParams, ch: ChannelParams) -> TransmittanceOptimum:

@@ -9,7 +9,7 @@ cost one call each (``catqkd verify`` meets 30 distinct ladders in its
 108 catalysis arms); subtraction makes one call per simulation.  Every
 simulation takes :func:`adaptive_cutoff`; one past 2^20 terms, the cap
 of the Schmidt spectra in :mod:`catqkd.catalysis`, or a source whose lam
-rounds to 1 raises :class:`CutoffError` before any array is allocated.
+rounds to 1 raises :class:`ConsistencyError` before any array is allocated.
 Tests and ``catqkd verify`` check the production closed
 forms against these simulations; ``verify`` uses nothing else of the
 references.  The paper's generating-function route for catalysis, the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalysis import _MAX_TERMS, CatalysisConfig, SourceParams, TwoModeCovariance
-from .errors import CutoffError
+from .errors import ConsistencyError
 from .subtraction import SubtractionConfig
 
 _CUTOFF_TAIL = 1e-12  # weight-sum tail that adaptive_cutoff leaves out
@@ -122,12 +122,12 @@ def _cutoff(lam: float, x: float, what: str) -> int:
     # adaptive_cutoff(x) for a source of parameter lam, refused before any
     # array of length cutoff + 1 is allocated
     if lam >= 1.0:
-        raise CutoffError(f"{what} with lam={lam!r}: lam rounds to 1, "
-                          "so no cutoff holds the source")
+        raise ConsistencyError(f"{what} with lam={lam!r}: lam rounds to 1, "
+                               "so no cutoff holds the source")
     cutoff = adaptive_cutoff(x)
     if cutoff >= _MAX_TERMS:
-        raise CutoffError(f"cutoff too large: {what} with lam={lam:.4f} at cutoff {cutoff} "
-                          f"needs {cutoff + 1} terms, more than {_MAX_TERMS}")
+        raise ConsistencyError(f"cutoff too large: {what} with lam={lam:.4f} at cutoff {cutoff} "
+                               f"needs {cutoff + 1} terms, more than {_MAX_TERMS}")
     return cutoff
 
 

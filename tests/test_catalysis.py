@@ -91,6 +91,23 @@ def test_overflowing_covariance_is_refused_with_z():
                               "at z=2e+200 (x=2e+200, y=2e+200)")
 
 
+@pytest.mark.xfail(reason="ROADMAP item 3")
+def test_a_large_variance_bare_source_is_physical():
+    # V**2 - z**2 rounds to 1 - 3.1e-5 here, and 630 of 3000 log-spaced V in
+    # [1e3, 1e6] are refused as "unphysical covariance" the same way
+    cov = tmsv_covariance(SourceParams.from_variance(461912.0))
+    assert all(map(math.isfinite, (cov.x, cov.y, cov.z)))
+
+
+@pytest.mark.xfail(reason="ROADMAP item 3")
+def test_a_near_transparent_bsqc0_state_is_physical():
+    # bsqc0 heralds a rescaled two-mode squeezed vacuum, pure with x*y - z**2 = 1;
+    # the closed form's floats give x*y - z**2 = 1 - 3.7e-9
+    _, cov = pd_and_covariance(SchemeFamily("bsqc", 0).at(0.99975),
+                               SourceParams.from_variance(1e6))
+    assert all(map(math.isfinite, (cov.x, cov.y, cov.z)))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="photon number"):
         CatalysisConfig(m=6, n=0, t1=0.9, t2=0.9)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import catqkd
+import catqkd.errors
 
 SRC = Path(catqkd.__file__).parent
 
@@ -21,3 +22,10 @@ def test_every_export_is_used_inside_the_package():
     used = {name for path in SRC.glob("*.py") if path.name != "__init__.py"
             for name in _used_names(path)}
     assert sorted(set(catqkd.__all__) - used) == []
+
+
+def test_one_exception_type():
+    # a refused Fock truncation raises ConsistencyError, as a refused Schmidt spectrum does
+    assert not hasattr(catqkd, "CutoffError")
+    assert not hasattr(catqkd.errors, "CutoffError")
+    assert len(catqkd.__all__) == 30 and "__version__" in catqkd.__all__  # 29 names and the version

@@ -13,7 +13,7 @@ from catqkd import catalysis, oracle, subtraction
 from catqkd import (
     CatalysisConfig,
     ChannelParams,
-    CutoffError,
+    ConsistencyError,
     SchemeFamily,
     SourceParams,
     SubtractionConfig,
@@ -343,7 +343,7 @@ def test_cutoff_cap_raises_before_allocating(simulate, cfg):
     src = SourceParams.from_variance(1e6)
     tracemalloc.start()
     try:
-        with pytest.raises(CutoffError, match=r"lam=.* at cutoff \d+ needs"):
+        with pytest.raises(ConsistencyError, match=r"lam=.* at cutoff \d+ needs"):
             simulate(cfg, src)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -373,7 +373,7 @@ def test_a_source_whose_lam_rounds_to_one_is_refused(simulate, cfg, alpha):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CutoffError, match=r"lam=1\.0: lam rounds to 1"):
+            with pytest.raises(ConsistencyError, match=r"lam=1\.0: lam rounds to 1"):
                 simulate(cfg, src)
         _, peak = tracemalloc.get_traced_memory()
     finally:
